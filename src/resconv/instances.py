@@ -14,8 +14,8 @@ from math import log2
 from typing import Iterable, Literal, Sequence
 
 from .core import Decision, InputError, TheoryOracle
-from .presentation import (Multiset, MorphismGenerator, MultisetTheory,
-                           PresentedSMC, decategorify, ms_make)
+from .presentation import (Multiset, MorphismGenerator, PresentedSMC,
+                           decategorify, ms_make)
 
 Vector = tuple[int, ...]
 
@@ -294,7 +294,9 @@ class ReactionTheory(TheoryOracle):
     geq is bounded-depth reachability with shortest witness traces.  A
     query whose difference vector lies outside the rational span of the
     rule deltas is Refuted outright, certified by a conserved linear
-    functional.
+    functional.  The constructor validates the rules and builds one
+    `MultisetTheory`, which every query reuses, so the projector behind
+    that refutation is computed once per theory.
     """
 
     species: tuple[str, ...]
@@ -303,27 +305,25 @@ class ReactionTheory(TheoryOracle):
     state_cap: int | None = None
 
     def __post_init__(self) -> None:
-        # Validates species references.
-        PresentedSMC(self.species, self.rules)
-
-    def _theory(self) -> MultisetTheory:
-        return decategorify(PresentedSMC(self.species, self.rules), self.bound,
-                            self.state_cap, refute_by_conservation=True)
+        # Not a field: equality, hash and repr see only the four above.
+        object.__setattr__(self, "_theory", decategorify(
+            PresentedSMC(self.species, self.rules), self.bound, self.state_cap,
+            refute_by_conservation=True))
 
     def combine(self, a: Multiset, b: Multiset) -> Multiset:
-        return self._theory().combine(a, b)
+        return self._theory.combine(a, b)
 
     def zero(self) -> Multiset:
         return ()
 
     def geq(self, a: Multiset, b: Multiset) -> Decision:
-        return self._theory().geq(a, b)
+        return self._theory.geq(a, b)
 
     def enumerate_up_to(self, bound: int) -> list[Multiset]:
-        return self._theory().enumerate_up_to(bound)
+        return self._theory.enumerate_up_to(bound)
 
     def format_term(self, a: Multiset) -> str:
-        return self._theory().format_term(a)
+        return self._theory.format_term(a)
 
 
 def reaction_convertible(a: Multiset | dict, b: Multiset | dict,

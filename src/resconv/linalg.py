@@ -1,78 +1,53 @@
 """Exact rational linear algebra used by the decision procedures.
 
-Everything here works over `fractions.Fraction`; no floating point.
+Everything here works over `fractions.Fraction` or Python integers; no
+floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-Vec = tuple[Fraction, ...]
 
+def complement_projector(vectors: Sequence[Sequence[int]],
+                         dim: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Orthogonal projector onto the complement of span(vectors) in Q^dim.
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(u, v)), F0)
-
-
-def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    """Is `target` a rational linear combination of `vectors`?"""
-    rows = [list(v) for v in vectors]
-    t = list(target)
-    ncols = len(t)
-    pivot_cols: list[int] = []
-    reduced: list[list[Fraction]] = []
-    for row in rows:
-        r = row[:]
-        for pc, pr in zip(pivot_cols, reduced):
-            if r[pc] != 0:
-                f = r[pc]
-                r = [a - f * b for a, b in zip(r, pr)]
-        lead = next((j for j in range(ncols) if r[j] != 0), None)
-        if lead is None:
-            continue
-        inv = F1 / r[lead]
-        r = [a * inv for a in r]
-        pivot_cols.append(lead)
-        reduced.append(r)
-    for pc, pr in zip(pivot_cols, reduced):
-        if t[pc] != 0:
-            f = t[pc]
-            t = [a - f * b for a, b in zip(t, pr)]
-    return all(a == 0 for a in t)
-
-
-def orthogonal_residual(vectors: Sequence[Sequence[Fraction]],
-                        target: Sequence[Fraction]) -> Vec | None:
-    """Component of `target` orthogonal to span(vectors), or None if zero.
-
-    Gram-Schmidt without square roots: orthogonal (not orthonormal)
-    basis vectors keep all arithmetic rational.  The residual w satisfies
-    w . v = 0 for every v in the span and w . target = |w|^2 > 0, so it
-    certifies that target lies outside the span.
+    Returned as (N, d): integer numerators N over one denominator d > 0.
+    Fraction-free Gram-Schmidt keeps every orthogonal basis vector u
+    integral (each step scales by |u|^2 instead of dividing, then divides
+    out the content), so P = I - sum u u^T / |u|^2 needs only integers.
+    P is symmetric, and P x is the component of x orthogonal to the span:
+    zero exactly when x lies in the span, and otherwise a functional w with
+    w . v = 0 on the span and w . x = |w|^2 > 0.
     """
-    basis: list[list[Fraction]] = []
+    basis: list[tuple[list[int], int]] = []
     for v in vectors:
         r = list(v)
-        for u in basis:
-            denom = dot(u, u)
-            if denom != 0:
-                c = dot(r, u) / denom
-                r = [a - c * b for a, b in zip(r, u)]
-        if any(a != 0 for a in r):
-            basis.append(r)
-    r = list(target)
-    for u in basis:
-        denom = dot(u, u)
-        if denom != 0:
-            c = dot(r, u) / denom
-            r = [a - c * b for a, b in zip(r, u)]
-    if all(a == 0 for a in r):
-        return None
-    return tuple(r)
+        for u, uu in basis:
+            c = sum(a * b for a, b in zip(r, u))
+            if c:
+                r = [uu * a - c * b for a, b in zip(r, u)]
+        g = gcd(*r)
+        if g:
+            r = [a // g for a in r]
+            basis.append((r, sum(a * a for a in r)))
+    d = lcm(*(uu for _, uu in basis))
+    rows = [[d if i == j else 0 for j in range(dim)] for i in range(dim)]
+    for u, uu in basis:
+        k = d // uu
+        for i, ui in enumerate(u):
+            if ui:
+                row = rows[i]
+                for j, uj in enumerate(u):
+                    row[j] -= k * ui * uj
+    g = gcd(d, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), d // g
 
 
 def feasible_nonneg_solution(equations: Sequence[Sequence[Fraction]],

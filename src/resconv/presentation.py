@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import Decision, InputError, TheoryOracle
-from .linalg import in_span, orthogonal_residual
+from .linalg import complement_projector
 
 # A multiset is canonically a sorted tuple of (name, count) pairs, counts > 0.
 Multiset = tuple[tuple[str, int], ...]
@@ -101,7 +102,10 @@ class MultisetTheory(TheoryOracle):
     larger than `state_cap` are pruned.  With `refute_by_conservation`
     the query is first tested against the rational span of the rule
     deltas: a target outside the reachable affine lattice is Refuted with
-    a conserved linear functional as certificate.
+    a conserved linear functional as certificate.  The species index and
+    the integer projector onto the complement of that span are computed
+    once per instance, on first use, so a query costs one sparse
+    integer product instead of a fresh Gram-Schmidt.
     """
 
     presentation: PresentedSMC
@@ -115,41 +119,52 @@ class MultisetTheory(TheoryOracle):
     def zero(self) -> Multiset:
         return ()
 
-    def validate_term(self, a: Multiset) -> None:
-        declared = set(self.presentation.objects)
-        for name, _ in a:
-            if name not in declared:
-                raise InputError(f"undeclared species {name!r}")
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Position of each declared species in `presentation.objects`."""
+        return {o: i for i, o in enumerate(self.presentation.objects)}
 
-    def _delta_vectors(self) -> list[list[Fraction]]:
-        objs = self.presentation.objects
-        idx = {o: i for i, o in enumerate(objs)}
+    @cached_property
+    def _projector(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Integer projector onto the complement of the rule deltas' span,
+        built on the first conservation query and reused by every later one."""
+        idx = self._index
         deltas = []
         for m in self.presentation.morphisms:
-            v = [Fraction(0)] * len(objs)
+            v = [0] * len(idx)
             for name, k in m.target:
                 v[idx[name]] += k
             for name, k in m.source:
                 v[idx[name]] -= k
             deltas.append(v)
-        return deltas
+        return complement_projector(deltas, len(idx))
+
+    def validate_term(self, a: Multiset) -> None:
+        for name, _ in a:
+            if name not in self._index:
+                raise InputError(f"undeclared species {name!r}")
 
     def conservation_certificate(self, a: Multiset, b: Multiset) -> tuple[tuple[str, Fraction], ...] | None:
-        """A linear functional constant on every rule but separating a from b."""
-        objs = self.presentation.objects
-        idx = {o: i for i, o in enumerate(objs)}
-        diff = [Fraction(0)] * len(objs)
+        """A linear functional constant on every rule but separating a from b.
+
+        It is the component of b - a orthogonal to the rule deltas, read off
+        the cached projector; None when b - a lies in their span.
+        """
+        rows, den = self._projector
+        idx = self._index
+        diff = [0] * len(rows)
         for name, k in b:
             diff[idx[name]] += k
         for name, k in a:
             diff[idx[name]] -= k
-        deltas = self._delta_vectors()
-        if in_span(deltas, diff):
+        w = [0] * len(rows)
+        for row, dj in zip(rows, diff):  # the projector is symmetric
+            if dj:
+                w = [x + dj * y for x, y in zip(w, row)]
+        if not any(w):
             return None
-        w = orthogonal_residual(deltas, diff)
-        if w is None:
-            return None
-        return tuple((o, c) for o, c in zip(objs, w) if c != 0)
+        return tuple((o, Fraction(x, den))
+                     for o, x in zip(self.presentation.objects, w) if x)
 
     def geq(self, a: Multiset, b: Multiset) -> Decision:
         self.validate_term(a)

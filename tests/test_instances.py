@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from resconv import (InputError, ProbVector, RandomnessTheory, ReactionTheory,
                      entanglement_convertible, enumerate_prob_vectors,
                      majorizes, ms_make, reaction_convertible,
                      shannon_entropy)
-from resconv.presentation import MorphismGenerator, PresentedSMC
+import resconv.presentation
+from resconv.presentation import MorphismGenerator, PresentedSMC, ms_add
 
 from conftest import brute_force_coarse_graining, doubly_stochastic_mixable
 
@@ -203,3 +205,105 @@ def test_reaction_bfs_finds_multi_step_paths():
         bound=4)
     d = t.geq(ms_make(["a"]), ms_make(["c"]))
     assert d.is_proven and d.witness == ("r1", "r2")
+
+
+def gram_schmidt_residual(vectors, target):
+    """Reference: component of target orthogonal to span(vectors), by
+    textbook Gram-Schmidt over Fractions, or None when it is zero."""
+    def dot(u, v):
+        return sum((x * y for x, y in zip(u, v)), F(0))
+
+    basis = []
+    for v in list(vectors) + [target]:
+        r = [F(x) for x in v]
+        for u in basis:
+            c = dot(r, u) / dot(u, u)
+            r = [x - c * y for x, y in zip(r, u)]
+        if v is target:
+            return tuple(r) if any(r) else None
+        if any(r):
+            basis.append(r)
+
+
+def random_network(rng, case):
+    """Seeded reaction networks; every case keeps species s0 out of all rules,
+    and some add a linearly dependent rule or a rule whose sides agree."""
+    species = tuple(f"s{i}" for i in range(rng.randint(2, 6)))
+    used = species[1:]
+
+    def side():
+        return ms_make({s: rng.randint(0, 2) for s in rng.sample(used, rng.randint(0, len(used)))})
+
+    rules = [MorphismGenerator(f"r{i}", side(), side()) for i in range(rng.randint(1, 4))]
+    if case % 3 == 0:  # deltas that are a sum and a multiple of earlier ones
+        first, last = rules[0], rules[-1]
+        rules.append(MorphismGenerator("both", ms_add(first.source, last.source),
+                                       ms_add(first.target, last.target)))
+        rules.append(MorphismGenerator("twice", ms_add(first.source, first.source),
+                                       ms_add(first.target, first.target)))
+    if case % 3 == 1:
+        same = side()
+        rules.append(MorphismGenerator("idle", same, same))
+    return ReactionTheory(species, tuple(rules), bound=2)
+
+
+def delta(rule, species):
+    counts = {s: 0 for s in species}
+    for name, k in rule.target:
+        counts[name] += k
+    for name, k in rule.source:
+        counts[name] -= k
+    return [counts[s] for s in species]
+
+
+def test_conservation_certificate_matches_gram_schmidt_reference():
+    rng = Random(2024)
+    refuted = in_span = 0
+    for case in range(60):
+        t = random_network(rng, case)
+        deltas = [delta(r, t.species) for r in t.rules]
+        for _ in range(15):
+            a = ms_make({s: rng.randint(0, 3) for s in t.species})
+            b = ms_make({s: rng.randint(0, 3) for s in t.species})
+            diff = [dict(b).get(s, 0) - dict(a).get(s, 0) for s in t.species]
+            expected = gram_schmidt_residual(deltas, diff)
+            cert = t._theory.conservation_certificate(a, b)
+            if expected is None:
+                in_span += 1
+                assert cert is None
+                continue
+            refuted += 1
+            assert cert == tuple((s, w) for s, w in zip(t.species, expected) if w)
+            weights = dict(cert)
+            w = [weights.get(s, F(0)) for s in t.species]
+            # zero on every rule delta, positive on b - a
+            assert all(sum(x * y for x, y in zip(w, d)) == 0 for d in deltas)
+            assert sum(x * y for x, y in zip(w, diff)) > 0
+            d = t.geq(a, b)
+            assert d.is_refuted and d.witness == ("conserved-functional", cert)
+    assert refuted and in_span
+
+
+def test_unused_species_is_its_own_conserved_functional():
+    t = random_network(Random(5), 1)
+    cert = t._theory.conservation_certificate((), ms_make({"s0": 2}))
+    assert cert == (("s0", F(2)),)
+
+
+def test_projector_is_computed_once_per_theory(monkeypatch):
+    calls = []
+    real = resconv.presentation.complement_projector
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(resconv.presentation, "complement_projector", counting)
+    t = haber()
+    assert calls == []
+    for n in range(1, 30):
+        assert t.geq(ms_make({"NH3": n}), ms_make({"N2": n})).is_refuted
+        t.geq(ms_make({"N2": 1, "H2": 3}), ms_make({"NH3": 2}))
+    assert len(calls) == 1
+    haber().geq(ms_make({"NH3": 1}), ms_make({"N2": 1}))
+    assert len(calls) == 2
