@@ -204,7 +204,9 @@ def cmd_simulate_channel(args: argparse.Namespace) -> int:
         if d.is_proven:
             w = d.witness
             q = simulate_channel(p, w.encoder, w.decoder, w.randomness)
-            assert q.matrix == target.matrix, "witness failed to replay"
+            if q.matrix != target.matrix:
+                raise RuntimeError("exact-simulation witness does not replay "
+                                   "through simulate_channel")
             human.append("witness re-verified through simulate_channel")
             payload["witness"] = {
                 "encoder": jsonio.dump_stoch_map(w.encoder),

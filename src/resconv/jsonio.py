@@ -88,11 +88,17 @@ def load_finset(raw: Any, label: str = "S") -> FinSet:
     return FinSet(label, tuple(str(x) for x in raw))
 
 
+def _matrix(raw: Any, what: str) -> tuple[tuple[Fraction, ...], ...]:
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise InputError(f"{what} must be a list of lists, got {raw!r}")
+    return tuple(tuple(_frac(x) for x in row) for row in raw)
+
+
 def load_stoch_map(data: Mapping) -> StochMap:
     try:
         dom = load_finset(data["dom"], "dom")
         cod = load_finset(data["cod"], "cod")
-        matrix = tuple(tuple(_frac(x) for x in row) for row in data["matrix"])
+        matrix = _matrix(data["matrix"], "stochastic map matrix")
     except KeyError as exc:
         raise InputError(f"stochastic map missing field {exc}") from None
     return StochMap(dom, cod, matrix)
@@ -115,9 +121,12 @@ def dump_prob_vector(p: ProbVector) -> list[str]:
 
 
 def load_shared_randomness(data: Mapping) -> SharedRandomness:
-    sa = load_finset(data["sa"], "sa")
-    sb = load_finset(data["sb"], "sb")
-    joint = tuple(tuple(_frac(x) for x in row) for row in data["joint"])
+    try:
+        sa = load_finset(data["sa"], "sa")
+        sb = load_finset(data["sb"], "sb")
+        joint = _matrix(data["joint"], "joint distribution")
+    except KeyError as exc:
+        raise InputError(f"shared randomness missing field {exc}") from None
     return SharedRandomness(sa, sb, joint)
 
 
@@ -173,7 +182,10 @@ def load_theory(data: Mapping, bound: int = 6) -> TheoryOracle:
         return ReactionTheory(smc.objects, smc.morphisms, bound)
     kind = data.get("kind")
     if kind == "vector":
-        return VectorTheory(int(data["arity"]), str(data["mode"]))
+        try:
+            return VectorTheory(int(data["arity"]), str(data["mode"]))
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"malformed vector theory: {exc}") from None
     if kind == "randomness":
         return RandomnessTheory()
     if kind == "entanglement":

@@ -10,7 +10,8 @@ import time
 from fractions import Fraction
 from random import Random
 
-from resconv import (OneComb, VectorTheory, all_deterministic_maps,
+from resconv import (EntanglementSpectrumTheory, OneComb, VectorTheory,
+                     all_deterministic_maps,
                      apply_comb, check_catalysis_free, check_non_interacting,
                      check_quantity_like, comb_equivalent, complete_family,
                      complete_family_violations, component_monotone,
@@ -335,3 +336,18 @@ def test_criterion_11_channel_simulation_cases():
     assert identity(b2).column(i) != identity(b2).column(j)
     assert all(const.column(0) == const.column(x) for x in range(2))
     report(11, "noiseless-4 simulates identity-2; constant channel refuted", started)
+
+
+def test_criterion_12_entanglement_catalysis_textbook_example():
+    # Jonathan & Plenio, PRL 83, 3566 (1999): the spectrum (2/5,2/5,1/10,1/10)
+    # cannot be turned into (1/2,1/4,1/4) alone, but can with (3/5,2/5) lent.
+    started = time.perf_counter()
+    t = EntanglementSpectrumTheory()
+    a = ProbVector.of("2/5", "2/5", "1/10", "1/10")
+    b = ProbVector.of("1/2", "1/4", "1/4")
+    c = ProbVector.of("3/5", "2/5")
+    assert t.geq(a, b).is_refuted
+    d = find_catalyst(t, a, b, [c])
+    assert d.is_proven and d.witness == ("catalyst", c)
+    assert entanglement_convertible(t.combine(a, c), t.combine(b, c))
+    report(12, "(3/5,2/5) catalyses (2/5,2/5,1/10,1/10) -> (1/2,1/4,1/4)", started)

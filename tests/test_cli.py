@@ -182,6 +182,45 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
     assert "Refuted" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name, content, argv", [
+    ("vec.json", {"kind": "vector", "mode": "additive"},
+     ["convert", "{path}", "[1,1]", "[0,0]"]),
+    ("vec.json", {"kind": "vector", "arity": 2},
+     ["convert", "{path}", "[1,1]", "[0,0]"]),
+    ("p.json", {"dom": ["b0", "b1"], "cod": ["b0", "b1"], "matrix": 5},
+     ["simulate-channel", "{path}", "--target", "{path}"]),
+    ("r.json", {"sb": ["y0"], "joint": [["1"]]},
+     ["simulate-channel", "{other}", "--encoder", "{other}", "--decoder", "{other}",
+      "--randomness", "{path}"]),
+], ids=["vector-without-arity", "vector-without-mode", "matrix-not-list",
+        "randomness-without-sa"])
+def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, content, argv):
+    path = tmp_path / name
+    path.write_text(json.dumps(content))
+    other = tmp_path / "id.json"
+    other.write_text(json.dumps(dump_stoch_map(identity(finset("b", 2)))))
+    args = [a.format(path=path, other=other) for a in argv]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_simulate_channel_never_reports_a_witness_that_fails_to_replay(
+        tmp_path, capsys, monkeypatch):
+    import resconv.cli
+    b2, b4 = finset("b", 2), finset("q", 4)
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(dump_stoch_map(identity(b4))))
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps(dump_stoch_map(identity(b2))))
+    wrong = random_stoch_map(Random(1), b2, b2)
+    assert wrong.matrix != identity(b2).matrix
+    monkeypatch.setattr(resconv.cli, "simulate_channel", lambda *args: wrong)
+    with pytest.raises(RuntimeError, match="does not replay"):
+        run(["simulate-channel", str(p), "--target", str(t)])
+    assert "re-verified" not in capsys.readouterr().out
+
+
 def circuit_files(tmp_path):
     rng = Random(31)
     from resconv import tensor
