@@ -9,10 +9,9 @@ monotones and conversion-rate bounds.
 from .core import (Decision, FiniteTheoryTable, InputError, TheoryOracle,
                    Verdict, Violation, check_axioms, check_oracle_axioms,
                    equivalent, finite_table_from_oracle, replicate)
-from .presentation import (MorphismGenerator, MultisetTheory, PresentedSMC,
-                           decategorify, ms_make)
+from .presentation import MorphismGenerator, MultisetTheory, ms_make
 from .instances import (EntanglementSpectrumTheory, ProbVector,
-                        RandomnessTheory, ReactionTheory, VectorTheory,
+                        RandomnessTheory, VectorTheory,
                         deterministic_convertible, entanglement_convertible,
                         enumerate_prob_vectors, majorizes,
                         reaction_convertible, shannon_entropy)

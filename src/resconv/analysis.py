@@ -29,27 +29,7 @@ class PropertyReport:
         return f"{self.name}: {self.decision.verdict} ({self.scope}){extra}"
 
     def to_json(self) -> dict:
-        return {
-            "property": self.name,
-            "verdict": str(self.decision.verdict),
-            "witness": _jsonable(self.decision.witness),
-            "bound": self.decision.bound,
-            "scope": self.scope,
-            "note": self.decision.note,
-        }
-
-
-def _jsonable(x: Any) -> Any:
-    from fractions import Fraction
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (str, int, float, bool)) or x is None:
-        return x
-    return str(x)
+        return {"property": self.name, "scope": self.scope, **self.decision.to_json()}
 
 
 def _is_exhaustive(t: TheoryOracle, sample: Sequence[Any]) -> bool:
@@ -102,7 +82,7 @@ def check_catalysis_free(t: TheoryOracle, sample: Sequence[Any],
                     return PropertyReport(
                         "catalysis-free",
                         Decision.refuted(("catalyst-triple", a, b, c)),
-                        _scope(t, sample))
+                        sample_scope(t, sample))
                 if lifted.is_unknown:
                     inconclusive += 1
     return _clean_verdict("catalysis-free", t, sample, bound, inconclusive)
@@ -146,7 +126,7 @@ def check_non_interacting(t: TheoryOracle, sample: Sequence[Any],
                     return PropertyReport(
                         "non-interacting",
                         Decision.refuted(("no-split", a, b1, b2)),
-                        _scope(t, sample))
+                        sample_scope(t, sample))
                 inconclusive += 1
     return _clean_verdict("non-interacting", t, sample, bound, inconclusive)
 
@@ -174,7 +154,7 @@ def check_quantity_like(t: TheoryOracle, sample: Sequence[Any],
             return PropertyReport(
                 "quantity-like",
                 Decision.refuted(("quadruple", a1, a2, b1, b2)),
-                _scope(t, sample))
+                sample_scope(t, sample))
         if back.is_unknown:
             inconclusive += 1
     return _clean_verdict("quantity-like", t, sample, bound, inconclusive)
@@ -189,7 +169,7 @@ def check_quality_like(t: TheoryOracle, sample: Sequence[Any],
         if eq.is_refuted:
             return PropertyReport("quality-like",
                                   Decision.refuted(("not-idempotent", a)),
-                                  _scope(t, sample))
+                                  sample_scope(t, sample))
         if eq.is_unknown:
             inconclusive += 1
     return _clean_verdict("quality-like", t, sample, bound, inconclusive)
@@ -210,7 +190,7 @@ def check_waste_free(t: TheoryOracle, sample: Sequence[Any],
         if d.is_refuted:
             return PropertyReport("waste-free",
                                   Decision.refuted(("not-disposable", a)),
-                                  _scope(t, sample))
+                                  sample_scope(t, sample))
         if d.is_unknown:
             inconclusive += 1
     if not inconclusive:
@@ -221,7 +201,7 @@ def check_waste_free(t: TheoryOracle, sample: Sequence[Any],
                         "waste-free",
                         Decision.refuted(("whole-covers-part-fails", a, b),
                                          note="theorem violation: disposability held"),
-                        _scope(t, sample))
+                        sample_scope(t, sample))
     return _clean_verdict("waste-free", t, sample, bound, inconclusive)
 
 
@@ -243,7 +223,7 @@ def check_riesz_interpolation(t: TheoryOracle, uppers: Sequence[Any],
         if all(d.is_proven for d in decisions):
             return PropertyReport("riesz-interpolation",
                                   Decision.proven(("interpolant", c)),
-                                  _scope(t, candidates))
+                                  sample_scope(t, candidates))
         if any(d.is_unknown for d in decisions):
             inconclusive += 1
     if _is_exhaustive(t, candidates) and not inconclusive:
@@ -252,7 +232,7 @@ def check_riesz_interpolation(t: TheoryOracle, uppers: Sequence[Any],
                               "exhaustive")
     return PropertyReport("riesz-interpolation",
                           Decision.unknown(bound, note="no interpolant among enumerated terms"),
-                          _scope(t, candidates))
+                          sample_scope(t, candidates))
 
 
 def cross_check_theorems(t: TheoryOracle, sample: Sequence[Any],
@@ -277,13 +257,13 @@ def cross_check_theorems(t: TheoryOracle, sample: Sequence[Any],
             "thm:no-catalysis-criterion",
             Decision.refuted(("theorem-violation", cf.decision.witness),
                              note="non-interacting and quantity-like yet a catalyst exists"),
-            _scope(t, sample)))
+            sample_scope(t, sample)))
     else:
         note = None if hypotheses_hold else "hypotheses not satisfied; vacuous"
         reports.append(PropertyReport(
             "thm:no-catalysis-criterion",
             Decision.proven(("checked", len(sample)), note=note),
-            _scope(t, sample)))
+            sample_scope(t, sample)))
 
     if not ql.decision.is_refuted:
         bad = None
@@ -301,16 +281,16 @@ def cross_check_theorems(t: TheoryOracle, sample: Sequence[Any],
                 "prop:cloning-is-creation",
                 Decision.refuted(("theorem-violation", bad),
                                  note="cloning and creation from nothing disagree"),
-                _scope(t, sample)))
+                sample_scope(t, sample)))
         else:
             reports.append(PropertyReport(
                 "prop:cloning-is-creation",
-                Decision.proven(("checked", len(sample))), _scope(t, sample)))
+                Decision.proven(("checked", len(sample))), sample_scope(t, sample)))
     else:
         reports.append(PropertyReport(
             "prop:cloning-is-creation",
             Decision.proven(("vacuous",), note="theory is not quantity-like"),
-            _scope(t, sample)))
+            sample_scope(t, sample)))
 
     if not qual.decision.is_refuted:
         bad_pair = None
@@ -333,20 +313,20 @@ def cross_check_theorems(t: TheoryOracle, sample: Sequence[Any],
                 "prop:doubling-irrelevant",
                 Decision.refuted(("theorem-violation",) + bad_pair,
                                  note="doubling changed convertibility in a quality-like theory"),
-                _scope(t, sample)))
+                sample_scope(t, sample)))
         else:
             reports.append(PropertyReport(
                 "prop:doubling-irrelevant",
-                Decision.proven(("checked", len(sample))), _scope(t, sample)))
+                Decision.proven(("checked", len(sample))), sample_scope(t, sample)))
     else:
         reports.append(PropertyReport(
             "prop:doubling-irrelevant",
             Decision.proven(("vacuous",), note="theory is not quality-like"),
-            _scope(t, sample)))
+            sample_scope(t, sample)))
     return reports
 
 
-def _scope(t: TheoryOracle, sample: Sequence[Any]) -> str:
+def sample_scope(t: TheoryOracle, sample: Sequence[Any]) -> str:
     return "exhaustive" if _is_exhaustive(t, sample) else f"sample of {len(sample)}"
 
 
@@ -359,7 +339,7 @@ def _clean_verdict(name: str, t: TheoryOracle, sample: Sequence[Any],
     if inconclusive:
         note += f" ({inconclusive} inconclusive sub-queries)"
     return PropertyReport(name, Decision.unknown(bound, note=note),
-                          _scope(t, sample))
+                          sample_scope(t, sample))
 
 
 # Random finite theories for stress-testing the theorem battery.

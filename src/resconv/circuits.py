@@ -422,8 +422,3 @@ def to_dot(c: CircuitDiagram) -> str:
         lines.append(f"  {prev[i]} -> out{i};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def circuit_is_free(c: CircuitDiagram) -> bool:
-    return all(it.entry.free for layer in c.layers for it in layer
-               if isinstance(it, BoxItem))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Any
@@ -19,7 +18,7 @@ from .analysis import (PropertyReport, check_catalysis_free,
                        check_non_interacting, check_quality_like,
                        check_quantity_like, check_waste_free,
                        cross_check_theorems, find_catalyst,
-                       random_theory_table, _jsonable)
+                       random_theory_table)
 from .circuits import evaluate_circuit, normalize_to_comb, parse_circuit
 from .combs import apply_comb, apply_uc, plug_ncombs
 from .core import FiniteTheoryTable, InputError, TheoryOracle, check_axioms
@@ -29,27 +28,10 @@ from .stoch import (CompositionError, all_deterministic_maps, random_stoch_map,
                     search_exact_simulation, simulate_channel)
 
 
-@dataclass
-class Workspace:
-    """Loaded artifacts for one invocation; names are unique and files are
-    validated as they are registered."""
-
-    theories: dict[str, TheoryOracle] = field(default_factory=dict)
-    libraries: dict[str, dict] = field(default_factory=dict)
-    circuits: dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
-    bound: int = 6
-
-    def add_theory(self, name: str, theory: TheoryOracle) -> TheoryOracle:
-        if name in self.theories:
-            raise InputError(f"theory name {name!r} already loaded")
-        self.theories[name] = theory
-        return theory
-
-    def load_theory_file(self, path: str, bound: int) -> tuple[TheoryOracle, dict]:
-        data = jsonio.read_json(path)
-        theory = jsonio.load_theory(data, bound=bound)
-        return self.add_theory(Path(path).name, theory), data
+def _load_theory(args: argparse.Namespace) -> tuple[TheoryOracle, dict]:
+    """The theory named by `args.theory`, with `args.bound`, and its raw JSON."""
+    data = jsonio.read_json(args.theory)
+    return jsonio.load_theory(data, bound=args.bound), data
 
 
 def _emit(args: argparse.Namespace, payload: Any, human: list[str]) -> None:
@@ -60,18 +42,8 @@ def _emit(args: argparse.Namespace, payload: Any, human: list[str]) -> None:
             print(line)
 
 
-def _decision_payload(d) -> dict:
-    return {"verdict": str(d.verdict), "witness": _jsonable(d.witness),
-            "bound": d.bound, "note": d.note}
-
-
-def _sample_for(t: TheoryOracle, box: int) -> list:
-    return t.enumerate_up_to(box)
-
-
 def cmd_check_axioms(args: argparse.Namespace) -> int:
-    ws = Workspace()
-    theory, _ = ws.load_theory_file(args.theory, args.bound)
+    theory, _ = _load_theory(args)
     if not isinstance(theory, FiniteTheoryTable):
         raise InputError("check-axioms expects a finite table theory")
     violations = check_axioms(theory)
@@ -84,42 +56,36 @@ def cmd_check_axioms(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    ws = Workspace()
-    theory, _ = ws.load_theory_file(args.theory, args.bound)
+    theory, _ = _load_theory(args)
     a = jsonio.parse_term(theory, json.loads(args.source))
     b = jsonio.parse_term(theory, json.loads(args.target))
     d = theory.geq(a, b)
+    payload = d.to_json()
     human = [str(d.verdict)]
     if d.witness is not None:
-        human.append(f"witness: {_jsonable(d.witness)}")
+        human.append(f"witness: {payload['witness']}")
     if d.note:
         human.append(f"note: {d.note}")
-    _emit(args, _decision_payload(d), human)
+    _emit(args, payload, human)
     return 0 if d.is_proven else 1
 
 
 def cmd_catalyst(args: argparse.Namespace) -> int:
-    ws = Workspace()
-    theory, _ = ws.load_theory_file(args.theory, args.bound)
+    theory, _ = _load_theory(args)
     a = jsonio.parse_term(theory, json.loads(args.source))
     b = jsonio.parse_term(theory, json.loads(args.target))
-    candidates = _sample_for(theory, args.box)
+    candidates = theory.enumerate_up_to(args.box)
     d = find_catalyst(theory, a, b, candidates, bound=args.bound)
     human = [f"catalyst search over {len(candidates)} candidates: {d.verdict}"]
     if d.is_proven:
         human.append(f"catalyst: {theory.format_term(d.witness[1])}")
     if d.note:
         human.append(f"note: {d.note}")
-    _emit(args, _decision_payload(d), human)
+    _emit(args, d.to_json(), human)
     return 0 if d.is_proven else 1
 
 
-def _report_lines(reports: list[PropertyReport]) -> list[str]:
-    return [str(r) for r in reports]
-
-
 def cmd_properties(args: argparse.Namespace) -> int:
-    reports: list[PropertyReport] = []
     if args.random_tables:
         rng = Random(args.seed)
         human = []
@@ -135,9 +101,8 @@ def cmd_properties(args: argparse.Namespace) -> int:
         return 0
     if not args.theory:
         raise InputError("properties needs a theory file or --random-tables")
-    ws = Workspace()
-    theory, _ = ws.load_theory_file(args.theory, args.bound)
-    sample = _sample_for(theory, args.sample_box)
+    theory, _ = _load_theory(args)
+    sample = theory.enumerate_up_to(args.sample_box)
     reports = [
         check_quality_like(theory, sample, args.bound),
         check_quantity_like(theory, sample, args.bound),
@@ -145,13 +110,12 @@ def cmd_properties(args: argparse.Namespace) -> int:
         check_waste_free(theory, sample, args.bound),
         check_catalysis_free(theory, sample, args.bound),
     ]
-    _emit(args, [r.to_json() for r in reports], _report_lines(reports))
+    _emit(args, [r.to_json() for r in reports], [str(r) for r in reports])
     return 0
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    ws = Workspace()
-    theory, data = ws.load_theory_file(args.theory, args.bound)
+    theory, data = _load_theory(args)
     monotones = jsonio.load_theory_monotones(data, theory)
     a = jsonio.parse_term(theory, json.loads(args.source))
     b = jsonio.parse_term(theory, json.loads(args.target))
@@ -166,24 +130,22 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 
 def cmd_monotones(args: argparse.Namespace) -> int:
-    ws = Workspace()
-    theory, data = ws.load_theory_file(args.theory, args.bound)
+    theory, data = _load_theory(args)
     monotones = jsonio.load_theory_monotones(data, theory)
     if not monotones:
         raise InputError("theory file declares no monotones")
-    sample = _sample_for(theory, args.sample_box)
+    sample = theory.enumerate_up_to(args.sample_box)
     reports: list[PropertyReport] = []
     for m in monotones:
         reports.append(verify_monotone(m, theory, sample))
         reports.append(classify(m, theory, sample))
-    _emit(args, [r.to_json() for r in reports], _report_lines(reports))
+    _emit(args, [r.to_json() for r in reports], [str(r) for r in reports])
     return 1 if any(r.decision.is_refuted for r in reports) else 0
 
 
 def cmd_hasse(args: argparse.Namespace) -> int:
-    ws = Workspace()
-    theory, _ = ws.load_theory_file(args.theory, args.bound)
-    terms = _sample_for(theory, args.box)
+    theory, _ = _load_theory(args)
+    terms = theory.enumerate_up_to(args.box)
     dot = hasse_dot(theory, terms)
     if args.out:
         Path(args.out).write_text(dot)
@@ -292,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "catalysis, monotones, rates, combs and channel simulation.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, theory: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--bound", type=int, default=6,
                        help="search depth for reachability theories (default 6)")

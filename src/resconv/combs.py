@@ -208,10 +208,6 @@ def one_comb_as_ncomb(k: OneComb) -> NComb:
     return NComb(((k.hole_dom, k.hole_cod),), (0,), (k.pre, k.post), (k.ancilla,))
 
 
-def ncomb_of_identity(a: FinSet, b: FinSet) -> NComb:
-    return one_comb_as_ncomb(identity_comb(a, b))
-
-
 def apply_ncomb(k: NComb, fs: Sequence[StochMap]) -> StochMap:
     if len(fs) != k.arity:
         raise CompositionError(f"comb has {k.arity} holes, got {len(fs)} processes")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
 
@@ -71,6 +72,23 @@ class Decision:
     @property
     def is_unknown(self) -> bool:
         return self.verdict is Verdict.UNKNOWN
+
+    def to_json(self) -> dict:
+        """Verdict, witness (Fractions as strings, tuples as lists), bound, note."""
+        return {"verdict": str(self.verdict), "witness": _jsonable(self.witness),
+                "bound": self.bound, "note": self.note}
+
+
+def _jsonable(x: Any) -> Any:
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (str, int, float, bool)) or x is None:
+        return x
+    return str(x)
 
 
 class TheoryOracle(ABC):

@@ -1,5 +1,6 @@
-"""Concrete theories: count vectors, exact probability vectors, spectra,
-and multiset rewrite systems.
+"""Concrete theories: count vectors, exact probability vectors and
+spectra, plus a convenience query for multiset rewrite systems (whose
+theory is `presentation.MultisetTheory`).
 
 All decision procedures are exact over rationals; nothing here compares
 floats.
@@ -8,14 +9,13 @@ floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import log2
 from typing import Iterable, Literal, Sequence
 
 from .core import Decision, InputError, TheoryOracle
-from .presentation import (Multiset, MorphismGenerator, PresentedSMC,
-                           decategorify, ms_make)
+from .presentation import Multiset, MultisetTheory, ms_make
 
 Vector = tuple[int, ...]
 
@@ -287,49 +287,10 @@ def entanglement_convertible(s: ProbVector, t: ProbVector) -> bool:
     return majorizes(t, s)
 
 
-@dataclass(frozen=True)
-class ReactionTheory(TheoryOracle):
-    """Multisets of species under rewrite rules, e.g. chemical reactions.
-
-    geq is bounded-depth reachability with shortest witness traces.  A
-    query whose difference vector lies outside the rational span of the
-    rule deltas is Refuted outright, certified by a conserved linear
-    functional.  The constructor validates the rules and builds one
-    `MultisetTheory`, which every query reuses, so the projector behind
-    that refutation is computed once per theory.
-    """
-
-    species: tuple[str, ...]
-    rules: tuple[MorphismGenerator, ...]
-    bound: int = 6
-    state_cap: int | None = None
-
-    def __post_init__(self) -> None:
-        # Not a field: equality, hash and repr see only the four above.
-        object.__setattr__(self, "_theory", decategorify(
-            PresentedSMC(self.species, self.rules), self.bound, self.state_cap,
-            refute_by_conservation=True))
-
-    def combine(self, a: Multiset, b: Multiset) -> Multiset:
-        return self._theory.combine(a, b)
-
-    def zero(self) -> Multiset:
-        return ()
-
-    def geq(self, a: Multiset, b: Multiset) -> Decision:
-        return self._theory.geq(a, b)
-
-    def enumerate_up_to(self, bound: int) -> list[Multiset]:
-        return self._theory.enumerate_up_to(bound)
-
-    def format_term(self, a: Multiset) -> str:
-        return self._theory.format_term(a)
-
-
 def reaction_convertible(a: Multiset | dict, b: Multiset | dict,
-                         t: ReactionTheory, bound: int | None = None) -> Decision:
+                         t: MultisetTheory, bound: int | None = None) -> Decision:
     """Reachability between species multisets under the theory's rules."""
     ma = ms_make(a) if isinstance(a, dict) else a
     mb = ms_make(b) if isinstance(b, dict) else b
-    theory = t if bound is None else ReactionTheory(t.species, t.rules, bound, t.state_cap)
+    theory = t if bound is None else replace(t, bound=bound)
     return theory.geq(ma, mb)

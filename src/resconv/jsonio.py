@@ -30,10 +30,20 @@ from typing import Any, Mapping
 from .combs import NComb, OneComb, UCTransformation
 from .core import FiniteTheoryTable, InputError, TheoryOracle
 from .instances import (EntanglementSpectrumTheory, ProbVector,
-                        RandomnessTheory, ReactionTheory, VectorTheory)
+                        RandomnessTheory, VectorTheory)
 from .monotones import Monotone, builtin_monotone
-from .presentation import MorphismGenerator, Multiset, PresentedSMC, ms_make
+from .presentation import MorphismGenerator, Multiset, MultisetTheory, ms_make
 from .stoch import FinSet, SharedRandomness, StochMap
+
+
+def _fields(data: Any, what: str, *names: str) -> list:
+    """The named fields of a JSON object, or an InputError naming what is wrong."""
+    if not isinstance(data, Mapping):
+        raise InputError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for name in names:
+        if name not in data:
+            raise InputError(f"{what} missing field {name!r}")
+    return [data[name] for name in names]
 
 
 def _frac(x: Any) -> Fraction:
@@ -54,32 +64,12 @@ def load_finite_table(data: Mapping) -> FiniteTheoryTable:
     return FiniteTheoryTable(n, combine, zero, geq)
 
 
-def dump_finite_table(t: FiniteTheoryTable) -> dict:
-    return {"carrier": t.size,
-            "combine": [list(r) for r in t.table],
-            "zero": t.zero_index,
-            "geq": [[1 if x else 0 for x in r] for r in t.order]}
-
-
 def _multiset_field(raw: Any) -> Multiset:
     if isinstance(raw, Mapping):
         return ms_make({str(k): int(v) for k, v in raw.items()})
     if isinstance(raw, list):
         return ms_make([str(x) for x in raw])
     raise InputError(f"multiset must be a list or object, got {raw!r}")
-
-
-def load_presented_smc(data: Mapping) -> PresentedSMC:
-    try:
-        objects = tuple(str(o) for o in data["objects"])
-        morphisms = tuple(
-            MorphismGenerator(str(m["name"]),
-                              _multiset_field(m["from"]),
-                              _multiset_field(m["to"]))
-            for m in data["morphisms"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed presentation: {exc}") from None
-    return PresentedSMC(objects, morphisms)
 
 
 def load_finset(raw: Any, label: str = "S") -> FinSet:
@@ -95,13 +85,9 @@ def _matrix(raw: Any, what: str) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def load_stoch_map(data: Mapping) -> StochMap:
-    try:
-        dom = load_finset(data["dom"], "dom")
-        cod = load_finset(data["cod"], "cod")
-        matrix = _matrix(data["matrix"], "stochastic map matrix")
-    except KeyError as exc:
-        raise InputError(f"stochastic map missing field {exc}") from None
-    return StochMap(dom, cod, matrix)
+    dom, cod, matrix = _fields(data, "stochastic map", "dom", "cod", "matrix")
+    return StochMap(load_finset(dom, "dom"), load_finset(cod, "cod"),
+                    _matrix(matrix, "stochastic map matrix"))
 
 
 def dump_stoch_map(p: StochMap) -> dict:
@@ -116,18 +102,10 @@ def load_prob_vector(raw: Any) -> ProbVector:
     return ProbVector(tuple(_frac(x) for x in raw))
 
 
-def dump_prob_vector(p: ProbVector) -> list[str]:
-    return [str(x) for x in p.entries]
-
-
 def load_shared_randomness(data: Mapping) -> SharedRandomness:
-    try:
-        sa = load_finset(data["sa"], "sa")
-        sb = load_finset(data["sb"], "sb")
-        joint = _matrix(data["joint"], "joint distribution")
-    except KeyError as exc:
-        raise InputError(f"shared randomness missing field {exc}") from None
-    return SharedRandomness(sa, sb, joint)
+    sa, sb, joint = _fields(data, "shared randomness", "sa", "sb", "joint")
+    return SharedRandomness(load_finset(sa, "sa"), load_finset(sb, "sb"),
+                            _matrix(joint, "joint distribution"))
 
 
 def dump_shared_randomness(r: SharedRandomness) -> dict:
@@ -136,11 +114,10 @@ def dump_shared_randomness(r: SharedRandomness) -> dict:
 
 
 def load_one_comb(data: Mapping) -> OneComb:
-    return OneComb(load_finset(data["ancilla"], "Z"),
-                   load_stoch_map(data["pre"]),
-                   load_stoch_map(data["post"]),
-                   load_finset(data["hole_dom"], "A"),
-                   load_finset(data["hole_cod"], "B"))
+    ancilla, pre, post, hole_dom, hole_cod = _fields(
+        data, "one-comb", "ancilla", "pre", "post", "hole_dom", "hole_cod")
+    return OneComb(load_finset(ancilla, "Z"), load_stoch_map(pre), load_stoch_map(post),
+                   load_finset(hole_dom, "A"), load_finset(hole_cod, "B"))
 
 
 def dump_one_comb(k: OneComb) -> dict:
@@ -152,12 +129,16 @@ def dump_one_comb(k: OneComb) -> dict:
 
 
 def load_ncomb(data: Mapping) -> NComb:
-    holes = tuple((load_finset(h["dom"], "A"), load_finset(h["cod"], "B"))
-                  for h in data["holes"])
-    order = tuple(int(i) for i in data["order"])
-    stages = tuple(load_stoch_map(s) for s in data["stages"])
-    ancillas = tuple(load_finset(z, "Z") for z in data["ancillas"])
-    return NComb(holes, order, stages, ancillas)
+    holes, order, stages, ancillas = _fields(
+        data, "n-comb", "holes", "order", "stages", "ancillas")
+    hole_types = []
+    for h in holes:
+        dom, cod = _fields(h, "n-comb hole", "dom", "cod")
+        hole_types.append((load_finset(dom, "A"), load_finset(cod, "B")))
+    return NComb(tuple(hole_types),
+                 tuple(int(i) for i in order),
+                 tuple(load_stoch_map(s) for s in stages),
+                 tuple(load_finset(z, "Z") for z in ancillas))
 
 
 def dump_ncomb(k: NComb) -> dict:
@@ -169,17 +150,27 @@ def dump_ncomb(k: NComb) -> dict:
 
 
 def load_uc(data: Mapping) -> UCTransformation:
-    return UCTransformation(tuple(int(i) for i in data["allocation"]),
-                            tuple(load_ncomb(c) for c in data["combs"]))
+    allocation, combs = _fields(data, "allocation file", "allocation", "combs")
+    return UCTransformation(tuple(int(i) for i in allocation),
+                            tuple(load_ncomb(c) for c in combs))
 
 
 def load_theory(data: Mapping, bound: int = 6) -> TheoryOracle:
     """Dispatch on shape/kind; `bound` configures reachability theories."""
+    _fields(data, "theory")  # which fields it needs depends on its shape
     if "carrier" in data:
         return load_finite_table(data)
     if "objects" in data:
-        smc = load_presented_smc(data)
-        return ReactionTheory(smc.objects, smc.morphisms, bound)
+        try:
+            objects = tuple(str(o) for o in data["objects"])
+            morphisms = tuple(
+                MorphismGenerator(str(m["name"]),
+                                  _multiset_field(m["from"]),
+                                  _multiset_field(m["to"]))
+                for m in data["morphisms"])
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"malformed presentation: {exc}") from None
+        return MultisetTheory(objects, morphisms, bound)
     kind = data.get("kind")
     if kind == "vector":
         try:
@@ -194,10 +185,13 @@ def load_theory(data: Mapping, bound: int = 6) -> TheoryOracle:
 
 
 def load_theory_monotones(data: Mapping, t: TheoryOracle) -> list[Monotone]:
+    decls = data.get("monotones", [])
+    if not isinstance(decls, list):
+        raise InputError(f"monotones must be a list, got {decls!r}")
     out = []
-    for decl in data.get("monotones", []):
-        out.append(builtin_monotone(str(decl["name"]),
-                                    str(decl.get("class", "general")), t))
+    for decl in decls:
+        (name,) = _fields(decl, "monotone declaration", "name")
+        out.append(builtin_monotone(str(name), str(decl.get("class", "general")), t))
     return out
 
 
@@ -214,11 +208,9 @@ def parse_term(t: TheoryOracle, raw: Any) -> Any:
         return v
     if isinstance(t, (RandomnessTheory, EntanglementSpectrumTheory)):
         return load_prob_vector(raw)
-    if isinstance(t, ReactionTheory):
+    if isinstance(t, MultisetTheory):
         ms = _multiset_field(raw)
-        for name, _ in ms:
-            if name not in t.species:
-                raise InputError(f"undeclared species {name!r}")
+        t.validate_term(ms)
         return ms
     raise InputError(f"no term parser for theory {type(t).__name__}")
 

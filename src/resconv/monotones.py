@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Literal, Sequence
 
-from .analysis import PropertyReport, _scope
+from .analysis import PropertyReport, sample_scope
 from .core import Decision, FiniteTheoryTable, InputError, TheoryOracle, replicate
 from .instances import shannon_entropy
 
@@ -64,12 +64,12 @@ def verify_monotone(m: Monotone, t: TheoryOracle, sample: Sequence[Any]) -> Prop
                 return PropertyReport(
                     f"monotone:{m.name}",
                     Decision.refuted(("order-violated", a, b, m(a), m(b))),
-                    _scope(t, sample))
+                    sample_scope(t, sample))
     note = "unrefuted on sample"
     if inconclusive:
         note += f" ({inconclusive} inconclusive pairs)"
     return PropertyReport(f"monotone:{m.name}",
-                          Decision.unknown(0, note=note), _scope(t, sample))
+                          Decision.unknown(0, note=note), sample_scope(t, sample))
 
 
 def classify(m: Monotone, t: TheoryOracle, sample: Sequence[Any]) -> PropertyReport:
@@ -78,7 +78,7 @@ def classify(m: Monotone, t: TheoryOracle, sample: Sequence[Any]) -> PropertyRep
         return PropertyReport(f"class:{m.name}",
                               Decision.proven(("no-law-declared",),
                                               note="general monotone; nothing to test"),
-                              _scope(t, sample))
+                              sample_scope(t, sample))
     for a in sample:
         for b in sample:
             combined = m(t.combine(a, b))
@@ -91,10 +91,10 @@ def classify(m: Monotone, t: TheoryOracle, sample: Sequence[Any]) -> PropertyRep
                 return PropertyReport(
                     f"class:{m.name}",
                     Decision.refuted((f"{m.kind}-law-fails", a, b, combined, expected)),
-                    _scope(t, sample))
+                    sample_scope(t, sample))
     return PropertyReport(f"class:{m.name}",
                           Decision.proven((f"{m.kind}-law-holds", len(sample))),
-                          _scope(t, sample))
+                          sample_scope(t, sample))
 
 
 def complete_family(t: FiniteTheoryTable) -> list[Monotone]:

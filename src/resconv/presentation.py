@@ -1,10 +1,13 @@
-"""Finitely presented strict symmetric monoidal theories and their collapse
-to a theory of resource convertibility.
+"""Finitely presented strict symmetric monoidal theories, collapsed to a
+theory of resource convertibility.
 
-Terms of the collapsed theory are multisets of object generators; the
-order is bounded reachability by rewriting with the morphism generators,
-applied inside any ambient multiset (tensoring with identities) and
-chained sequentially.
+One class, `MultisetTheory`, holds a presentation (object generators,
+called species, and morphism generators, called rules) and is its
+decategorified theory.  Terms are multisets of species; the order is
+bounded reachability by rewriting with the rules, applied inside any
+ambient multiset (tensoring with identities) and chained sequentially.
+Queries outside the span of the rule deltas are refuted by a conserved
+linear functional unless that check is switched off.
 """
 
 from __future__ import annotations
@@ -75,43 +78,37 @@ class MorphismGenerator:
 
 
 @dataclass(frozen=True)
-class PresentedSMC:
-    """Finite presentation: named object generators plus rewrite rules whose
-    source/target are multisets over the generators.  The unit object is the
-    empty multiset."""
+class MultisetTheory(TheoryOracle):
+    """The resource theory of a finite presentation, e.g. a chemical
+    reaction network: the decategorified theory of its free processes.
 
-    objects: tuple[str, ...]
-    morphisms: tuple[MorphismGenerator, ...]
+    `species` are the object generators and `rules` the morphism
+    generators, each rewriting a source multiset into a target multiset.
+    Terms are multisets of species; combine is multiset union, zero the
+    empty multiset, and geq bounded breadth-first reachability (shortest
+    rewrite traces first) to depth `bound`, pruning states larger than
+    the larger side plus `bound`.  With `refute_by_conservation` (the
+    default) the query is first tested against the rational span of the
+    rule deltas: a target outside the reachable affine lattice is Refuted
+    with a conserved linear functional as certificate.  The species index
+    and the integer projector onto the complement of that span are
+    computed once per instance, on first use, so a query costs one
+    sparse integer product instead of a fresh Gram-Schmidt.
+    """
+
+    species: tuple[str, ...]
+    rules: tuple[MorphismGenerator, ...]
+    bound: int = 6
+    refute_by_conservation: bool = True
 
     def __post_init__(self) -> None:
-        if len(set(self.objects)) != len(self.objects):
+        if len(set(self.species)) != len(self.species):
             raise InputError("duplicate object generator names")
-        declared = set(self.objects)
-        for m in self.morphisms:
+        declared = set(self.species)
+        for m in self.rules:
             for name, _ in m.source + m.target:
                 if name not in declared:
                     raise InputError(f"morphism {m.name!r} references undeclared object {name!r}")
-
-
-@dataclass(frozen=True)
-class MultisetTheory(TheoryOracle):
-    """The decategorified theory of a presentation.
-
-    combine is multiset union, zero the empty multiset, and geq bounded
-    breadth-first reachability (shortest rewrite traces first).  States
-    larger than `state_cap` are pruned.  With `refute_by_conservation`
-    the query is first tested against the rational span of the rule
-    deltas: a target outside the reachable affine lattice is Refuted with
-    a conserved linear functional as certificate.  The species index and
-    the integer projector onto the complement of that span are computed
-    once per instance, on first use, so a query costs one sparse
-    integer product instead of a fresh Gram-Schmidt.
-    """
-
-    presentation: PresentedSMC
-    bound: int
-    state_cap: int | None = None
-    refute_by_conservation: bool = False
 
     def combine(self, a: Multiset, b: Multiset) -> Multiset:
         return ms_add(a, b)
@@ -121,8 +118,8 @@ class MultisetTheory(TheoryOracle):
 
     @cached_property
     def _index(self) -> dict[str, int]:
-        """Position of each declared species in `presentation.objects`."""
-        return {o: i for i, o in enumerate(self.presentation.objects)}
+        """Position of each declared species in `species`."""
+        return {o: i for i, o in enumerate(self.species)}
 
     @cached_property
     def _projector(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -130,7 +127,7 @@ class MultisetTheory(TheoryOracle):
         built on the first conservation query and reused by every later one."""
         idx = self._index
         deltas = []
-        for m in self.presentation.morphisms:
+        for m in self.rules:
             v = [0] * len(idx)
             for name, k in m.target:
                 v[idx[name]] += k
@@ -164,7 +161,7 @@ class MultisetTheory(TheoryOracle):
         if not any(w):
             return None
         return tuple((o, Fraction(x, den))
-                     for o, x in zip(self.presentation.objects, w) if x)
+                     for o, x in zip(self.species, w) if x)
 
     def geq(self, a: Multiset, b: Multiset) -> Decision:
         self.validate_term(a)
@@ -175,9 +172,7 @@ class MultisetTheory(TheoryOracle):
             cert = self.conservation_certificate(a, b)
             if cert is not None:
                 return Decision.refuted(("conserved-functional", cert))
-        cap = self.state_cap
-        if cap is None:
-            cap = max(ms_size(a), ms_size(b)) + self.bound
+        cap = max(ms_size(a), ms_size(b)) + self.bound
         seen = {a}
         frontier: deque[tuple[Multiset, tuple[str, ...]]] = deque([(a, ())])
         depth = 0
@@ -185,7 +180,7 @@ class MultisetTheory(TheoryOracle):
             depth += 1
             for _ in range(len(frontier)):
                 state, trace = frontier.popleft()
-                for rule in self.presentation.morphisms:
+                for rule in self.rules:
                     if not ms_contains(state, rule.source):
                         continue
                     nxt = ms_add(ms_sub(state, rule.source), rule.target)
@@ -199,7 +194,7 @@ class MultisetTheory(TheoryOracle):
         return Decision.unknown(self.bound)
 
     def enumerate_up_to(self, bound: int) -> list[Multiset]:
-        objs = self.presentation.objects
+        objs = self.species
         out: list[Multiset] = []
 
         def rec(i: int, remaining: int, acc: list[tuple[str, int]]) -> None:
@@ -220,8 +215,3 @@ class MultisetTheory(TheoryOracle):
     def format_term(self, a: Multiset) -> str:
         return ms_format(a)
 
-
-def decategorify(s: PresentedSMC, bound: int, state_cap: int | None = None,
-                 refute_by_conservation: bool = False) -> MultisetTheory:
-    """Collapse a presentation to its theory of resource convertibility."""
-    return MultisetTheory(s, bound, state_cap, refute_by_conservation)

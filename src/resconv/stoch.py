@@ -149,14 +149,6 @@ def discard(dom: FinSet) -> StochMap:
     return StochMap(dom, UNIT, (tuple(F1 for _ in dom.elements),))
 
 
-def constant_map(dom: FinSet, s: StochMap) -> StochMap:
-    """Ignore the input and emit the state `s`."""
-    if s.dom.elements != UNIT.elements:
-        raise CompositionError(f"constant_map needs a state, got {s.dom} -> {s.cod}")
-    col = [s.matrix[j][0] for j in range(len(s.cod))]
-    return StochMap(dom, s.cod, tuple(tuple(p for _ in dom.elements) for p in col))
-
-
 def compose_seq(q: StochMap, p: StochMap) -> StochMap:
     """q after p: matrix product, summing over the middle alphabet."""
     if p.cod.elements != q.dom.elements:

@@ -5,9 +5,9 @@ from resconv import (FiniteTheoryTable, check_axioms,
                      check_catalysis_free, check_non_interacting,
                      check_quality_like, check_quantity_like,
                      check_riesz_interpolation, check_waste_free,
-                     cross_check_theorems, decategorify, equivalent,
+                     cross_check_theorems, equivalent,
                      find_catalyst, ms_make, random_theory_table)
-from resconv.presentation import MorphismGenerator, PresentedSMC
+from resconv.presentation import MorphismGenerator, MultisetTheory
 
 
 def box(t, size):
@@ -123,9 +123,9 @@ def test_non_interacting_refuted_with_replayable_witness():
 
 
 def test_unknown_subanswers_never_prove_or_refute():
-    smc = PresentedSMC(("a", "b"),
-                       (MorphismGenerator("r", ms_make(["a", "a"]), ms_make(["b"])),))
-    t = decategorify(smc, bound=1)
+    t = MultisetTheory(("a", "b"),
+                       (MorphismGenerator("r", ms_make(["a", "a"]), ms_make(["b"])),),
+                       bound=1, refute_by_conservation=False)
     sample = t.enumerate_up_to(2)
     for report in (check_quality_like(t, sample),
                    check_quantity_like(t, sample),

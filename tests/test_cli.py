@@ -6,9 +6,9 @@ import pytest
 
 from resconv import InputError, random_stoch_map, finset, identity
 from resconv.cli import run
-from resconv.jsonio import (dump_ncomb, dump_stoch_map, load_finite_table,
-                            load_prob_vector, load_stoch_map, load_theory,
-                            parse_term)
+from resconv.jsonio import (dump_ncomb, dump_one_comb, dump_stoch_map,
+                            load_finite_table, load_one_comb, load_prob_vector,
+                            load_stoch_map, load_theory, parse_term)
 from resconv.combs import identity_comb, one_comb_as_ncomb
 
 F = Fraction
@@ -192,8 +192,30 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
     ("r.json", {"sb": ["y0"], "joint": [["1"]]},
      ["simulate-channel", "{other}", "--encoder", "{other}", "--decoder", "{other}",
       "--randomness", "{path}"]),
+    ("theory.json", [1, 2], ["convert", "{path}", "[1]", "[0]"]),
+    ("uc.json", {"combs": []}, ["uc-apply", "{path}", "{other}"]),
+    ("outer.json", {"holes": [], "order": [], "ancillas": []},
+     ["plug", "{path}", "{path}"]),
+    ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive",
+                  "monotones": [{"class": "additive"}]},
+     ["rate", "{path}", "[2,3]", "[1,1]"]),
+    ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive",
+                  "monotones": [{"class": "additive"}]},
+     ["monotones", "{path}"]),
+    ("net.json", {"objects": ["a", "a"], "morphisms": []},
+     ["convert", "{path}", "[]", "[]"]),
+    ("net.json", {"objects": ["a"], "morphisms": [{"name": "r", "from": ["a"], "to": ["b"]}]},
+     ["convert", "{path}", "[]", "[]"]),
+    ("p.json", [1, 2], ["simulate-channel", "{path}", "--target", "{other}"]),
+    ("outer.json", [1, 2], ["plug", "{path}", "{path}"]),
+    ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive", "monotones": 5},
+     ["monotones", "{path}"]),
 ], ids=["vector-without-arity", "vector-without-mode", "matrix-not-list",
-        "randomness-without-sa"])
+        "randomness-without-sa", "theory-not-object", "uc-without-allocation",
+        "ncomb-without-stages", "rate-monotone-without-name",
+        "monotones-monotone-without-name", "duplicate-species",
+        "rule-with-undeclared-species", "map-not-object", "ncomb-not-object",
+        "monotones-not-list"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, content, argv):
     path = tmp_path / name
     path.write_text(json.dumps(content))
@@ -203,6 +225,14 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, con
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["ancilla", "pre", "post", "hole_dom", "hole_cod"])
+def test_one_comb_missing_field_is_an_input_error(field):
+    data = dump_one_comb(identity_comb(finset("b", 2), finset("b", 2)))
+    del data[field]
+    with pytest.raises(InputError, match=f"one-comb missing field '{field}'"):
+        load_one_comb(data)
 
 
 def test_simulate_channel_never_reports_a_witness_that_fails_to_replay(

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from resconv import (Decision, FiniteTheoryTable, InputError, ProbVector,
                      RandomnessTheory, Verdict, check_axioms,
-                     check_oracle_axioms, decategorify, equivalent,
+                     check_oracle_axioms, equivalent,
                      finite_table_from_oracle, ms_make, replicate)
-from resconv.presentation import MorphismGenerator, PresentedSMC
+from resconv.presentation import MorphismGenerator, MultisetTheory
 
 
 def test_decision_invariants():
@@ -66,8 +66,8 @@ def test_equivalent_food_examples(food):
 
 
 def test_equivalent_unknown_propagates():
-    smc = PresentedSMC(("a", "b"), (MorphismGenerator("r", ms_make(["a"]), ms_make(["b"])),))
-    t = decategorify(smc, bound=2)
+    t = MultisetTheory(("a", "b"), (MorphismGenerator("r", ms_make(["a"]), ms_make(["b"])),),
+                       bound=2, refute_by_conservation=False)
     d = equivalent(t, ms_make(["a"]), ms_make(["b"]))
     # forward is provable, backward exhausts the bound
     assert d.is_unknown and d.bound == 2
@@ -102,10 +102,10 @@ class VectorTheoryCached:
         return VectorTheory(2, "additive")
 
 
-# decategorify
+# decategorified presentations
 
 def chemistry():
-    return PresentedSMC(
+    return (
         ("NaOH", "HCl", "NaCl", "H2O"),
         (MorphismGenerator("neutralize",
                            ms_make(["NaOH", "HCl"]),
@@ -113,27 +113,27 @@ def chemistry():
 
 
 def test_neutralization_is_one_step():
-    t = decategorify(chemistry(), bound=4)
+    t = MultisetTheory(*chemistry(), bound=4, refute_by_conservation=False)
     d = t.geq(ms_make(["NaOH", "HCl"]), ms_make(["NaCl", "H2O"]))
     assert d.is_proven
     assert d.witness == ("neutralize",)
 
 
 def test_reflexive_via_empty_circuit():
-    t = decategorify(chemistry(), bound=4)
+    t = MultisetTheory(*chemistry(), bound=4, refute_by_conservation=False)
     a = ms_make(["NaCl", "NaOH"])
     d = t.geq(a, a)
     assert d.is_proven and d.witness == ()
 
 
 def test_reverse_reaction_unknown_at_bound():
-    t = decategorify(chemistry(), bound=4)
+    t = MultisetTheory(*chemistry(), bound=4, refute_by_conservation=False)
     d = t.geq(ms_make(["NaCl", "H2O"]), ms_make(["NaOH", "HCl"]))
     assert d.is_unknown and d.bound == 4
 
 
 def test_decategorified_oracle_satisfies_axioms():
-    t = decategorify(chemistry(), bound=3)
+    t = MultisetTheory(*chemistry(), bound=3, refute_by_conservation=False)
     terms = [m for m in t.enumerate_up_to(2) if len(m) <= 2]
     assert check_oracle_axioms(t, 2, terms=terms) == []
 
