@@ -46,6 +46,26 @@ def _fields(data: Any, what: str, *names: str) -> list:
     return [data[name] for name in names]
 
 
+def _list_fields(data: Any, what: str, *names: str) -> list[list]:
+    """Like _fields, for fields whose values must be JSON lists."""
+    values = _fields(data, what, *names)
+    for name, value in zip(names, values):
+        if not isinstance(value, list):
+            raise InputError(f"{what} field {name!r} must be a list, got {value!r}")
+    return values
+
+
+def _int(x: Any, what: str) -> int:
+    """An integral JSON value as an int; 0.9 or "1.5" is an InputError, not truncated."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be an integer, got {x!r}") from None
+    if not isinstance(x, str) and i != x:
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return i
+
+
 def _frac(x: Any) -> Fraction:
     try:
         return Fraction(str(x))
@@ -55,9 +75,9 @@ def _frac(x: Any) -> Fraction:
 
 def load_finite_table(data: Mapping) -> FiniteTheoryTable:
     try:
-        n = int(data["carrier"])
-        combine = tuple(tuple(int(x) for x in row) for row in data["combine"])
-        zero = int(data["zero"])
+        n = _int(data["carrier"], "carrier")
+        combine = tuple(tuple(_int(x, "combine entry") for x in row) for row in data["combine"])
+        zero = _int(data["zero"], "zero")
         geq = tuple(tuple(bool(x) for x in row) for row in data["geq"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed finite table: {exc}") from None
@@ -66,7 +86,7 @@ def load_finite_table(data: Mapping) -> FiniteTheoryTable:
 
 def _multiset_field(raw: Any) -> Multiset:
     if isinstance(raw, Mapping):
-        return ms_make({str(k): int(v) for k, v in raw.items()})
+        return ms_make({str(k): _int(v, "multiset count") for k, v in raw.items()})
     if isinstance(raw, list):
         return ms_make([str(x) for x in raw])
     raise InputError(f"multiset must be a list or object, got {raw!r}")
@@ -129,14 +149,14 @@ def dump_one_comb(k: OneComb) -> dict:
 
 
 def load_ncomb(data: Mapping) -> NComb:
-    holes, order, stages, ancillas = _fields(
+    holes, order, stages, ancillas = _list_fields(
         data, "n-comb", "holes", "order", "stages", "ancillas")
     hole_types = []
     for h in holes:
         dom, cod = _fields(h, "n-comb hole", "dom", "cod")
         hole_types.append((load_finset(dom, "A"), load_finset(cod, "B")))
     return NComb(tuple(hole_types),
-                 tuple(int(i) for i in order),
+                 tuple(_int(i, "n-comb order entry") for i in order),
                  tuple(load_stoch_map(s) for s in stages),
                  tuple(load_finset(z, "Z") for z in ancillas))
 
@@ -150,8 +170,8 @@ def dump_ncomb(k: NComb) -> dict:
 
 
 def load_uc(data: Mapping) -> UCTransformation:
-    allocation, combs = _fields(data, "allocation file", "allocation", "combs")
-    return UCTransformation(tuple(int(i) for i in allocation),
+    allocation, combs = _list_fields(data, "allocation file", "allocation", "combs")
+    return UCTransformation(tuple(_int(i, "allocation entry") for i in allocation),
                             tuple(load_ncomb(c) for c in combs))
 
 
@@ -198,12 +218,14 @@ def load_theory_monotones(data: Mapping, t: TheoryOracle) -> list[Monotone]:
 def parse_term(t: TheoryOracle, raw: Any) -> Any:
     """Interpret a JSON value as a term of the given theory."""
     if isinstance(t, FiniteTheoryTable):
-        i = int(raw)
+        i = _int(raw, "term index")
         if not 0 <= i < t.size:
             raise InputError(f"term index {i} out of range 0..{t.size - 1}")
         return i
     if isinstance(t, VectorTheory):
-        v = tuple(int(x) for x in raw)
+        if not isinstance(raw, list):
+            raise InputError(f"vector term must be a list, got {raw!r}")
+        v = tuple(_int(x, "vector entry") for x in raw)
         t.validate_term(v)
         return v
     if isinstance(t, (RandomnessTheory, EntanglementSpectrumTheory)):

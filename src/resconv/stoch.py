@@ -150,30 +150,46 @@ def discard(dom: FinSet) -> StochMap:
 
 
 def compose_seq(q: StochMap, p: StochMap) -> StochMap:
-    """q after p: matrix product, summing over the middle alphabet."""
+    """q after p: matrix product, summing over the middle alphabet.
+
+    Each output row is accumulated from the nonzero entries of q's row
+    times the nonzero entries of p's matching rows; zero terms are
+    skipped, so sparse maps (identities, swaps, deterministic maps and
+    their tensor products) cost little.  The sums are exact, so the
+    result equals the dense product entry for entry.
+    """
     if p.cod.elements != q.dom.elements:
         raise CompositionError(
             f"cannot compose {q.dom} -> {q.cod} after {p.dom} -> {p.cod}: "
             f"middle types differ")
+    nd = len(p.dom)
     rows = []
-    for j in range(len(q.cod)):
-        qrow = q.matrix[j]
-        rows.append(tuple(
-            sum((qrow[b] * p.matrix[b][a] for b in range(len(p.cod))), F0)
-            for a in range(len(p.dom))))
+    for qrow in q.matrix:
+        acc = [F0] * nd
+        for w, prow in zip(qrow, p.matrix):
+            if w:
+                for a, x in enumerate(prow):
+                    if x:
+                        acc[a] += w * x
+        rows.append(tuple(acc))
     return StochMap(p.dom, q.cod, tuple(rows))
 
 
 def compose_par(p: StochMap, q: StochMap) -> StochMap:
-    """Side-by-side execution: Kronecker product on product alphabets."""
+    """Side-by-side execution: Kronecker product on product alphabets.
+
+    Blocks under a zero entry of p are written as zeros without
+    multiplying."""
     dom = tensor(p.dom, q.dom)
     cod = tensor(p.cod, q.cod)
-    nqd, nqc = len(q.dom), len(q.cod)
+    zeros = (F0,) * len(q.dom)
     rows = []
-    for bp in range(len(p.cod)):
-        for bq in range(nqc):
-            rows.append(tuple(p.matrix[bp][ap] * q.matrix[bq][aq]
-                              for ap in range(len(p.dom)) for aq in range(nqd)))
+    for prow in p.matrix:
+        for qrow in q.matrix:
+            row: list[Fraction] = []
+            for x in prow:
+                row.extend([x * y for y in qrow] if x else zeros)
+            rows.append(tuple(row))
     return StochMap(dom, cod, tuple(rows))
 
 
@@ -440,9 +456,17 @@ def search_exact_simulation(p: StochMap, target: StochMap,
                             note="no deterministic-given-randomness strategy matches")
 
 
+_StateKey = tuple[tuple[str, ...], tuple[Fraction, ...]]
+
+
+def _state_key(m: StochMap) -> _StateKey:
+    """A state's identity in the closure: (codomain elements, distribution)."""
+    return (m.cod.elements, tuple(row[0] for row in m.matrix))
+
+
 def _free_reachable(s: StochMap, free_generators: Sequence[StochMap], depth: int,
-                    targets: set[tuple[tuple[str, ...], tuple[Fraction, ...]]] | None = None,
-                    ) -> dict[tuple[tuple[str, ...], tuple[Fraction, ...]], tuple[StochMap, ...]]:
+                    targets: set[_StateKey] | None = None,
+                    ) -> dict[_StateKey, tuple[StochMap, ...]]:
     """Breadth-first closure of a state under the free generators.
 
     Keys are (codomain elements, distribution); values are the shortest
@@ -450,6 +474,12 @@ def _free_reachable(s: StochMap, free_generators: Sequence[StochMap], depth: int
     single generator, or a parallel pair of generators/identities when
     the state's alphabet factors accordingly.  If `targets` is given the
     search stops early once all of them are found.
+
+    The one-step maps out of an alphabet, with the index table of each
+    deterministic one, are built once per alphabet.  A deterministic step
+    pushes the state's distribution forward through its table and looks
+    the result up by key; a validated StochMap is built only for a state
+    not seen before.  Stochastic steps go through compose_seq.
     """
     if s.dom.elements != UNIT.elements:
         raise InputError("search starts from a state (singleton-domain map)")
@@ -473,7 +503,7 @@ def _free_reachable(s: StochMap, free_generators: Sequence[StochMap], depth: int
     for g in pool:
         pool_by_size.setdefault(len(g.dom), []).append(g)
 
-    def one_step_maps(cod: FinSet) -> list[StochMap]:
+    def one_step_maps(cod: FinSet) -> list[tuple[StochMap, tuple[int, ...] | None]]:
         out = list(by_dom.get(cod.elements, []))
         n = len(cod)
         for n1, gs1 in pool_by_size.items():
@@ -487,16 +517,13 @@ def _free_reachable(s: StochMap, free_generators: Sequence[StochMap], depth: int
                         continue
                     if tensor(g1.dom, g2.dom).elements == cod.elements:
                         out.append(compose_par(g1, g2))
-        return out
+        return [(g, deterministic_function(g)) for g in out]
 
-    step_cache: dict[tuple[str, ...], list[StochMap]] = {}
+    step_cache: dict[tuple[str, ...], list[tuple[StochMap, tuple[int, ...] | None]]] = {}
 
-    def key(m: StochMap) -> tuple[tuple[str, ...], tuple[Fraction, ...]]:
-        return (m.cod.elements, tuple(m.matrix[j][0] for j in range(len(m.cod))))
-
-    start = key(s)
-    found: dict = {start: ()}
-    frontier = deque([s])
+    start = _state_key(s)
+    found: dict[_StateKey, tuple[StochMap, ...]] = {start: ()}
+    frontier = deque([(s, start)])
     remaining = set(targets) if targets is not None else None
     if remaining is not None:
         remaining.discard(start)
@@ -504,27 +531,28 @@ def _free_reachable(s: StochMap, free_generators: Sequence[StochMap], depth: int
         if not frontier or (remaining is not None and not remaining):
             break
         for _ in range(len(frontier)):
-            cur = frontier.popleft()
-            ck = cur.cod.elements
+            cur, (ck, dist) = frontier.popleft()
             if ck not in step_cache:
                 step_cache[ck] = one_step_maps(cur.cod)
-            trace = found[key(cur)]
-            for g in step_cache[ck]:
-                fn = deterministic_function(g)
+            trace = found[(ck, dist)]
+            for g, fn in step_cache[ck]:
                 if fn is not None:
                     col = [F0] * len(g.cod)
-                    for i in range(len(g.dom)):
-                        col[fn[i]] += cur.matrix[i][0]
+                    for i, j in enumerate(fn):
+                        col[j] += dist[i]
+                    k = (g.cod.elements, tuple(col))
+                    if k in found:
+                        continue
                     nxt = StochMap(UNIT, g.cod, tuple((x,) for x in col))
                 else:
                     nxt = compose_seq(g, cur)
-                k = key(nxt)
-                if k in found:
-                    continue
+                    k = _state_key(nxt)
+                    if k in found:
+                        continue
                 found[k] = trace + (g,)
                 if remaining is not None:
                     remaining.discard(k)
-                frontier.append(nxt)
+                frontier.append((nxt, k))
     return found
 
 
@@ -540,7 +568,7 @@ def search_free_transformation(s: StochMap, t: StochMap,
     """
     if t.dom.elements != UNIT.elements:
         raise InputError("target must be a state (singleton-domain map)")
-    tk = (t.cod.elements, tuple(t.matrix[j][0] for j in range(len(t.cod))))
+    tk = _state_key(t)
     found = _free_reachable(s, free_generators, depth, targets={tk})
     if tk in found:
         return Decision.proven(("circuit", found[tk]))
@@ -556,7 +584,7 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
     for t in targets:
         if t.dom.elements != UNIT.elements:
             raise InputError("targets must be states")
-        keys.append((t.cod.elements, tuple(t.matrix[j][0] for j in range(len(t.cod)))))
+        keys.append(_state_key(t))
     found = _free_reachable(s, free_generators, depth, targets=set(keys))
     return [Decision.proven(("circuit", found[k])) if k in found else Decision.unknown(depth)
             for k in keys]

@@ -210,12 +210,32 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
     ("outer.json", [1, 2], ["plug", "{path}", "{path}"]),
     ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive", "monotones": 5},
      ["monotones", "{path}"]),
+    ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive"},
+     ["convert", "{path}", "[1,1]", "[0.9,0]"]),
+    ("table.json", {"carrier": 2, "combine": [[0, 1], [1, 1]], "zero": 0,
+                    "geq": [[1, 0], [1, 1]]},
+     ["convert", "{path}", "1.5", "0"]),
+    ("net.json", {"objects": ["a"], "morphisms": []},
+     ["convert", "{path}", '{{"a": 1.5}}', '{{"a": 1}}']),
+    ("outer.json", {"holes": 5, "order": [], "stages": [], "ancillas": []},
+     ["plug", "{path}", "{path}"]),
+    ("outer.json", {"holes": [], "order": 5, "stages": [], "ancillas": []},
+     ["plug", "{path}", "{path}"]),
+    ("outer.json", {"holes": [], "order": [], "stages": 5, "ancillas": []},
+     ["plug", "{path}", "{path}"]),
+    ("outer.json", {"holes": [], "order": [], "stages": [], "ancillas": 5},
+     ["plug", "{path}", "{path}"]),
+    ("uc.json", {"allocation": 5, "combs": []}, ["uc-apply", "{path}", "{other}"]),
+    ("uc.json", {"allocation": [], "combs": 5}, ["uc-apply", "{path}", "{other}"]),
 ], ids=["vector-without-arity", "vector-without-mode", "matrix-not-list",
         "randomness-without-sa", "theory-not-object", "uc-without-allocation",
         "ncomb-without-stages", "rate-monotone-without-name",
         "monotones-monotone-without-name", "duplicate-species",
         "rule-with-undeclared-species", "map-not-object", "ncomb-not-object",
-        "monotones-not-list"])
+        "monotones-not-list", "vector-entry-not-integral", "table-index-not-integral",
+        "multiset-count-not-integral", "ncomb-holes-not-list", "ncomb-order-not-list",
+        "ncomb-stages-not-list", "ncomb-ancillas-not-list", "uc-allocation-not-list",
+        "uc-combs-not-list"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, content, argv):
     path = tmp_path / name
     path.write_text(json.dumps(content))

@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from resconv import (UNIT, CompositionError, SharedRandomness, StochMap,
+import resconv.stoch as stoch_module
+from resconv import (UNIT, CompositionError, FinSet, SharedRandomness, StochMap,
                      all_deterministic_maps, compose_par, compose_seq,
                      deterministic_convertible, finset,
                      from_function, identity, is_deterministic, point_state,
@@ -283,3 +284,176 @@ def test_batch_search_matches_single_queries():
     for t, d in zip(targets, batch):
         single = search_free_transformation(s, t, maps, depth=3)
         assert d.verdict == single.verdict
+
+
+# the closure and the kernels against naive references
+
+def naive_free_reachable(s, free_generators, depth, targets=None):
+    """The free closure as first written: it recomputes every step's index
+    table at every frontier state and builds a StochMap for every successor."""
+    by_dom, idsets = {}, {}
+    for g in free_generators:
+        by_dom.setdefault(g.dom.elements, []).append(g)
+        for fs in (g.dom, g.cod):
+            idsets.setdefault(fs.elements, fs)
+    pool_by_size = {}
+    for g in list(free_generators) + [identity(fs) for fs in idsets.values()]:
+        pool_by_size.setdefault(len(g.dom), []).append(g)
+
+    def one_step_maps(cod):
+        out = list(by_dom.get(cod.elements, []))
+        for n1, gs1 in pool_by_size.items():
+            if len(cod) % n1 != 0 or len(cod) // n1 not in pool_by_size:
+                continue
+            for g1 in gs1:
+                for g2 in pool_by_size[len(cod) // n1]:
+                    if tensor(g1.dom, g2.dom).elements == cod.elements:
+                        out.append(compose_par(g1, g2))
+        return out
+
+    def key(m):
+        return (m.cod.elements, tuple(m.matrix[j][0] for j in range(len(m.cod))))
+
+    found = {key(s): ()}
+    frontier = [s]
+    remaining = set(targets) - {key(s)} if targets is not None else None
+    for _ in range(depth):
+        if not frontier or (remaining is not None and not remaining):
+            break
+        nxt_frontier = []
+        for cur in frontier:
+            trace = found[key(cur)]
+            for g in one_step_maps(cur.cod):
+                if is_deterministic(g):
+                    col = [F(0)] * len(g.cod)
+                    for i in range(len(g.dom)):
+                        j = next(j for j in range(len(g.cod)) if g.matrix[j][i] == 1)
+                        col[j] += cur.matrix[i][0]
+                    nxt = StochMap(UNIT, g.cod, tuple((x,) for x in col))
+                else:
+                    nxt = compose_seq(g, cur)
+                if key(nxt) in found:
+                    continue
+                found[key(nxt)] = trace + (g,)
+                if remaining is not None:
+                    remaining.discard(key(nxt))
+                nxt_frontier.append(nxt)
+        frontier = nxt_frontier
+    return found
+
+
+def closure_case(seed):
+    """Seeded generators on 1-, 2-, 3-symbol alphabets and the 2x2 product
+    (so parallel pairs apply), one stochastic generator, and a start state
+    with zero entries."""
+    rng = Random(seed)
+    b1, b2, b3 = finset("u", 1), finset("b", 2), finset("c", 3)
+    b22 = tensor(b2, b2)
+    dets = [g for a, b in ((b2, b2), (b2, b3), (b3, b2), (b22, b2), (b2, b1), (b1, b2))
+            for g in all_deterministic_maps(a, b)]
+    gens = rng.sample(dets, 12)
+    gens.append(StochMap(b2, b2, ((F(1, 2), F(1, 4)), (F(1, 2), F(3, 4)))))
+    probs = [F(rng.randint(0, 2)) for _ in range(4)]
+    probs[rng.randrange(4)] = F(0)
+    probs[rng.randrange(4)] += 1
+    start = state(b22, [x / sum(probs) for x in probs])
+    return start, gens
+
+
+def state_of(k):
+    cod, dist = k
+    return state(FinSet("t", cod), list(dist))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closure_matches_naive_bfs(seed):
+    start, gens = closure_case(seed)
+    assert any(0 in row for row in start.matrix)
+    full = naive_free_reachable(start, gens, depth=3)
+    assert any(len(g.dom) == 4 and len(g.cod) == 4 for w in full.values() for g in w)
+    assert any(not is_deterministic(g) for w in full.values() for g in w)
+    unreachable = [state(finset("b", 2), [F(1, 7), F(6, 7)]),
+                   state(finset("c", 3), [F(1, 11), F(2, 11), F(8, 11)])]
+    # every reachable state plus two that are not: the closure runs to depth
+    targets = [state_of(k) for k in full] + unreachable
+    batch = search_free_transformation_batch(start, targets, gens, depth=3)
+    assert all(d.is_proven for d in batch[:len(full)])
+    assert all(d.is_unknown for d in batch[len(full):])
+    assert [d.witness[1] for d in batch[:len(full)]] == list(full.values())
+    # a few targets only: both stop at the same level with the same witnesses
+    few = Random(seed).sample(list(full), 3)
+    expected = naive_free_reachable(start, gens, depth=3, targets=set(few))
+    batch = search_free_transformation_batch(start, [state_of(k) for k in few], gens, depth=3)
+    assert [d.witness[1] for d in batch] == [expected[k] for k in few]
+
+
+def test_index_tables_are_computed_once_per_alphabet(monkeypatch):
+    start, gens = closure_case(0)
+    calls = []
+    real = stoch_module.deterministic_function
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(stoch_module, "deterministic_function", counting)
+    found = naive_free_reachable(start, gens, depth=3)
+    assert not calls  # the reference does not use the counted function
+    unreachable = state(finset("b", 2), [F(1, 7), F(6, 7)])
+    assert search_free_transformation_batch(start, [unreachable], gens, depth=3)[0].is_unknown
+    expanded = [k[0] for k, w in found.items() if len(w) < 3]
+    assert len(expanded) > len(set(expanded))  # alphabets shared by several states
+    assert {g.dom.elements for g in calls} == set(expanded)
+    assert len({id(g) for g in calls}) == len(calls)  # each one-step map once
+
+
+def sparse_map(rng, dom, cod):
+    """A random stochastic map whose columns are mostly zero."""
+    cols = []
+    for _ in range(len(dom)):
+        w = [rng.choice((0, 0, 0, 1, 2)) for _ in range(len(cod))]
+        if sum(w) == 0:
+            w[rng.randrange(len(cod))] = 1
+        cols.append([F(x, sum(w)) for x in w])
+    return StochMap(dom, cod, tuple(tuple(c[j] for c in cols) for j in range(len(cod))))
+
+
+def dense_seq(q, p):
+    return tuple(tuple(sum((q.matrix[j][b] * p.matrix[b][a] for b in range(len(p.cod))), F(0))
+                       for a in range(len(p.dom))) for j in range(len(q.cod)))
+
+
+def dense_par(p, q):
+    return tuple(tuple(p.matrix[bp][ap] * q.matrix[bq][aq]
+                       for ap in range(len(p.dom)) for aq in range(len(q.dom)))
+                 for bp in range(len(p.cod)) for bq in range(len(q.cod)))
+
+
+def test_sparse_kernels_match_dense_reference():
+    rng = Random(7)
+    sets = [UNIT, finset("b", 2), finset("c", 3), finset("q", 4)]
+
+    def some_map(dom, cod):
+        kinds = ["sparse", "sparse", "random"]
+        if dom == cod:
+            kinds.append("identity")
+        return {"sparse": lambda: sparse_map(rng, dom, cod),
+                "random": lambda: random_stoch_map(rng, dom, cod),
+                "identity": lambda: identity(dom)}[rng.choice(kinds)]()
+
+    for _ in range(300):
+        a, b, c = (rng.choice(sets) for _ in range(3))
+        p, q = some_map(a, b), some_map(b, c)
+        r = compose_seq(q, p)
+        assert (r.dom, r.cod, r.matrix) == (a, c, dense_seq(q, p))
+        p2 = some_map(rng.choice(sets), rng.choice(sets))
+        r = compose_par(p, p2)
+        assert (r.dom, r.cod, r.matrix) == \
+            (tensor(p.dom, p2.dom), tensor(p.cod, p2.cod), dense_par(p, p2))
+    for x, y in ((finset("b", 2), finset("c", 3)), (UNIT, finset("b", 2))):
+        sw = swap(x, y)
+        m = sparse_map(rng, tensor(y, x), tensor(y, x))
+        assert compose_seq(m, sw).matrix == dense_seq(m, sw)
+        assert compose_seq(swap(y, x), sw).matrix == identity(tensor(x, y)).matrix
+        assert compose_par(sw, m).matrix == dense_par(sw, m)
+        assert compose_par(m, sw).matrix == dense_par(m, sw)
