@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 on success, 1 when the queried fact is Refuted/not found,
-2 on input errors.  `--json` switches to machine-readable output.
+2 on input errors, including a path that cannot be read or written and a
+negative bound or box.  `--json` switches to machine-readable output.
 """
 
 from __future__ import annotations
@@ -247,7 +248,18 @@ def cmd_uc_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _non_negative_int(text: str) -> int:
+    """argparse `type=` for a search bound, an enumeration box or a count."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="resconv",
         description="Analyze theories of resource convertibility: conversions, "
@@ -256,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--bound", type=int, default=6,
+        p.add_argument("--bound", type=_non_negative_int, default=6,
                        help="search depth for reachability theories (default 6)")
 
     p = sub.add_parser("check-axioms", help="verify a finite table exhaustively")
@@ -275,15 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--box", type=int, default=4, help="candidate enumeration bound")
+    p.add_argument("--box", type=_non_negative_int, default=4,
+                   help="candidate enumeration bound")
     common(p)
     p.set_defaults(fn=cmd_catalyst)
 
     p = sub.add_parser("properties", help="run the structural property analyzers")
     p.add_argument("theory", nargs="?")
-    p.add_argument("--sample-box", type=int, default=4)
+    p.add_argument("--sample-box", type=_non_negative_int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random-tables", type=int, default=0,
+    p.add_argument("--random-tables", type=_non_negative_int, default=0,
                    help="instead of a file, cross-check N random finite theories")
     p.add_argument("--size", type=int, default=4, help="carrier size for random tables")
     common(p)
@@ -300,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("monotones", help="verify and classify declared monotones")
     p.add_argument("theory")
-    p.add_argument("--sample-box", type=int, default=4)
+    p.add_argument("--sample-box", type=_non_negative_int, default=4)
     common(p)
     p.set_defaults(fn=cmd_monotones)
 
     p = sub.add_parser("hasse", help="covering-relation diagram as DOT")
     p.add_argument("theory")
-    p.add_argument("--box", type=int, default=4)
+    p.add_argument("--box", type=_non_negative_int, default=4)
     p.add_argument("--out")
     common(p)
     p.set_defaults(fn=cmd_hasse)
@@ -344,15 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built once per process and reused by every `run`: the tree never changes,
+# and each `parse_args` call fills a fresh Namespace.
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (InputError, CompositionError, ValueError) as exc:
+    except (InputError, CompositionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,7 +86,7 @@ class MultisetTheory(TheoryOracle):
     generators, each rewriting a source multiset into a target multiset.
     Terms are multisets of species; combine is multiset union, zero the
     empty multiset, and geq bounded breadth-first reachability (shortest
-    rewrite traces first) to depth `bound`, pruning states larger than
+    rewrite traces first) to depth `bound` >= 0, pruning states larger than
     the larger side plus `bound`.  With `refute_by_conservation` (the
     default) the query is first tested against the rational span of the
     rule deltas: a target outside the reachable affine lattice is Refuted
@@ -102,6 +102,8 @@ class MultisetTheory(TheoryOracle):
     refute_by_conservation: bool = True
 
     def __post_init__(self) -> None:
+        if self.bound < 0:
+            raise InputError(f"bound must be non-negative, got {self.bound}")
         if len(set(self.species)) != len(self.species):
             raise InputError("duplicate object generator names")
         declared = set(self.species)

@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 from random import Random
@@ -28,6 +29,15 @@ def food_file(tmp_path):
 def prof_file(tmp_path):
     path = tmp_path / "prof.json"
     path.write_text(json.dumps({"kind": "vector", "arity": 2, "mode": "supremal"}))
+    return str(path)
+
+
+@pytest.fixture
+def haber_file(tmp_path):
+    path = tmp_path / "haber.json"
+    path.write_text(json.dumps({
+        "objects": ["N2", "H2", "NH3"],
+        "morphisms": [{"name": "haber", "from": {"N2": 1, "H2": 3}, "to": {"NH3": 2}}]}))
     return str(path)
 
 
@@ -227,6 +237,16 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
      ["plug", "{path}", "{path}"]),
     ("uc.json", {"allocation": 5, "combs": []}, ["uc-apply", "{path}", "{other}"]),
     ("uc.json", {"allocation": [], "combs": 5}, ["uc-apply", "{path}", "{other}"]),
+    ("vec.json", {"kind": "vector", "arity": 1, "mode": "additive"},
+     ["convert", "{dir}", "[1]", "[1]"]),
+    ("c.circ", "types: A=2\ninput: A\nlayer: hole h(A -> A)\n", ["normalize-circuit", "{dir}"]),
+    ("p.json", {}, ["simulate-channel", "{dir}", "--target", "{dir}"]),
+    ("vec.json", {"kind": "vector", "arity": 1, "mode": "additive"},
+     ["hasse", "{path}", "--box", "1", "--out", "{dir}/missing/x.dot"]),
+    ("c.circ", "types: A=2\ninput: A\nlayer: hole h(A -> A)\n",
+     ["normalize-circuit", "{path}", "--out", "{dir}/missing/x.json"]),
+    ("outer.json", dump_ncomb(one_comb_as_ncomb(identity_comb(finset("b", 2), finset("b", 2)))),
+     ["plug", "{path}", "{path}", "--out", "{dir}/missing/x.json"]),
 ], ids=["vector-without-arity", "vector-without-mode", "matrix-not-list",
         "randomness-without-sa", "theory-not-object", "uc-without-allocation",
         "ncomb-without-stages", "rate-monotone-without-name",
@@ -235,16 +255,91 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
         "monotones-not-list", "vector-entry-not-integral", "table-index-not-integral",
         "multiset-count-not-integral", "ncomb-holes-not-list", "ncomb-order-not-list",
         "ncomb-stages-not-list", "ncomb-ancillas-not-list", "uc-allocation-not-list",
-        "uc-combs-not-list"])
+        "uc-combs-not-list", "theory-path-is-directory", "circuit-path-is-directory",
+        "channel-path-is-directory", "hasse-out-unwritable",
+        "normalize-circuit-out-unwritable", "plug-out-unwritable"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, content, argv):
     path = tmp_path / name
-    path.write_text(json.dumps(content))
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
     other = tmp_path / "id.json"
     other.write_text(json.dumps(dump_stoch_map(identity(finset("b", 2)))))
-    args = [a.format(path=path, other=other) for a in argv]
+    args = [a.format(path=path, other=other, dir=tmp_path) for a in argv]
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "{food}", "[2,3]", "[1,1]", "--bound", "-1"],
+    ["catalyst", "{food}", "[0,0]", "[1,0]", "--box", "-1"],
+    ["hasse", "{food}", "--box", "-1"],
+    ["properties", "{food}", "--sample-box", "-1"],
+    ["monotones", "{food}", "--sample-box", "-1"],
+    ["properties", "--random-tables", "-1"],
+], ids=["convert-bound", "catalyst-box", "hasse-box", "properties-sample-box",
+        "monotones-sample-box", "properties-random-tables"])
+def test_negative_bound_or_box_is_a_usage_error(food_file, capsys, argv):
+    assert run([a.format(food=food_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a non-negative integer, got '-1'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_zero_bound_and_box_stay_valid(food_file, capsys):
+    assert run(["convert", food_file, "[2,3]", "[1,1]", "--bound", "0"]) == 0
+    assert run(["hasse", food_file, "--box", "0"]) == 0
+    assert capsys.readouterr().out.count("label=") == 1
+
+
+# one parser serves every run in a process
+
+def test_json_flag_does_not_carry_over(food_file, capsys):
+    assert run(["convert", food_file, "[2,3]", "[1,1]", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Proven"
+    assert run(["convert", food_file, "[2,3]", "[1,1]"]) == 0
+    assert capsys.readouterr().out == "Proven\nwitness: ['componentwise', [2, 3], [1, 1]]\n"
+
+
+def test_bound_does_not_carry_over(haber_file, capsys):
+    forward = ["convert", haber_file, '{"N2":1,"H2":3}', '{"NH3":2}', "--json"]
+    backward = ["convert", haber_file, '{"NH3":2}', '{"N2":1,"H2":3}', "--json"]
+    assert run(forward + ["--bound", "0"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "bound": 0, "note": None, "verdict": "Unknown", "witness": None}
+    assert run(forward) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Proven"
+    assert run(backward) == 1
+    assert json.loads(capsys.readouterr().out)["bound"] == 6
+
+
+def test_usage_error_then_help_then_command(food_file, capsys):
+    assert run(["convert", food_file]) == 2
+    captured = capsys.readouterr()
+    assert "the following arguments are required: source, target" in captured.err
+    assert captured.out == ""
+    assert run(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: resconv") and captured.err == ""
+    assert run(["convert", food_file, "[2,3]", "[1,1]"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "Proven" and captured.err == ""
+
+
+def test_runs_construct_no_argument_parser(food_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(5):
+        assert run(["convert", food_file, "[2,3]", "[1,1]", "--json"]) == 0
+        assert run(["hasse", food_file, "--box", "1"]) == 0
+        assert run(["frobnicate"]) == 2
+    assert built == []
 
 
 @pytest.mark.parametrize("field", ["ancilla", "pre", "post", "hole_dom", "hole_cod"])

@@ -11,6 +11,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -71,6 +73,30 @@ def test_demo_output_matches_golden(tmp_path, name, argv, out_file):
     assert out == (GOLDEN / f"{name}.stdout").read_text()
     if out_file:
         assert written == (GOLDEN / f"{name}.{out_file}").read_text()
+
+
+def test_fresh_process_under_optimize(tmp_path):
+    """`python -O -m resconv.cli` builds its parser at import and must agree
+    with the in-process run: same stdout, and exit 2 without a traceback on
+    a usage error."""
+    workdir = tmp_path / "demo"
+    shutil.copytree(DEMO, workdir)
+    paths = [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+    def cli(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-O", "-m", "resconv.cli", *argv],
+                              cwd=workdir, env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    ok = cli("convert", "food.json", "[2,3]", "[1,1]", "--json")
+    assert ok.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())["convert-food"]
+    assert ok.stdout == (GOLDEN / "convert-food.stdout").read_text()
+    assert ok.stderr == ""
+    bad = cli("convert", "food.json", "[2,3]", "[1,1]", "--bound", "-1")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert "argument --bound: expected a non-negative integer" in bad.stderr
+    assert "Traceback" not in bad.stderr
 
 
 def regenerate() -> None:

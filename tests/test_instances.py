@@ -186,6 +186,17 @@ def test_same_query_is_unknown_without_conservation_refutation():
     assert d.is_unknown and d.bound == 4
 
 
+def test_negative_bound_rejected_and_zero_allowed():
+    species = ("N2", "H2", "NH3")
+    rules = (MorphismGenerator("haber", ms_make({"N2": 1, "H2": 3}), ms_make({"NH3": 2})),)
+    with pytest.raises(InputError, match="bound must be non-negative, got -1"):
+        MultisetTheory(species, rules, bound=-1)
+    t = MultisetTheory(species, rules, bound=0)
+    a = ms_make({"N2": 1, "H2": 3})
+    assert t.geq(a, a).is_proven
+    assert t.geq(a, ms_make({"NH3": 2})).is_unknown
+
+
 def test_undeclared_species_rejected():
     t = haber()
     with pytest.raises(InputError):
