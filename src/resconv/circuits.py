@@ -18,12 +18,13 @@ the JSON format in the package README.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import jsonio
 from .combs import OneComb
 from .core import InputError
 from .stoch import (UNIT, FinSet, StochMap, compose_par, compose_seq, finset,
@@ -135,30 +136,6 @@ class CircuitDiagram:
         return wires
 
 
-def load_library_map(libname: str, data: Mapping, name: str,
-                     types: Mapping[str, FinSet]) -> LibraryMap:
-    """Build one typed map of a library file against declared wire types.
-
-    Maps are built lazily, on first reference: a library may declare maps
-    over types the referencing circuit does not use.
-    """
-    from fractions import Fraction
-    maps = data.get("maps", data)
-    if name not in maps:
-        raise InputError(f"unknown library map {name!r} in {libname!r}")
-    spec = maps[name]
-    dom_w = tuple(spec["dom"])
-    cod_w = tuple(spec["cod"])
-    for w in dom_w + cod_w:
-        if w not in types:
-            raise InputError(f"library map {name!r} uses undeclared type {w!r}")
-    dom = tensor_all([types[w] for w in dom_w])
-    cod = tensor_all([types[w] for w in cod_w])
-    matrix = tuple(tuple(Fraction(x) for x in row) for row in spec["matrix"])
-    return LibraryMap(name, libname, dom_w, cod_w,
-                      StochMap(dom, cod, matrix), bool(spec.get("free", True)))
-
-
 _ITEM_ID = re.compile(r"id\[\s*(\w+)\s*\]$")
 _ITEM_SWAP = re.compile(r"swap\[\s*(\w+)\s*,\s*(\w+)\s*\]$")
 _ITEM_HOLE = re.compile(r"hole\s+(\w+)\(\s*([\w\s,]+?)\s*->\s*([\w\s,]+?)\s*\)$")
@@ -172,21 +149,24 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
     types: dict[str, int] = {}
     finsets: dict[str, FinSet] = {}
     libraries: list[tuple[str, str]] = []
-    lib_data: dict[str, Mapping] = {}
+    lib_data: dict[str, object] = {}
     lib_cache: dict[tuple[str, str], LibraryMap] = {}
     input_wires: tuple[str, ...] | None = None
     layers: list[tuple[Item, ...]] = []
     hole_names: set[str] = set()
 
     def resolve_box(lib: str, name: str, lineno: int, col: int) -> LibraryMap:
+        # Built on first reference: a library may declare maps over types
+        # the circuit does not use.
         if lib not in lib_data:
             raise ParseError(f"unknown library {lib!r}", lineno, col)
         key = (lib, name)
         if key not in lib_cache:
             try:
-                lib_cache[key] = load_library_map(lib, lib_data[lib], name, finsets)
+                dom_w, cod_w, m, free = jsonio.load_library_map(lib_data[lib], lib, name, finsets)
             except InputError as exc:
                 raise ParseError(str(exc), lineno, col) from None
+            lib_cache[key] = LibraryMap(name, lib, dom_w, cod_w, m, free)
         return lib_cache[key]
 
     def wire_list(raw: str, lineno: int, col: int) -> tuple[str, ...]:
@@ -230,7 +210,10 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
                 full = Path(base_dir) / path
                 if not full.exists():
                     raise ParseError(f"library file {path!r} not found", lineno, indent)
-                data = json.loads(full.read_text())
+                try:
+                    data = jsonio.read_json(full)
+                except InputError as exc:
+                    raise ParseError(str(exc), lineno, indent) from None
             libraries.append((name, path))
             lib_data[name] = data
         elif stripped.startswith("input:"):
@@ -319,16 +302,25 @@ def item_map(c: CircuitDiagram, it: Item, hole_maps: Mapping[str, StochMap]) -> 
     return f
 
 
+def _layer_map(c: CircuitDiagram, items: Sequence[Item],
+               hole_maps: Mapping[str, StochMap]) -> StochMap:
+    """Parallel composite of the items' maps; the unit map when there are none."""
+    maps = [item_map(c, it, hole_maps) for it in items]
+    return reduce(compose_par, maps) if maps else identity(UNIT)
+
+
+def _apply_layers(c: CircuitDiagram, layers: Sequence[Sequence[Item]],
+                  wires: Sequence[str], hole_maps: Mapping[str, StochMap]) -> StochMap:
+    """The layers composed bottom-up, starting from the given wires."""
+    acc = identity(c.wires_finset(wires))
+    for layer in layers:
+        acc = compose_seq(_layer_map(c, layer, hole_maps), acc)
+    return acc
+
+
 def evaluate_circuit(c: CircuitDiagram, hole_maps: Mapping[str, StochMap] | None = None) -> StochMap:
     """Direct bottom-up evaluation with the given processes in the holes."""
-    hole_maps = hole_maps or {}
-    acc = identity(c.wires_finset(c.input_wires))
-    for layer in c.layers:
-        layer_map = item_map(c, layer[0], hole_maps)
-        for it in layer[1:]:
-            layer_map = compose_par(layer_map, item_map(c, it, hole_maps))
-        acc = compose_seq(layer_map, acc)
-    return acc
+    return _apply_layers(c, c.layers, c.input_wires, hole_maps or {})
 
 
 def normalize_to_comb(c: CircuitDiagram) -> OneComb:
@@ -348,39 +340,21 @@ def normalize_to_comb(c: CircuitDiagram) -> OneComb:
 
     k_layer, k_pos = next((i, j) for i, layer in enumerate(c.layers)
                           for j, it in enumerate(layer) if isinstance(it, HoleItem))
-    hole = c.layers[k_layer][k_pos]
+    hole_layer = c.layers[k_layer]
+    hole = hole_layer[k_pos]
     hole_dom = c.wires_finset(hole.dom_wires)
     hole_cod = c.wires_finset(hole.cod_wires)
 
-    below = identity(c.wires_finset(c.input_wires))
-    for layer in c.layers[:k_layer]:
-        m = item_map(c, layer[0], {})
-        for it in layer[1:]:
-            m = compose_par(m, item_map(c, it, {}))
-        below = compose_seq(m, below)
-
-    left_items = c.layers[k_layer][:k_pos]
-    right_items = c.layers[k_layer][k_pos + 1:]
-
-    def fold(items: Sequence[Item]) -> StochMap:
-        m = identity(UNIT)
-        for it in items:
-            m = compose_par(m, item_map(c, it, {}))
-        return m
-
-    u_left = fold(left_items)
-    u_right = fold(right_items)
+    below = _apply_layers(c, c.layers[:k_layer], c.input_wires, {})
+    u_left = _layer_map(c, hole_layer[:k_pos], {})
+    u_right = _layer_map(c, hole_layer[k_pos + 1:], {})
     left_cod, right_cod = u_left.cod, u_right.cod
 
     pre = compose_seq(compose_par(compose_par(u_left, identity(hole_dom)), u_right), below)
     pre = compose_seq(compose_par(swap(left_cod, hole_dom), identity(right_cod)), pre)
 
-    above = identity(c.wires_finset(sum((it.cod_wires for it in c.layers[k_layer]), ())))
-    for layer in c.layers[k_layer + 1:]:
-        m = item_map(c, layer[0], {})
-        for it in layer[1:]:
-            m = compose_par(m, item_map(c, it, {}))
-        above = compose_seq(m, above)
+    above = _apply_layers(c, c.layers[k_layer + 1:],
+                          sum((it.cod_wires for it in hole_layer), ()), {})
     post = compose_seq(above, compose_par(swap(hole_cod, left_cod), identity(right_cod)))
 
     return OneComb(tensor(left_cod, right_cod), pre, post, hole_dom, hole_cod)

@@ -24,7 +24,7 @@ from .circuits import evaluate_circuit, normalize_to_comb, parse_circuit
 from .combs import apply_comb, apply_uc, plug_ncombs
 from .core import FiniteTheoryTable, InputError, TheoryOracle, check_axioms
 from .hasse import hasse_dot
-from .monotones import classify, rate, minimal_rate, verify_monotone
+from .monotones import classify, rate, verify_monotone
 from .stoch import (CompositionError, all_deterministic_maps, random_stoch_map,
                     search_exact_simulation, simulate_channel)
 
@@ -120,8 +120,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     monotones = jsonio.load_theory_monotones(data, theory)
     a = jsonio.parse_term(theory, json.loads(args.source))
     b = jsonio.parse_term(theory, json.loads(args.target))
-    fn = minimal_rate if args.minimal else rate
-    result = fn(theory, a, b, args.caps, monotones)
+    result = rate(theory, a, b, args.caps, monotones, minimal=args.minimal)
     payload = {"best": str(result.best), "witness": result.witness,
                "upper_bound": None if result.upper_bound is None else str(result.upper_bound),
                "exact": result.exact, "caps": result.caps,
@@ -266,10 +265,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "catalysis, monotones, rates, combs and channel simulation.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, theory: bool = True) -> None:
+        # Only the subcommands that load a theory file take --bound.
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--bound", type=_non_negative_int, default=6,
-                       help="search depth for reachability theories (default 6)")
+        if theory:
+            p.add_argument("--bound", type=_non_negative_int, default=6,
+                           help="search depth for reachability theories (default 6)")
 
     p = sub.add_parser("check-axioms", help="verify a finite table exhaustively")
     p.add_argument("theory")
@@ -332,27 +333,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--randomness")
     p.add_argument("--target")
     p.add_argument("--caps", type=int, default=8)
-    common(p)
+    common(p, theory=False)
     p.set_defaults(fn=cmd_simulate_channel)
 
     p = sub.add_parser("normalize-circuit", help="one-hole circuit to comb form")
     p.add_argument("circuit")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    common(p)
+    common(p, theory=False)
     p.set_defaults(fn=cmd_normalize_circuit)
 
     p = sub.add_parser("plug", help="plug inner combs into an outer comb")
     p.add_argument("outer")
     p.add_argument("inner", nargs="+")
     p.add_argument("--out")
-    common(p)
+    common(p, theory=False)
     p.set_defaults(fn=cmd_plug)
 
     p = sub.add_parser("uc-apply", help="apply an allocation transformation")
     p.add_argument("uc")
     p.add_argument("process", nargs="+")
-    common(p)
+    common(p, theory=False)
     p.set_defaults(fn=cmd_uc_apply)
     return top
 

@@ -143,18 +143,13 @@ def compose_combs_par(k1: OneComb, k2: OneComb) -> OneComb:
     pre = compose_par(k1.pre, k2.pre)  # -> A1*Z1*A2*Z2
     pre = compose_seq(_mid_shuffle(a1, z1, a2, z2), pre)  # -> A1*A2*Z1*Z2
     post = compose_seq(compose_par(k1.post, k2.post),
-                       _mid_shuffle_back(b1, b2, z1, z2))  # B1*B2*Z1*Z2 -> B1'*B2'
+                       _mid_shuffle(b1, b2, z1, z2))  # B1*B2*Z1*Z2 -> B1'*B2'
     return OneComb(tensor(z1, z2), pre, post, tensor(a1, a2), tensor(b1, b2))
 
 
-def _mid_shuffle(a1: FinSet, z1: FinSet, a2: FinSet, z2: FinSet) -> StochMap:
-    # A1*Z1*A2*Z2 -> A1*A2*Z1*Z2 by swapping the middle blocks.
-    return compose_par(compose_par(identity(a1), swap(z1, a2)), identity(z2))
-
-
-def _mid_shuffle_back(b1: FinSet, b2: FinSet, z1: FinSet, z2: FinSet) -> StochMap:
-    # B1*B2*Z1*Z2 -> B1*Z1*B2*Z2.
-    return compose_par(compose_par(identity(b1), swap(b2, z1)), identity(z2))
+def _mid_shuffle(w: FinSet, x: FinSet, y: FinSet, z: FinSet) -> StochMap:
+    # W*X*Y*Z -> W*Y*X*Z by swapping the middle blocks.
+    return compose_par(compose_par(identity(w), swap(x, y)), identity(z))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
 """Concrete theories: count vectors, exact probability vectors and
-spectra, plus a convenience query for multiset rewrite systems (whose
-theory is `presentation.MultisetTheory`).
+spectra.  Multiset rewrite systems are `presentation.MultisetTheory`.
 
 All decision procedures are exact over rationals; nothing here compares
 floats.
@@ -9,13 +8,12 @@ floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import log2
 from typing import Iterable, Literal, Sequence
 
 from .core import Decision, InputError, TheoryOracle
-from .presentation import Multiset, MultisetTheory, ms_make
 
 Vector = tuple[int, ...]
 
@@ -121,6 +119,13 @@ def majorizes(x: ProbVector | Sequence[Fraction], y: ProbVector | Sequence[Fract
 
     Vectors of different lengths are zero-padded to the longer one.
     """
+    return _first_bad_prefix(x, y) is None
+
+
+def _first_bad_prefix(x: ProbVector | Sequence[Fraction], y: ProbVector | Sequence[Fraction],
+                      ) -> tuple[int, Fraction, Fraction] | None:
+    """The first prefix length k, with the partial sums of x and y, at which
+    x's sorted-descending partial sum falls below y's; None if none does."""
     xs = list(x.entries if isinstance(x, ProbVector) else x)
     ys = list(y.entries if isinstance(y, ProbVector) else y)
     n = max(len(xs), len(ys))
@@ -129,12 +134,12 @@ def majorizes(x: ProbVector | Sequence[Fraction], y: ProbVector | Sequence[Fract
     xs.sort(reverse=True)
     ys.sort(reverse=True)
     sx = sy = Fraction(0)
-    for a, b in zip(xs, ys):
+    for k, (a, b) in enumerate(zip(xs, ys), start=1):
         sx += a
         sy += b
         if sx < sy:
-            return False
-    return True
+            return (k, sx, sy)
+    return None
 
 
 def deterministic_convertible(p: ProbVector, q: ProbVector) -> Decision:
@@ -196,10 +201,9 @@ def deterministic_convertible(p: ProbVector, q: ProbVector) -> Decision:
     return Decision.refuted(("exhausted-partition-search", len(p), len(q)))
 
 
-@dataclass(frozen=True)
-class RandomnessTheory(TheoryOracle):
-    """Distributions under exact coarse-graining; combine is the product
-    distribution and the order is decided by partition search."""
+class _DistributionTheory(TheoryOracle):
+    """Probability vectors combined by the product distribution; the
+    subclasses differ only in their order."""
 
     def combine(self, a: ProbVector, b: ProbVector) -> ProbVector:
         return a.tensor(b)
@@ -207,14 +211,20 @@ class RandomnessTheory(TheoryOracle):
     def zero(self) -> ProbVector:
         return ProbVector.of(1)
 
-    def geq(self, a: ProbVector, b: ProbVector) -> Decision:
-        return deterministic_convertible(a, b)
-
     def enumerate_up_to(self, bound: int) -> list[ProbVector]:
         return enumerate_prob_vectors(max_len=bound, max_den=bound)
 
     def format_term(self, a: ProbVector) -> str:
         return str(a)
+
+
+@dataclass(frozen=True)
+class RandomnessTheory(_DistributionTheory):
+    """Distributions under exact coarse-graining; combine is the product
+    distribution and the order is decided by partition search."""
+
+    def geq(self, a: ProbVector, b: ProbVector) -> Decision:
+        return deterministic_convertible(a, b)
 
 
 def enumerate_prob_vectors(max_len: int, max_den: int) -> list[ProbVector]:
@@ -243,7 +253,7 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class EntanglementSpectrumTheory(TheoryOracle):
+class EntanglementSpectrumTheory(_DistributionTheory):
     """Schmidt/eigenvalue spectra of pure bipartite states.
 
     combine tensors spectra; a spectrum converts into another exactly
@@ -251,46 +261,13 @@ class EntanglementSpectrumTheory(TheoryOracle):
     criterion for pure-state transformations under local processing).
     """
 
-    def combine(self, a: ProbVector, b: ProbVector) -> ProbVector:
-        return a.tensor(b)
-
-    def zero(self) -> ProbVector:
-        return ProbVector.of(1)
-
     def geq(self, a: ProbVector, b: ProbVector) -> Decision:
-        if majorizes(b, a):
+        bad = _first_bad_prefix(b, a)
+        if bad is None:
             return Decision.proven(("majorization", a.entries, b.entries))
-        return Decision.refuted(("majorization-fails", _first_bad_prefix(b, a)))
-
-    def enumerate_up_to(self, bound: int) -> list[ProbVector]:
-        return enumerate_prob_vectors(max_len=bound, max_den=bound)
-
-    def format_term(self, a: ProbVector) -> str:
-        return str(a)
-
-
-def _first_bad_prefix(x: ProbVector, y: ProbVector) -> tuple[int, Fraction, Fraction]:
-    n = max(len(x), len(y))
-    xs = sorted(list(x.entries) + [Fraction(0)] * (n - len(x)), reverse=True)
-    ys = sorted(list(y.entries) + [Fraction(0)] * (n - len(y)), reverse=True)
-    sx = sy = Fraction(0)
-    for k in range(n):
-        sx += xs[k]
-        sy += ys[k]
-        if sx < sy:
-            return (k + 1, sx, sy)
-    raise AssertionError("no failing prefix; majorization holds")
+        return Decision.refuted(("majorization-fails", bad))
 
 
 def entanglement_convertible(s: ProbVector, t: ProbVector) -> bool:
     """Can a pure state with spectrum s be turned into one with spectrum t?"""
     return majorizes(t, s)
-
-
-def reaction_convertible(a: Multiset | dict, b: Multiset | dict,
-                         t: MultisetTheory, bound: int | None = None) -> Decision:
-    """Reachability between species multisets under the theory's rules."""
-    ma = ms_make(a) if isinstance(a, dict) else a
-    mb = ms_make(b) if isinstance(b, dict) else b
-    theory = t if bound is None else replace(t, bound=bound)
-    return theory.geq(ma, mb)

@@ -14,6 +14,8 @@ Field names are part of the package contract:
   n-comb          {"holes": [{"dom": [..], "cod": [..]}, ..], "order": [..],
                    "stages": [<map>, ..], "ancillas": [[..], ..]}  (0-based order)
   allocation      {"allocation": [j0, j1, ..], "combs": [<n-comb>, ..]}
+  circuit library {"maps": {name: {"dom": [wire, ..], "cod": [wire, ..],
+                   "matrix": [..], "free": bool}}}  ("maps" envelope optional)
 
 Vector/randomness/spectrum theories use a {"kind": ...} envelope; finite
 tables and presentations are recognized by shape.  A theory file may
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .combs import NComb, OneComb, UCTransformation
 from .core import FiniteTheoryTable, InputError, TheoryOracle
@@ -33,7 +35,7 @@ from .instances import (EntanglementSpectrumTheory, ProbVector,
                         RandomnessTheory, VectorTheory)
 from .monotones import Monotone, builtin_monotone
 from .presentation import MorphismGenerator, Multiset, MultisetTheory, ms_make
-from .stoch import FinSet, SharedRandomness, StochMap
+from .stoch import FinSet, SharedRandomness, StochMap, tensor_all
 
 
 def _fields(data: Any, what: str, *names: str) -> list:
@@ -73,15 +75,19 @@ def _frac(x: Any) -> Fraction:
         raise InputError(f"bad rational literal {x!r}: {exc}") from None
 
 
+def _bool(x: Any, what: str) -> bool:
+    """A JSON boolean, or 0/1, as a bool; any other value is an InputError."""
+    if x not in (0, 1):  # True and False compare equal to 1 and 0
+        raise InputError(f"{what} must be a boolean or 0/1, got {x!r}")
+    return bool(x)
+
+
 def load_finite_table(data: Mapping) -> FiniteTheoryTable:
-    try:
-        n = _int(data["carrier"], "carrier")
-        combine = tuple(tuple(_int(x, "combine entry") for x in row) for row in data["combine"])
-        zero = _int(data["zero"], "zero")
-        geq = tuple(tuple(bool(x) for x in row) for row in data["geq"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed finite table: {exc}") from None
-    return FiniteTheoryTable(n, combine, zero, geq)
+    n, combine, zero, geq = _fields(data, "finite table", "carrier", "combine", "zero", "geq")
+    return FiniteTheoryTable(_int(n, "carrier"),
+                             _matrix(combine, "combine table", lambda x: _int(x, "combine entry")),
+                             _int(zero, "zero"),
+                             _matrix(geq, "preorder matrix", lambda x: _bool(x, "geq entry")))
 
 
 def _multiset_field(raw: Any) -> Multiset:
@@ -98,10 +104,11 @@ def load_finset(raw: Any, label: str = "S") -> FinSet:
     return FinSet(label, tuple(str(x) for x in raw))
 
 
-def _matrix(raw: Any, what: str) -> tuple[tuple[Fraction, ...], ...]:
+def _matrix(raw: Any, what: str, entry: Callable[[Any], Any] = _frac) -> tuple[tuple, ...]:
+    """A list of lists of JSON values, each parsed by `entry` (rationals by default)."""
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise InputError(f"{what} must be a list of lists, got {raw!r}")
-    return tuple(tuple(_frac(x) for x in row) for row in raw)
+    return tuple(tuple(entry(x) for x in row) for row in raw)
 
 
 def load_stoch_map(data: Mapping) -> StochMap:
@@ -175,28 +182,45 @@ def load_uc(data: Mapping) -> UCTransformation:
                             tuple(load_ncomb(c) for c in combs))
 
 
+def load_library_map(data: Any, libname: str, name: str, types: Mapping[str, FinSet],
+                     ) -> tuple[tuple[str, ...], tuple[str, ...], StochMap, bool]:
+    """Map `name` of a circuit library, typed by the declared wire types:
+    its dom and cod wire lists, the map, and its free flag (default true)."""
+    maps = data.get("maps", data) if isinstance(data, Mapping) else data
+    if not isinstance(maps, Mapping):
+        raise InputError(f"library {libname!r} must be a JSON object of maps, got {maps!r}")
+    if name not in maps:
+        raise InputError(f"unknown library map {name!r} in {libname!r}")
+    spec = maps[name]
+    what = f"library map {name!r}"
+    dom, cod, matrix = _list_fields(spec, what, "dom", "cod", "matrix")
+    dom_w = tuple(str(w) for w in dom)
+    cod_w = tuple(str(w) for w in cod)
+    for w in dom_w + cod_w:
+        if w not in types:
+            raise InputError(f"{what} uses undeclared type {w!r}")
+    m = StochMap(tensor_all([types[w] for w in dom_w]), tensor_all([types[w] for w in cod_w]),
+                 _matrix(matrix, f"{what} matrix"))
+    return dom_w, cod_w, m, _bool(spec.get("free", True), f"{what} free flag")
+
+
 def load_theory(data: Mapping, bound: int = 6) -> TheoryOracle:
     """Dispatch on shape/kind; `bound` configures reachability theories."""
     _fields(data, "theory")  # which fields it needs depends on its shape
     if "carrier" in data:
         return load_finite_table(data)
     if "objects" in data:
-        try:
-            objects = tuple(str(o) for o in data["objects"])
-            morphisms = tuple(
-                MorphismGenerator(str(m["name"]),
-                                  _multiset_field(m["from"]),
-                                  _multiset_field(m["to"]))
-                for m in data["morphisms"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed presentation: {exc}") from None
-        return MultisetTheory(objects, morphisms, bound)
+        objects, morphisms = _list_fields(data, "presentation", "objects", "morphisms")
+        rules = []
+        for m in morphisms:
+            name, source, target = _fields(m, "morphism", "name", "from", "to")
+            rules.append(MorphismGenerator(str(name), _multiset_field(source),
+                                           _multiset_field(target)))
+        return MultisetTheory(tuple(str(o) for o in objects), tuple(rules), bound)
     kind = data.get("kind")
     if kind == "vector":
-        try:
-            return VectorTheory(int(data["arity"]), str(data["mode"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed vector theory: {exc}") from None
+        arity, mode = _fields(data, "vector theory", "arity", "mode")
+        return VectorTheory(_int(arity, "vector arity"), str(mode))
     if kind == "randomness":
         return RandomnessTheory()
     if kind == "entanglement":

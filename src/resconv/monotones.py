@@ -8,6 +8,7 @@ bound, never as a claimed limit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,12 +104,12 @@ def complete_family(t: FiniteTheoryTable) -> list[Monotone]:
     The family is complete: a converts to b iff every member weakly
     decreases, which `complete_family_violations` re-verifies.
     """
-    out = []
-    for i in range(t.size):
-        def fn(a: int, _i: int = i) -> Fraction:
-            return Fraction(1) if t.order[a][_i] else Fraction(0)
-        out.append(Monotone(f"indicator:{i}", fn, "general"))
-    return out
+    return [_indicator(f"indicator:{i}", t, i, "general") for i in range(t.size)]
+
+
+def _indicator(name: str, t: FiniteTheoryTable, i: int, kind: MonotoneClass) -> Monotone:
+    """1 on the up-set of element i (the terms that convert to i), else 0."""
+    return Monotone(name, lambda a: Fraction(1) if t.order[a][i] else Fraction(0), kind)
 
 
 def complete_family_violations(t: FiniteTheoryTable,
@@ -166,20 +167,13 @@ def rate(t: TheoryOracle, a: Any, b: Any, caps: int,
     best: Fraction | None = None
     witness = None
     inconclusive = 0
-    copies_a = {}
-    copies_b = {}
-    cur = None
-    for n in range(1, caps + 1):
-        cur = a if cur is None else t.combine(cur, a)
-        copies_a[n] = cur
-    cur = None
-    for m in range(1, caps + 1):
-        cur = b if cur is None else t.combine(cur, b)
-        copies_b[m] = cur
+    # copies_a[n - 1] is n copies of a, built as ((a+a)+a)+...
+    copies_a = list(itertools.accumulate([a] * caps, t.combine))
+    copies_b = list(itertools.accumulate([b] * caps, t.combine))
     for n in range(1, caps + 1):
         for m in range(1, caps + 1):
             if (n, m) not in cache:
-                cache[(n, m)] = t.geq(copies_a[n], copies_b[m])
+                cache[(n, m)] = t.geq(copies_a[n - 1], copies_b[m - 1])
             d = cache[(n, m)]
             if d.is_unknown:
                 inconclusive += 1
@@ -194,22 +188,12 @@ def rate(t: TheoryOracle, a: Any, b: Any, caps: int,
         if mono.kind != "additive":
             continue
         bound = rate_upper_bound(mono, a, b)
-        if upper is None or _lt_bound(bound, upper):
+        if upper is None or not _geq_values(bound, upper):
             upper = bound
     found = best if best is not None else Fraction(0)
     exact = best is not None and upper is not None and not minimal \
         and _eq_values(best, upper)
     return RateResult(found, witness, upper, exact, caps, inconclusive)
-
-
-def minimal_rate(t: TheoryOracle, a: Any, b: Any, caps: int,
-                 monotones: Sequence[Monotone] = (),
-                 cache: dict[tuple[int, int], Decision] | None = None) -> RateResult:
-    return rate(t, a, b, caps, monotones, cache, minimal=True)
-
-
-def _lt_bound(x: Fraction | float, y: Fraction | float) -> bool:
-    return float(x) < float(y)
 
 
 def rate_upper_bound(m: Monotone, a: Any, b: Any) -> Fraction | float:
@@ -275,7 +259,7 @@ def builtin_monotone(name: str, kind: MonotoneClass, t: TheoryOracle) -> Monoton
         i = int(name.split(":", 1)[1])
         if not 0 <= i < t.size:
             raise InputError(f"indicator index {i} out of range")
-        m = Monotone(name, lambda a: Fraction(1) if t.order[a][i] else Fraction(0), kind)
+        m = _indicator(name, t, i, kind)
     else:
         raise InputError(f"unknown monotone {name!r}")
     if kind == "supremal":

@@ -195,14 +195,10 @@ def compose_par(p: StochMap, q: StochMap) -> StochMap:
 
 def swap(a: FinSet, b: FinSet) -> StochMap:
     """The symmetry (x,y) -> (y,x) as a deterministic map."""
-    dom = tensor(a, b)
-    cod = tensor(b, a)
     na, nb = len(a), len(b)
-    rows = [[F0] * (na * nb) for _ in range(na * nb)]
-    for ia in range(na):
-        for ib in range(nb):
-            rows[ib * na + ia][ia * nb + ib] = F1
-    return StochMap(dom, cod, _freeze(rows))
+    # (x, y) sits at index x*nb + y of a*b and at y*na + x of b*a
+    return from_function(tensor(a, b), tensor(b, a),
+                         [(i % nb) * na + i // nb for i in range(na * nb)])
 
 
 def is_deterministic(p: StochMap) -> bool:
@@ -239,7 +235,7 @@ def random_stoch_map(rng: Random, dom: FinSet, cod: FinSet, max_weight: int = 4)
     return StochMap(dom, cod, rows)
 
 
-def split_product_left(product: FinSet, right: FinSet) -> FinSet:
+def _split_product_left(product: FinSet, right: FinSet) -> FinSet:
     """Recover X from a product alphabet equal to X tensor `right`."""
     nr = len(right)
     if right.elements == UNIT.elements:
@@ -299,10 +295,10 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
     """
     if e.cod.elements != p.dom.elements:
         raise CompositionError(f"encoder output {e.cod} does not match channel input {p.dom}")
-    b_check = split_product_left(d.dom, r.sb)
+    b_check = _split_product_left(d.dom, r.sb)
     if b_check.elements != p.cod.elements:
         raise CompositionError(f"decoder input {d.dom} does not factor as {p.cod} tensor {r.sb}")
-    a_new = split_product_left(e.dom, r.sa)
+    a_new = _split_product_left(e.dom, r.sa)
     nx, ny = len(r.sa), len(r.sb)
     na, nb = len(p.dom), len(p.cod)
     rows = []
@@ -336,35 +332,27 @@ class SimulationWitness:
     randomness: SharedRandomness
 
 
-def _encoder_from_functions(a_new: FinSet, sa: FinSet, target: FinSet,
-                            funcs: Sequence[tuple[int, ...]]) -> StochMap:
-    dom = tensor(a_new, sa)
+def _map_from_functions(left: FinSet, shared: FinSet, target: FinSet,
+                        funcs: Sequence[tuple[int, ...]]) -> StochMap:
+    """Deterministic map left*shared -> target sending (i, x) to funcs[x][i]:
+    an encoder or decoder that applies the function picked by the
+    shared-randomness value x."""
+    dom = tensor(left, shared)
     rows = [[F0] * len(dom) for _ in range(len(target))]
-    for i in range(len(a_new)):
+    for i in range(len(left)):
         for x, f in enumerate(funcs):
-            rows[f[i]][i * len(sa) + x] = F1
-    return StochMap(dom, target, _freeze(rows))
-
-
-def _decoder_from_functions(b_old: FinSet, sb: FinSet, target: FinSet,
-                            funcs: Sequence[tuple[int, ...]]) -> StochMap:
-    dom = tensor(b_old, sb)
-    rows = [[F0] * len(dom) for _ in range(len(target))]
-    for b in range(len(b_old)):
-        for y, f in enumerate(funcs):
-            rows[f[b]][b * len(sb) + y] = F1
+            rows[f[i]][i * len(shared) + x] = F1
     return StochMap(dom, target, _freeze(rows))
 
 
 def search_exact_simulation(p: StochMap, target: StochMap,
-                            caps: int | tuple[int, int] = 8,
-                            encoder_mode: str = "deterministic") -> Decision:
+                            caps: int | tuple[int, int] = 8) -> Decision:
     """Can wrapping `p` with free encodings reproduce `target` exactly?
 
     The search restricts encoders and decoders to deterministic maps
-    conditioned on the shared-randomness value; whether genuinely
-    stochastic encodings ever help for exact simulation is left open, so
-    `encoder_mode="stochastic"` is reserved and unimplemented.
+    conditioned on the shared-randomness value.  Searching genuinely
+    stochastic encoders and decoders is a documented gap: whether they
+    ever help for exact simulation is left open.
 
     Proven decisions carry a SimulationWitness that replays through
     simulate_channel.  Refuted is returned only on a sound impossibility
@@ -372,12 +360,6 @@ def search_exact_simulation(p: StochMap, target: StochMap,
     only ever simulate channels of the same kind.  Everything else is
     Unknown at the given alphabet caps.
     """
-    if encoder_mode == "stochastic":
-        raise NotImplementedError(
-            "stochastic encoder/decoder search is a documented gap; "
-            "use encoder_mode='deterministic'")
-    if encoder_mode != "deterministic":
-        raise InputError(f"unknown encoder_mode {encoder_mode!r}")
     cap_a, cap_b = caps if isinstance(caps, tuple) else (caps, caps)
     if cap_a < 1 or cap_b < 1:
         raise InputError("caps must be at least 1")
@@ -421,8 +403,8 @@ def search_exact_simulation(p: StochMap, target: StochMap,
         for dec in decoders:
             if wrapped(enc, dec) == goal:
                 witness = SimulationWitness(
-                    _encoder_from_functions(target.dom, UNIT, p.dom, [enc]),
-                    _decoder_from_functions(p.cod, UNIT, target.cod, [dec]),
+                    _map_from_functions(target.dom, UNIT, p.dom, [enc]),
+                    _map_from_functions(p.cod, UNIT, target.cod, [dec]),
                     trivial_randomness())
                 return Decision.proven(witness)
 
@@ -446,8 +428,8 @@ def search_exact_simulation(p: StochMap, target: StochMap,
             for k in support:
                 joint[used_enc.index(pairs[k][0])][used_dec.index(pairs[k][1])] += sol[k]
             witness = SimulationWitness(
-                _encoder_from_functions(target.dom, sa, p.dom, used_enc),
-                _decoder_from_functions(p.cod, sb, target.cod, used_dec),
+                _map_from_functions(target.dom, sa, p.dom, used_enc),
+                _map_from_functions(p.cod, sb, target.cod, used_dec),
                 SharedRandomness(sa, sb, _freeze(joint)))
             return Decision.proven(witness)
         return Decision.unknown(max(cap_a, cap_b),
@@ -556,30 +538,18 @@ def _free_reachable(s: StochMap, free_generators: Sequence[StochMap], depth: int
     return found
 
 
-def search_free_transformation(s: StochMap, t: StochMap,
-                               free_generators: Sequence[StochMap],
-                               depth: int) -> Decision:
-    """Search for a circuit of free generators carrying state s to state t.
-
-    Proven witnesses are sequences of one-step maps whose composite sends
-    s to t exactly; replay by folding compose_seq.  Parallel structure is
-    explored one pairing per step, which covers chains of single and
-    pairwise-parallel generator applications.
-    """
-    if t.dom.elements != UNIT.elements:
-        raise InputError("target must be a state (singleton-domain map)")
-    tk = _state_key(t)
-    found = _free_reachable(s, free_generators, depth, targets={tk})
-    if tk in found:
-        return Decision.proven(("circuit", found[tk]))
-    return Decision.unknown(depth)
-
-
 def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
                                      free_generators: Sequence[StochMap],
                                      depth: int) -> list[Decision]:
-    """Same search as search_free_transformation, answering many targets
-    from one state in a single closure pass."""
+    """Search for circuits of free generators carrying state s to each target.
+
+    All targets are answered from one closure pass, which stops early once
+    every target is found.  Proven witnesses are sequences of one-step
+    maps whose composite sends s to the target exactly; replay by folding
+    compose_seq.  Parallel structure is explored one pairing per step,
+    which covers chains of single and pairwise-parallel generator
+    applications.
+    """
     keys = []
     for t in targets:
         if t.dom.elements != UNIT.elements:

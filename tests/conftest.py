@@ -4,9 +4,10 @@ from random import Random
 
 import pytest
 
-from resconv import (FinSet, OneComb, ProbVector, StochMap, VectorTheory,
-                     finset, random_stoch_map, tensor)
+from resconv.combs import OneComb
+from resconv.instances import ProbVector, VectorTheory
 from resconv.linalg import feasible_nonneg_solution
+from resconv.stoch import FinSet, StochMap, finset, random_stoch_map, tensor
 
 F = Fraction
 

@@ -10,22 +10,21 @@ import time
 from fractions import Fraction
 from random import Random
 
-from resconv import (EntanglementSpectrumTheory, OneComb, VectorTheory,
-                     all_deterministic_maps,
-                     apply_comb, check_catalysis_free, check_non_interacting,
-                     check_quantity_like, comb_equivalent, complete_family,
-                     complete_family_violations, component_monotone,
-                     compose_combs_par, compose_combs_seq, deterministic_convertible,
-                     entanglement_convertible, entropy_monotone,
-                     enumerate_prob_vectors, evaluate_circuit, find_catalyst,
-                     finset, identity, identity_comb, normalize_to_comb,
-                     ProbVector, RandomnessTheory, random_stoch_map,
-                     random_theory_table, rate, search_exact_simulation,
-                     search_free_transformation_batch, simulate_channel,
-                     state, symmetry_comb, tensor)
-from resconv.circuits import (BoxItem, CircuitDiagram, HoleItem, IdItem,
-                              LibraryMap, SwapItem)
-from resconv.stoch import from_function
+from resconv.analysis import (check_catalysis_free, check_non_interacting,
+                              check_quantity_like, find_catalyst, random_theory_table)
+from resconv.circuits import (BoxItem, CircuitDiagram, HoleItem, IdItem, LibraryMap,
+                              SwapItem, evaluate_circuit, normalize_to_comb)
+from resconv.combs import (OneComb, apply_comb, comb_equivalent, compose_combs_par,
+                           compose_combs_seq, identity_comb, symmetry_comb)
+from resconv.instances import (EntanglementSpectrumTheory, ProbVector, RandomnessTheory,
+                               VectorTheory, deterministic_convertible,
+                               entanglement_convertible, enumerate_prob_vectors)
+from resconv.monotones import (complete_family, complete_family_violations,
+                               component_monotone, entropy_monotone, rate)
+from resconv.stoch import (all_deterministic_maps, finset, from_function, identity,
+                           random_stoch_map, search_exact_simulation,
+                           search_free_transformation_batch, simulate_channel, state,
+                           tensor)
 
 from conftest import doubly_stochastic_mixable
 

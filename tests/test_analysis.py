@@ -1,13 +1,12 @@
 import itertools
 from random import Random
 
-from resconv import (FiniteTheoryTable, check_axioms,
-                     check_catalysis_free, check_non_interacting,
-                     check_quality_like, check_quantity_like,
-                     check_riesz_interpolation, check_waste_free,
-                     cross_check_theorems, equivalent,
-                     find_catalyst, ms_make, random_theory_table)
-from resconv.presentation import MorphismGenerator, MultisetTheory
+from resconv.analysis import (check_catalysis_free, check_non_interacting,
+                              check_quality_like, check_quantity_like,
+                              check_riesz_interpolation, check_waste_free,
+                              cross_check_theorems, find_catalyst, random_theory_table)
+from resconv.core import FiniteTheoryTable, check_axioms, equivalent
+from resconv.presentation import MorphismGenerator, MultisetTheory, ms_make
 
 
 def box(t, size):

@@ -3,10 +3,10 @@ from random import Random
 
 import pytest
 
-from resconv import (ParseError, apply_comb, evaluate_circuit, finset,
-                     identity, normalize_to_comb, parse_circuit,
-                     random_stoch_map, render_circuit, to_dot,
-                     all_deterministic_maps)
+from resconv.circuits import (ParseError, evaluate_circuit, normalize_to_comb,
+                              parse_circuit, render_circuit, to_dot)
+from resconv.combs import apply_comb
+from resconv.stoch import all_deterministic_maps, finset, identity, random_stoch_map
 
 F = Fraction
 
@@ -14,7 +14,7 @@ F = Fraction
 def lib_json(rng=None, free_g=True):
     rng = rng or Random(42)
     # f: A -> A*Z, g: B*Z -> B, m: A -> B over types A=2, B=2, Z=2
-    from resconv import finset, tensor
+    from resconv.stoch import finset, tensor
     from resconv.jsonio import dump_stoch_map
     A, B, Z = finset("A", 2), finset("B", 2), finset("Z", 2)
     f = random_stoch_map(rng, A, tensor(A, Z))
@@ -191,7 +191,7 @@ layer: hole h(A, Z -> B)
 
 
 def test_two_holes_cannot_normalize():
-    from resconv import InputError
+    from resconv.core import InputError
     text = ("types: A=2\ninput: A, A\n"
             "layer: hole h1(A -> A) ; hole h2(A -> A)\n")
     c = parse_circuit(text)
@@ -200,7 +200,7 @@ def test_two_holes_cannot_normalize():
 
 
 def test_non_free_map_cannot_normalize():
-    from resconv import InputError
+    from resconv.core import InputError
     c = parse_sandwich(free_g=False)
     with pytest.raises(InputError) as exc:
         normalize_to_comb(c)

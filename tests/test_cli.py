@@ -1,18 +1,32 @@
 import argparse
 import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from resconv import InputError, random_stoch_map, finset, identity
 from resconv.cli import run
+from resconv.combs import identity_comb, one_comb_as_ncomb
+from resconv.core import InputError
 from resconv.jsonio import (dump_ncomb, dump_one_comb, dump_stoch_map,
                             load_finite_table, load_one_comb, load_prob_vector,
                             load_stoch_map, load_theory, parse_term)
-from resconv.combs import identity_comb, one_comb_as_ncomb
+from resconv.stoch import finset, identity, random_stoch_map
 
 F = Fraction
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+
+def demo_library(**copy_fields):
+    """demo/maps.json with fields of its `copy` map replaced (None deletes one)."""
+    lib = json.loads((DEMO / "maps.json").read_text())
+    for name, value in copy_fields.items():
+        if value is None:
+            del lib["maps"]["copy"][name]
+        else:
+            lib["maps"]["copy"][name] = value
+    return lib
 
 
 @pytest.fixture
@@ -247,6 +261,18 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
      ["normalize-circuit", "{path}", "--out", "{dir}/missing/x.json"]),
     ("outer.json", dump_ncomb(one_comb_as_ncomb(identity_comb(finset("b", 2), finset("b", 2)))),
      ["plug", "{path}", "{path}", "--out", "{dir}/missing/x.json"]),
+    ("maps.json", demo_library(dom=None), ["normalize-circuit", "{circuit}"]),
+    ("maps.json", demo_library(matrix=[["1/0", "0"], ["0", "0"], ["0", "0"], ["0", "1"]]),
+     ["normalize-circuit", "{circuit}"]),
+    ("maps.json", demo_library(matrix=5), ["normalize-circuit", "{circuit}"]),
+    ("maps.json", [1, 2], ["normalize-circuit", "{circuit}"]),
+    ("vec.json", {"kind": "vector", "arity": 2.5, "mode": "additive"},
+     ["convert", "{path}", "[1,1]", "[0,0]"]),
+    ("table.json", {"carrier": 2, "combine": [[0, 1], [1, 1]], "zero": 0,
+                    "geq": [[True, "no"], [True, True]]},
+     ["convert", "{path}", "0", "1"]),
+    ("net.json", {"objects": "NH", "morphisms": []},
+     ["convert", "{path}", '{{"N": 1}}', '{{"N": 1}}']),
 ], ids=["vector-without-arity", "vector-without-mode", "matrix-not-list",
         "randomness-without-sa", "theory-not-object", "uc-without-allocation",
         "ncomb-without-stages", "rate-monotone-without-name",
@@ -257,13 +283,18 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
         "ncomb-stages-not-list", "ncomb-ancillas-not-list", "uc-allocation-not-list",
         "uc-combs-not-list", "theory-path-is-directory", "circuit-path-is-directory",
         "channel-path-is-directory", "hasse-out-unwritable",
-        "normalize-circuit-out-unwritable", "plug-out-unwritable"])
+        "normalize-circuit-out-unwritable", "plug-out-unwritable",
+        "library-map-without-dom", "library-map-zero-denominator",
+        "library-map-matrix-not-list", "library-not-object", "vector-arity-not-integral",
+        "table-geq-entry-not-boolean", "presentation-objects-not-list"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, content, argv):
     path = tmp_path / name
     path.write_text(content if isinstance(content, str) else json.dumps(content))
     other = tmp_path / "id.json"
     other.write_text(json.dumps(dump_stoch_map(identity(finset("b", 2)))))
-    args = [a.format(path=path, other=other, dir=tmp_path) for a in argv]
+    circuit = tmp_path / "sandwich.circ"  # reads its library from maps.json beside it
+    circuit.write_text((DEMO / "sandwich.circ").read_text())
+    args = [a.format(path=path, other=other, dir=tmp_path, circuit=circuit) for a in argv]
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -284,6 +315,22 @@ def test_negative_bound_or_box_is_a_usage_error(food_file, capsys, argv):
     assert captured.out == ""
     assert "expected a non-negative integer, got '-1'" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-channel", "p.json", "--target", "t.json"],
+    ["normalize-circuit", "sandwich.circ"],
+    ["plug", "outer.json", "inner1.json"],
+    ["uc-apply", "uc.json", "f1.json", "f2.json"],
+], ids=["simulate-channel", "normalize-circuit", "plug", "uc-apply"])
+def test_bound_is_a_usage_error_without_a_theory(capsys, argv):
+    args = [str(DEMO / a) if a.endswith((".json", ".circ")) else a for a in argv]
+    assert run(args) == 0
+    capsys.readouterr()
+    assert run(args + ["--bound", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --bound 3" in captured.err
 
 
 def test_zero_bound_and_box_stay_valid(food_file, capsys):
@@ -368,7 +415,7 @@ def test_simulate_channel_never_reports_a_witness_that_fails_to_replay(
 
 def circuit_files(tmp_path):
     rng = Random(31)
-    from resconv import tensor
+    from resconv.stoch import tensor
     A, B, Z = finset("A", 2), finset("B", 2), finset("Z", 2)
     lib = {"maps": {
         "f": {"dom": ["A"], "cod": ["A", "Z"],

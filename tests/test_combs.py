@@ -3,14 +3,13 @@ from random import Random
 
 import pytest
 
-from resconv import (UNIT, CompositionError, NComb, OneComb, UCTransformation,
-                     all_deterministic_maps, apply_comb, apply_comb_in_context,
-                     apply_ncomb, apply_uc, comb_equivalent,
-                     compose_combs_par, compose_combs_seq, compose_par,
-                     compose_seq, discard, finset, identity,
-                     identity_comb, one_comb_as_ncomb, plug_ncombs,
-                     point_state, random_stoch_map, state, symmetry_comb,
-                     tensor, uniform_state)
+from resconv.combs import (NComb, OneComb, UCTransformation, apply_comb,
+                           apply_comb_in_context, apply_ncomb, apply_uc,
+                           comb_equivalent, compose_combs_par, compose_combs_seq,
+                           identity_comb, one_comb_as_ncomb, plug_ncombs, symmetry_comb)
+from resconv.stoch import (UNIT, CompositionError, all_deterministic_maps, compose_par,
+                           compose_seq, discard, finset, identity, point_state,
+                           random_stoch_map, state, tensor, uniform_state)
 
 from conftest import contract_comb_on_process, random_comb
 
@@ -338,6 +337,6 @@ def test_disjoint_allocation_computes_outputs_independently():
 
 
 def test_allocation_arity_mismatch_rejected():
-    from resconv import InputError
+    from resconv.core import InputError
     with pytest.raises(InputError):
         UCTransformation((0, 0), (one_comb_as_ncomb(identity_comb(A2, B2)),))

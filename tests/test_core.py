@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resconv import (Decision, FiniteTheoryTable, InputError, ProbVector,
-                     RandomnessTheory, Verdict, check_axioms,
-                     check_oracle_axioms, equivalent,
-                     finite_table_from_oracle, ms_make, replicate)
-from resconv.presentation import MorphismGenerator, MultisetTheory
+from resconv.core import (Decision, FiniteTheoryTable, InputError, Verdict,
+                          check_axioms, check_oracle_axioms, equivalent,
+                          finite_table_from_oracle, replicate)
+from resconv.instances import ProbVector, RandomnessTheory
+from resconv.presentation import MorphismGenerator, MultisetTheory, ms_make
 
 
 def test_decision_invariants():
@@ -98,7 +98,7 @@ def test_replicate_splits_as_combine(n, m, a):
 class VectorTheoryCached:
     # tiny helper so hypothesis does not rebuild dataclasses every example
     def __new__(cls):
-        from resconv import VectorTheory
+        from resconv.instances import VectorTheory
         return VectorTheory(2, "additive")
 
 

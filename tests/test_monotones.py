@@ -1,13 +1,13 @@
 import math
 from fractions import Fraction
 
-from resconv import (FiniteTheoryTable, Monotone, ProbVector,
-                     RandomnessTheory, builtin_monotone, classify,
-                     complete_family, complete_family_violations,
-                     component_monotone, entropy_monotone,
-                     enumerate_prob_vectors, find_activation, minimal_rate,
-                     rate, rate_upper_bound, replicate, shannon_entropy,
-                     verify_monotone)
+from resconv.core import FiniteTheoryTable, replicate
+from resconv.instances import (ProbVector, RandomnessTheory, VectorTheory,
+                               enumerate_prob_vectors, shannon_entropy)
+from resconv.monotones import (Monotone, builtin_monotone, classify, complete_family,
+                               complete_family_violations, component_monotone,
+                               entropy_monotone, find_activation, rate, rate_upper_bound,
+                               verify_monotone)
 
 F = Fraction
 
@@ -126,9 +126,18 @@ def test_rate_zero_when_nothing_converts(food):
     assert result.best == 0 and result.witness is None
 
 
-def test_minimal_rate_takes_the_infimum(food):
-    result = minimal_rate(food, (2, 3), (1, 1), caps=8)
+def test_rate_with_minimal_takes_the_infimum(food):
+    result = rate(food, (2, 3), (1, 1), caps=8, minimal=True)
     assert result.best == F(1, 8)
+
+
+def test_rate_upper_bound_is_the_least_bound_exactly():
+    # (n+2)/n and (n+1)/n round to the same float; the least one is reported
+    n = 10**17
+    monotones = [component_monotone(0, "additive"), component_monotone(1, "additive")]
+    result = rate(VectorTheory(2, "additive"), (n + 2, n + 1), (n, n), caps=1,
+                  monotones=monotones)
+    assert result.upper_bound == F(n + 1, n)
 
 
 def test_additive_bound_dominates_every_proven_cell(food):

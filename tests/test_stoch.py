@@ -4,15 +4,14 @@ from random import Random
 import pytest
 
 import resconv.stoch as stoch_module
-from resconv import (UNIT, CompositionError, FinSet, SharedRandomness, StochMap,
-                     all_deterministic_maps, compose_par, compose_seq,
-                     deterministic_convertible, finset,
-                     from_function, identity, is_deterministic, point_state,
-                     random_stoch_map, search_exact_simulation,
-                     search_free_transformation,
-                     search_free_transformation_batch, simulate_channel,
-                     state, swap, tensor, trivial_randomness, uniform_state,
-                     ProbVector, enumerate_prob_vectors)
+from resconv.instances import (ProbVector, deterministic_convertible,
+                               enumerate_prob_vectors)
+from resconv.stoch import (UNIT, CompositionError, FinSet, SharedRandomness, StochMap,
+                           all_deterministic_maps, compose_par, compose_seq, finset,
+                           from_function, identity, is_deterministic, point_state,
+                           random_stoch_map, search_exact_simulation,
+                           search_free_transformation_batch, simulate_channel, state,
+                           swap, tensor, trivial_randomness, uniform_state)
 
 F = Fraction
 
@@ -210,12 +209,6 @@ def test_simulation_needing_genuine_mixing():
     assert q.matrix == target.matrix
 
 
-def test_stochastic_mode_is_a_documented_gap():
-    with pytest.raises(NotImplementedError):
-        search_exact_simulation(identity(B2), identity(B2), caps=2,
-                                encoder_mode="stochastic")
-
-
 # state transformation search
 
 def det_maps_between(sizes):
@@ -231,7 +224,7 @@ def test_merge_reaches_uniform2_from_uniform4():
     sets, maps = det_maps_between([1, 2, 3, 4])
     s = uniform_state(sets[4])
     t = uniform_state(sets[2])
-    d = search_free_transformation(s, t, maps, depth=3)
+    d = search_free_transformation_batch(s, [t], maps, depth=3)[0]
     assert d.is_proven
     # witness replays: composing the circuit steps onto s reproduces t
     cur = s
@@ -243,7 +236,7 @@ def test_merge_reaches_uniform2_from_uniform4():
 def test_empty_circuit_when_target_equals_source():
     sets, maps = det_maps_between([2])
     s = state(sets[2], ["1/3", "2/3"])
-    d = search_free_transformation(s, s, maps, depth=2)
+    d = search_free_transformation_batch(s, [s], maps, depth=2)[0]
     assert d.is_proven and d.witness[1] == ()
 
 
@@ -251,7 +244,7 @@ def test_unreachable_target_is_unknown_and_matches_partition_search():
     sets, maps = det_maps_between([1, 2, 3])
     s = uniform_state(sets[2])
     t = state(sets[3], ["1/3", "1/3", "1/3"])
-    d = search_free_transformation(s, t, maps, depth=3)
+    d = search_free_transformation_batch(s, [t], maps, depth=3)[0]
     assert d.is_unknown
     assert deterministic_convertible(ProbVector.uniform(2),
                                      ProbVector.of("1/3", "1/3", "1/3")).is_refuted
@@ -263,16 +256,16 @@ def test_search_applies_stochastic_generators_too():
                      ((F(1, 2), F(1, 4)), (F(1, 2), F(3, 4))))
     s = point_state(sets[2], "n20")
     t = state(sets[2], ["1/2", "1/2"])
-    d = search_free_transformation(s, t, [noisy], depth=2)
+    d = search_free_transformation_batch(s, [t], [noisy], depth=2)[0]
     assert d.is_proven
 
 
 def test_search_with_no_generators():
     sets, _ = det_maps_between([2])
     s = uniform_state(sets[2])
-    assert search_free_transformation(s, s, [], depth=2).is_proven
+    assert search_free_transformation_batch(s, [s], [], depth=2)[0].is_proven
     other = state(sets[2], ["1/4", "3/4"])
-    assert search_free_transformation(s, other, [], depth=2).is_unknown
+    assert search_free_transformation_batch(s, [other], [], depth=2)[0].is_unknown
 
 
 def test_batch_search_matches_single_queries():
@@ -282,7 +275,7 @@ def test_batch_search_matches_single_queries():
     targets = [state(sets[len(v)], [str(x) for x in v.entries]) for v in vectors]
     batch = search_free_transformation_batch(s, targets, maps, depth=3)
     for t, d in zip(targets, batch):
-        single = search_free_transformation(s, t, maps, depth=3)
+        single = search_free_transformation_batch(s, [t], maps, depth=3)[0]
         assert d.verdict == single.verdict
 
 
