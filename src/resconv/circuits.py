@@ -47,21 +47,6 @@ class LibraryMap:
     map: StochMap
     free: bool
 
-
-@dataclass(frozen=True)
-class BoxItem:
-    name: str
-    lib: str
-    entry: LibraryMap
-
-    @property
-    def dom_wires(self) -> tuple[str, ...]:
-        return self.entry.dom_wires
-
-    @property
-    def cod_wires(self) -> tuple[str, ...]:
-        return self.entry.cod_wires
-
     def text(self) -> str:
         return f"{self.name}[{self.lib}]"
 
@@ -107,7 +92,7 @@ class HoleItem:
         return f"hole {self.name}({','.join(self.dom_wires)} -> {','.join(self.cod_wires)})"
 
 
-Item = BoxItem | IdItem | SwapItem | HoleItem
+Item = LibraryMap | IdItem | SwapItem | HoleItem
 
 
 @dataclass(frozen=True)
@@ -269,7 +254,7 @@ def _parse_item(piece: str, lineno: int, col: int, types: dict[str, int],
     m = _ITEM_BOX.fullmatch(piece)
     if m:
         name, lib = m.group(1), m.group(2)
-        return BoxItem(name, lib, resolve_box(lib, name, lineno, col))
+        return resolve_box(lib, name, lineno, col)
     raise ParseError(f"cannot parse item {piece!r}", lineno, col)
 
 
@@ -287,8 +272,8 @@ def _check_wiring(c: CircuitDiagram) -> None:
 
 
 def item_map(c: CircuitDiagram, it: Item, hole_maps: Mapping[str, StochMap]) -> StochMap:
-    if isinstance(it, BoxItem):
-        return it.entry.map
+    if isinstance(it, LibraryMap):
+        return it.map
     if isinstance(it, IdItem):
         return identity(c.finset_of(it.wire))
     if isinstance(it, SwapItem):
@@ -335,7 +320,7 @@ def normalize_to_comb(c: CircuitDiagram) -> OneComb:
         raise InputError(f"normalization needs exactly one hole, found {len(holes)}")
     for layer in c.layers:
         for it in layer:
-            if isinstance(it, BoxItem) and not it.entry.free:
+            if isinstance(it, LibraryMap) and not it.free:
                 raise InputError(f"non-free map {it.name!r} cannot appear in a comb")
 
     k_layer, k_pos = next((i, j) for i, layer in enumerate(c.layers)

@@ -58,12 +58,12 @@ def hasse_classes(t: TheoryOracle, terms: Sequence[Any]) -> tuple[list[list[Any]
     return classes, edges
 
 
-def hasse_dot(t: TheoryOracle, terms: Sequence[Any], name: str = "order") -> str:
+def hasse_dot(t: TheoryOracle, terms: Sequence[Any]) -> str:
     classes, edges = hasse_classes(t, terms)
     labeled = [", ".join(sorted(t.format_term(x) for x in cls)) for cls in classes]
     order = sorted(range(len(classes)), key=lambda c: labeled[c])
     rename = {c: i for i, c in enumerate(order)}
-    lines = [f"digraph {name} {{", "  node [shape=box];"]
+    lines = ["digraph order {", "  node [shape=box];"]
     for c in order:
         lines.append(f'  n{rename[c]} [label="{labeled[c]}"];')
     for c1, c2 in sorted(edges, key=lambda e: (rename[e[0]], rename[e[1]])):

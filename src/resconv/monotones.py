@@ -12,11 +12,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Literal, Sequence
+from typing import Any, Callable, Literal, Sequence, get_args
 
 from .analysis import PropertyReport, sample_scope
 from .core import Decision, FiniteTheoryTable, InputError, TheoryOracle, replicate
-from .instances import shannon_entropy
+from .instances import (EntanglementSpectrumTheory, RandomnessTheory, VectorTheory,
+                        shannon_entropy)
 
 REAL_TOL = 1e-9
 
@@ -152,18 +153,14 @@ class RateResult:
 
 def rate(t: TheoryOracle, a: Any, b: Any, caps: int,
          monotones: Sequence[Monotone] = (),
-         cache: dict[tuple[int, int], Decision] | None = None,
          minimal: bool = False) -> RateResult:
     """Scan all copy counts n, m up to caps for conversions n*a -> m*b.
 
-    Reports the supremal (or, with minimal=True, infimal) ratio found.
-    A cache dict may be shared across calls with growing caps; results
-    are monotone in caps.
+    Reports the supremal (or, with minimal=True, infimal) ratio found;
+    results are monotone in caps.
     """
     if caps < 1:
         raise InputError("caps must be at least 1")
-    if cache is None:
-        cache = {}
     best: Fraction | None = None
     witness = None
     inconclusive = 0
@@ -172,9 +169,7 @@ def rate(t: TheoryOracle, a: Any, b: Any, caps: int,
     copies_b = list(itertools.accumulate([b] * caps, t.combine))
     for n in range(1, caps + 1):
         for m in range(1, caps + 1):
-            if (n, m) not in cache:
-                cache[(n, m)] = t.geq(copies_a[n - 1], copies_b[m - 1])
-            d = cache[(n, m)]
+            d = t.geq(copies_a[n - 1], copies_b[m - 1])
             if d.is_unknown:
                 inconclusive += 1
                 continue
@@ -246,20 +241,33 @@ def normalize_supremal(m: Monotone, t: TheoryOracle) -> Monotone:
     return Monotone(m.name, lambda a: m(a) - base, m.kind)
 
 
-def builtin_monotone(name: str, kind: MonotoneClass, t: TheoryOracle) -> Monotone:
-    """Resolve a monotone declaration: 'entropy', 'component:k', or
-    'indicator:i' (the latter only on finite tables)."""
+def builtin_monotone(name: str, kind: str, t: TheoryOracle) -> Monotone:
+    """Resolve a monotone declaration against its theory: 'entropy' on
+    randomness and entanglement theories, 'component:k' on vector
+    theories, 'indicator:i' on finite tables, with the index in range.
+    The class must be general, additive or supremal."""
+    if kind not in get_args(MonotoneClass):
+        raise InputError(f"monotone class must be general, additive or supremal, got {kind!r}")
+    family, _, raw = name.partition(":")
+
+    def index(size: int) -> int:
+        i = int(raw)
+        if not 0 <= i < size:
+            raise InputError(f"{family} index {i} out of range")
+        return i
+
     if name == "entropy":
+        if not isinstance(t, (RandomnessTheory, EntanglementSpectrumTheory)):
+            raise InputError("the entropy monotone needs a randomness or entanglement theory")
         m = Monotone("entropy", lambda p: shannon_entropy(p), kind)
     elif name.startswith("component:"):
-        m = component_monotone(int(name.split(":", 1)[1]), kind)
+        if not isinstance(t, VectorTheory):
+            raise InputError("component monotones need a vector theory")
+        m = component_monotone(index(t.arity), kind)
     elif name.startswith("indicator:"):
         if not isinstance(t, FiniteTheoryTable):
             raise InputError("indicator monotones need a finite table theory")
-        i = int(name.split(":", 1)[1])
-        if not 0 <= i < t.size:
-            raise InputError(f"indicator index {i} out of range")
-        m = _indicator(name, t, i, kind)
+        m = _indicator(name, t, index(t.size), kind)
     else:
         raise InputError(f"unknown monotone {name!r}")
     if kind == "supremal":

@@ -7,7 +7,7 @@ decategorified theory.  Terms are multisets of species; the order is
 bounded reachability by rewriting with the rules, applied inside any
 ambient multiset (tensoring with identities) and chained sequentially.
 Queries outside the span of the rule deltas are refuted by a conserved
-linear functional unless that check is switched off.
+linear functional before any search.
 """
 
 from __future__ import annotations
@@ -87,10 +87,10 @@ class MultisetTheory(TheoryOracle):
     Terms are multisets of species; combine is multiset union, zero the
     empty multiset, and geq bounded breadth-first reachability (shortest
     rewrite traces first) to depth `bound` >= 0, pruning states larger than
-    the larger side plus `bound`.  With `refute_by_conservation` (the
-    default) the query is first tested against the rational span of the
-    rule deltas: a target outside the reachable affine lattice is Refuted
-    with a conserved linear functional as certificate.  The species index
+    the larger side plus `bound`.  Conservation always runs first: the
+    query is tested against the rational span of the rule deltas, and a
+    target outside the reachable affine lattice is Refuted with a
+    conserved linear functional as certificate.  The species index
     and the integer projector onto the complement of that span are
     computed once per instance, on first use, so a query costs one
     sparse integer product instead of a fresh Gram-Schmidt.
@@ -99,7 +99,6 @@ class MultisetTheory(TheoryOracle):
     species: tuple[str, ...]
     rules: tuple[MorphismGenerator, ...]
     bound: int = 6
-    refute_by_conservation: bool = True
 
     def __post_init__(self) -> None:
         if self.bound < 0:
@@ -170,10 +169,9 @@ class MultisetTheory(TheoryOracle):
         self.validate_term(b)
         if a == b:
             return Decision.proven(())
-        if self.refute_by_conservation:
-            cert = self.conservation_certificate(a, b)
-            if cert is not None:
-                return Decision.refuted(("conserved-functional", cert))
+        cert = self.conservation_certificate(a, b)
+        if cert is not None:
+            return Decision.refuted(("conserved-functional", cert))
         cap = max(ms_size(a), ms_size(b)) + self.bound
         seen = {a}
         frontier: deque[tuple[Multiset, tuple[str, ...]]] = deque([(a, ())])

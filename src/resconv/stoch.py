@@ -222,11 +222,12 @@ def all_deterministic_maps(dom: FinSet, cod: FinSet) -> list[StochMap]:
     return out
 
 
-def random_stoch_map(rng: Random, dom: FinSet, cod: FinSet, max_weight: int = 4) -> StochMap:
-    """Random column-stochastic matrix with small rational entries."""
+def random_stoch_map(rng: Random, dom: FinSet, cod: FinSet) -> StochMap:
+    """Random column-stochastic matrix with small rational entries: each
+    column is integer weights 0..4, normalised."""
     cols = []
     for _ in range(len(dom)):
-        w = [rng.randint(0, max_weight) for _ in range(len(cod))]
+        w = [rng.randint(0, 4) for _ in range(len(cod))]
         if sum(w) == 0:
             w[rng.randrange(len(cod))] = 1
         total = sum(w)
@@ -345,8 +346,7 @@ def _map_from_functions(left: FinSet, shared: FinSet, target: FinSet,
     return StochMap(dom, target, _freeze(rows))
 
 
-def search_exact_simulation(p: StochMap, target: StochMap,
-                            caps: int | tuple[int, int] = 8) -> Decision:
+def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Decision:
     """Can wrapping `p` with free encodings reproduce `target` exactly?
 
     The search restricts encoders and decoders to deterministic maps
@@ -358,10 +358,12 @@ def search_exact_simulation(p: StochMap, target: StochMap,
     simulate_channel.  Refuted is returned only on a sound impossibility
     argument: a channel whose output does not depend on its input can
     only ever simulate channels of the same kind.  Everything else is
-    Unknown at the given alphabet caps.
+    Unknown at the given caps.  `caps` bounds both the encoder support
+    and the decoder support: a mixture is accepted only if it uses at
+    most `caps` distinct encoders and at most `caps` distinct decoders,
+    which become the shared-randomness alphabets.
     """
-    cap_a, cap_b = caps if isinstance(caps, tuple) else (caps, caps)
-    if cap_a < 1 or cap_b < 1:
+    if caps < 1:
         raise InputError("caps must be at least 1")
 
     # Sound refutation: constant channels are closed under wrapping.
@@ -377,9 +379,8 @@ def search_exact_simulation(p: StochMap, target: StochMap,
     n_enc = len(p.dom) ** len(target.dom)
     n_dec = len(target.cod) ** len(p.cod)
     if n_enc * n_dec > 20_000:
-        return Decision.unknown(max(cap_a, cap_b),
-                                note=f"strategy space has {n_enc * n_dec} pairs; "
-                                     "beyond the desk-scale search limit")
+        return Decision.unknown(caps, note=f"strategy space has {n_enc * n_dec} pairs; "
+                                           "beyond the desk-scale search limit")
     encoders = list(itertools.product(range(len(p.dom)), repeat=len(target.dom)))
     decoders = list(itertools.product(range(len(target.cod)), repeat=len(p.cod)))
 
@@ -421,7 +422,7 @@ def search_exact_simulation(p: StochMap, target: StochMap,
         support = [k for k, w in enumerate(sol) if w != 0]
         used_enc = sorted({pairs[k][0] for k in support})
         used_dec = sorted({pairs[k][1] for k in support})
-        if len(used_enc) <= cap_a and len(used_dec) <= cap_b:
+        if len(used_enc) <= caps and len(used_dec) <= caps:
             sa = finset("x", len(used_enc))
             sb = finset("y", len(used_dec))
             joint = [[F0] * len(used_dec) for _ in range(len(used_enc))]
@@ -432,10 +433,8 @@ def search_exact_simulation(p: StochMap, target: StochMap,
                 _map_from_functions(p.cod, sb, target.cod, used_dec),
                 SharedRandomness(sa, sb, _freeze(joint)))
             return Decision.proven(witness)
-        return Decision.unknown(max(cap_a, cap_b),
-                                note="mixture found but its support exceeds the caps")
-    return Decision.unknown(max(cap_a, cap_b),
-                            note="no deterministic-given-randomness strategy matches")
+        return Decision.unknown(caps, note="mixture found but its support exceeds the caps")
+    return Decision.unknown(caps, note="no deterministic-given-randomness strategy matches")
 
 
 _StateKey = tuple[tuple[str, ...], tuple[Fraction, ...]]
@@ -447,15 +446,14 @@ def _state_key(m: StochMap) -> _StateKey:
 
 
 def _free_reachable(s: StochMap, free_generators: Sequence[StochMap], depth: int,
-                    targets: set[_StateKey] | None = None,
-                    ) -> dict[_StateKey, tuple[StochMap, ...]]:
+                    targets: set[_StateKey]) -> dict[_StateKey, tuple[StochMap, ...]]:
     """Breadth-first closure of a state under the free generators.
 
     Keys are (codomain elements, distribution); values are the shortest
     witness circuits, as sequences of one-step maps.  Each step applies a
     single generator, or a parallel pair of generators/identities when
-    the state's alphabet factors accordingly.  If `targets` is given the
-    search stops early once all of them are found.
+    the state's alphabet factors accordingly.  The search stops early once
+    every key in `targets` is found.
 
     The one-step maps out of an alphabet, with the index table of each
     deterministic one, are built once per alphabet.  A deterministic step
@@ -506,11 +504,9 @@ def _free_reachable(s: StochMap, free_generators: Sequence[StochMap], depth: int
     start = _state_key(s)
     found: dict[_StateKey, tuple[StochMap, ...]] = {start: ()}
     frontier = deque([(s, start)])
-    remaining = set(targets) if targets is not None else None
-    if remaining is not None:
-        remaining.discard(start)
+    remaining = targets - {start}
     for _ in range(depth):
-        if not frontier or (remaining is not None and not remaining):
+        if not frontier or not remaining:
             break
         for _ in range(len(frontier)):
             cur, (ck, dist) = frontier.popleft()
@@ -532,8 +528,7 @@ def _free_reachable(s: StochMap, free_generators: Sequence[StochMap], depth: int
                     if k in found:
                         continue
                 found[k] = trace + (g,)
-                if remaining is not None:
-                    remaining.discard(k)
+                remaining.discard(k)
                 frontier.append((nxt, k))
     return found
 
@@ -555,6 +550,6 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
         if t.dom.elements != UNIT.elements:
             raise InputError("targets must be states")
         keys.append(_state_key(t))
-    found = _free_reachable(s, free_generators, depth, targets=set(keys))
+    found = _free_reachable(s, free_generators, depth, set(keys))
     return [Decision.proven(("circuit", found[k])) if k in found else Decision.unknown(depth)
             for k in keys]

@@ -12,7 +12,7 @@ from random import Random
 
 from resconv.analysis import (check_catalysis_free, check_non_interacting,
                               check_quantity_like, find_catalyst, random_theory_table)
-from resconv.circuits import (BoxItem, CircuitDiagram, HoleItem, IdItem, LibraryMap,
+from resconv.circuits import (CircuitDiagram, HoleItem, IdItem, LibraryMap,
                               SwapItem, evaluate_circuit, normalize_to_comb)
 from resconv.combs import (OneComb, apply_comb, comb_equivalent, compose_combs_par,
                            compose_combs_seq, identity_comb, symmetry_comb)
@@ -220,9 +220,8 @@ def _random_circuit(rng: Random, tag: int) -> CircuitDiagram:
                 cod_fs = fsets[cod_w[0]]
                 for w in cod_w[1:]:
                     cod_fs = tensor(cod_fs, fsets[w])
-                entry = LibraryMap(name, "gen", tuple(dom_w), tuple(cod_w),
-                                   random_stoch_map(rng, dom_fs, cod_fs), True)
-                items.append(BoxItem(name, "gen", entry))
+                items.append(LibraryMap(name, "gen", tuple(dom_w), tuple(cod_w),
+                                        random_stoch_map(rng, dom_fs, cod_fs), True))
             if _product(types[w] for it in items for w in it.cod_wires) > DIM_CAP:
                 # overly wide layer; retry the whole circuit
                 return _random_circuit(rng, tag)

@@ -122,9 +122,11 @@ def test_non_interacting_refuted_with_replayable_witness():
 
 
 def test_unknown_subanswers_never_prove_or_refute():
+    # The rule deltas span both species, so conservation refutes nothing.
     t = MultisetTheory(("a", "b"),
-                       (MorphismGenerator("r", ms_make(["a", "a"]), ms_make(["b"])),),
-                       bound=1, refute_by_conservation=False)
+                       (MorphismGenerator("r", ms_make(["a", "a"]), ms_make(["b"])),
+                        MorphismGenerator("s", ms_make(["b"]), ms_make(["b", "b"]))),
+                       bound=1)
     sample = t.enumerate_up_to(2)
     for report in (check_quality_like(t, sample),
                    check_quantity_like(t, sample),

@@ -273,6 +273,25 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
      ["convert", "{path}", "0", "1"]),
     ("net.json", {"objects": "NH", "morphisms": []},
      ["convert", "{path}", '{{"N": 1}}', '{{"N": 1}}']),
+    ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive",
+                  "monotones": [{"name": "component:5", "class": "additive"}]},
+     ["rate", "{path}", "[2,3]", "[1,1]"]),
+    ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive",
+                  "monotones": [{"name": "entropy", "class": "additive"}]},
+     ["monotones", "{path}"]),
+    ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive",
+                  "monotones": [{"name": "entropy", "class": "additive"}]},
+     ["rate", "{path}", "[2,3]", "[1,1]"]),
+    ("table.json", {"carrier": 2, "combine": [[0, 1], [1, 1]], "zero": 0,
+                    "geq": [[1, 0], [1, 1]],
+                    "monotones": [{"name": "component:0", "class": "additive"}]},
+     ["monotones", "{path}"]),
+    ("r.json", {"kind": "randomness",
+                "monotones": [{"name": "component:0", "class": "additive"}]},
+     ["rate", "{path}", '["1"]', '["1"]']),
+    ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive",
+                  "monotones": [{"name": "component:0", "class": "weird"}]},
+     ["monotones", "{path}", "--sample-box", "1"]),
 ], ids=["vector-without-arity", "vector-without-mode", "matrix-not-list",
         "randomness-without-sa", "theory-not-object", "uc-without-allocation",
         "ncomb-without-stages", "rate-monotone-without-name",
@@ -286,7 +305,10 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
         "normalize-circuit-out-unwritable", "plug-out-unwritable",
         "library-map-without-dom", "library-map-zero-denominator",
         "library-map-matrix-not-list", "library-not-object", "vector-arity-not-integral",
-        "table-geq-entry-not-boolean", "presentation-objects-not-list"])
+        "table-geq-entry-not-boolean", "presentation-objects-not-list",
+        "component-index-out-of-range", "monotones-entropy-on-vectors",
+        "rate-entropy-on-vectors", "component-on-table", "component-on-randomness",
+        "monotone-class-unknown"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, content, argv):
     path = tmp_path / name
     path.write_text(content if isinstance(content, str) else json.dumps(content))

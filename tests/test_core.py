@@ -67,7 +67,7 @@ def test_equivalent_food_examples(food):
 
 def test_equivalent_unknown_propagates():
     t = MultisetTheory(("a", "b"), (MorphismGenerator("r", ms_make(["a"]), ms_make(["b"])),),
-                       bound=2, refute_by_conservation=False)
+                       bound=2)
     d = equivalent(t, ms_make(["a"]), ms_make(["b"]))
     # forward is provable, backward exhausts the bound
     assert d.is_unknown and d.bound == 2
@@ -113,35 +113,35 @@ def chemistry():
 
 
 def test_neutralization_is_one_step():
-    t = MultisetTheory(*chemistry(), bound=4, refute_by_conservation=False)
+    t = MultisetTheory(*chemistry(), bound=4)
     d = t.geq(ms_make(["NaOH", "HCl"]), ms_make(["NaCl", "H2O"]))
     assert d.is_proven
     assert d.witness == ("neutralize",)
 
 
 def test_reflexive_via_empty_circuit():
-    t = MultisetTheory(*chemistry(), bound=4, refute_by_conservation=False)
+    t = MultisetTheory(*chemistry(), bound=4)
     a = ms_make(["NaCl", "NaOH"])
     d = t.geq(a, a)
     assert d.is_proven and d.witness == ()
 
 
 def test_reverse_reaction_unknown_at_bound():
-    t = MultisetTheory(*chemistry(), bound=4, refute_by_conservation=False)
+    t = MultisetTheory(*chemistry(), bound=4)
     d = t.geq(ms_make(["NaCl", "H2O"]), ms_make(["NaOH", "HCl"]))
     assert d.is_unknown and d.bound == 4
 
 
 def test_decategorified_oracle_satisfies_axioms():
-    t = MultisetTheory(*chemistry(), bound=3, refute_by_conservation=False)
+    t = MultisetTheory(*chemistry(), bound=3)
     terms = [m for m in t.enumerate_up_to(2) if len(m) <= 2]
-    assert check_oracle_axioms(t, 2, terms=terms) == []
+    assert check_oracle_axioms(t, terms) == []
 
 
 def test_oracle_axiom_check_on_vector_theories(food, proficiency):
     sample = [(0, 0), (1, 0), (0, 1), (2, 1)]
-    assert check_oracle_axioms(food, 2, terms=sample) == []
-    assert check_oracle_axioms(proficiency, 2, terms=sample) == []
+    assert check_oracle_axioms(food, sample) == []
+    assert check_oracle_axioms(proficiency, sample) == []
 
 
 def test_finite_table_from_oracle_roundtrip(proficiency):

@@ -176,15 +176,6 @@ def test_ammonia_to_nitrogen_refuted_by_conservation():
     assert weights.get("N2", F(0)) * 1 != weights.get("NH3", F(0)) * 1
 
 
-def test_same_query_is_unknown_without_conservation_refutation():
-    plain = MultisetTheory(
-        ("N2", "H2", "NH3"),
-        (MorphismGenerator("haber", ms_make({"N2": 1, "H2": 3}), ms_make({"NH3": 2})),),
-        bound=4, refute_by_conservation=False)
-    d = plain.geq(ms_make({"NH3": 1}), ms_make({"N2": 1}))
-    assert d.is_unknown and d.bound == 4
-
-
 def test_negative_bound_rejected_and_zero_allowed():
     species = ("N2", "H2", "NH3")
     rules = (MorphismGenerator("haber", ms_make({"N2": 1, "H2": 3}), ms_make({"NH3": 2})),)

@@ -154,10 +154,9 @@ def test_additive_bound_dominates_every_proven_cell(food):
 
 
 def test_rate_grows_monotonically_with_caps(food):
-    cache = {}
     best = F(0)
     for caps in range(1, 9):
-        result = rate(food, (2, 3), (1, 1), caps=caps, cache=cache)
+        result = rate(food, (2, 3), (1, 1), caps=caps)
         assert result.best >= best
         best = result.best
     assert best == 2

@@ -209,6 +209,18 @@ def test_simulation_needing_genuine_mixing():
     assert q.matrix == target.matrix
 
 
+def test_mixture_over_the_caps_is_unknown_and_proven_within_them():
+    target = StochMap(B2, B2, ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
+    d = search_exact_simulation(identity(B2), target, caps=1)
+    assert d.is_unknown and d.bound == 1
+    assert d.note == "mixture found but its support exceeds the caps"
+    d = search_exact_simulation(identity(B2), target, caps=2)
+    assert d.is_proven
+    w = d.witness
+    q = simulate_channel(identity(B2), w.encoder, w.decoder, w.randomness)
+    assert q.matrix == target.matrix
+
+
 # state transformation search
 
 def det_maps_between(sizes):
