@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
-from .core import (Decision, FiniteTheoryTable, TheoryOracle, check_axioms,
-                   equivalent)
+from .core import (Decision, FiniteTheoryTable, TheoryOracle, Verdict,
+                   check_axioms, equivalent)
 
 
 @dataclass(frozen=True)
@@ -67,25 +67,20 @@ def find_catalyst(t: TheoryOracle, a: Any, b: Any, candidates: Sequence[Any],
 def check_catalysis_free(t: TheoryOracle, sample: Sequence[Any],
                          bound: int = 0) -> PropertyReport:
     """Catalysis-free: a+c converts to b+c only when a converts to b."""
-    inconclusive = 0
-    for a in sample:
-        for b in sample:
+    def outcomes():
+        for a, b in itertools.product(sample, repeat=2):
             base = t.geq(a, b)
-            if base.is_proven:
-                continue
             if base.is_unknown:
-                inconclusive += 1
+                yield Verdict.UNKNOWN
+            if not base.is_refuted:
                 continue
             for c in sample:
                 lifted = t.geq(t.combine(a, c), t.combine(b, c))
                 if lifted.is_proven:
-                    return PropertyReport(
-                        "catalysis-free",
-                        Decision.refuted(("catalyst-triple", a, b, c)),
-                        sample_scope(t, sample))
+                    yield Decision.refuted(("catalyst-triple", a, b, c))
                 if lifted.is_unknown:
-                    inconclusive += 1
-    return _clean_verdict("catalysis-free", t, sample, bound, inconclusive)
+                    yield Verdict.UNKNOWN
+    return _property("catalysis-free", t, sample, bound, outcomes())
 
 
 def check_non_interacting(t: TheoryOracle, sample: Sequence[Any],
@@ -95,84 +90,66 @@ def check_non_interacting(t: TheoryOracle, sample: Sequence[Any],
     Refuted requires a complete decomposition enumeration from the
     theory; with only a sampled search a missing split stays Unknown.
     """
-    inconclusive = 0
-    for a in sample:
-        for b1 in sample:
-            for b2 in sample:
-                top = t.geq(a, t.combine(b1, b2))
-                if top.is_unknown:
-                    inconclusive += 1
-                    continue
-                if top.is_refuted:
-                    continue
-                decomps = t.decompositions(a)
-                complete = decomps is not None
-                if decomps is None:
-                    decomps = [(x, y) for x in sample for y in sample
-                               if equivalent(t, t.combine(x, y), a).is_proven]
-                ok = False
-                saw_unknown = False
-                for a1, a2 in decomps:
-                    d1 = t.geq(a1, b1)
-                    d2 = t.geq(a2, b2)
-                    if d1.is_proven and d2.is_proven:
-                        ok = True
-                        break
-                    if d1.is_unknown or d2.is_unknown:
-                        saw_unknown = True
-                if ok:
-                    continue
-                if complete and not saw_unknown:
-                    return PropertyReport(
-                        "non-interacting",
-                        Decision.refuted(("no-split", a, b1, b2)),
-                        sample_scope(t, sample))
-                inconclusive += 1
-    return _clean_verdict("non-interacting", t, sample, bound, inconclusive)
+    def outcomes():
+        for a, b1, b2 in itertools.product(sample, repeat=3):
+            top = t.geq(a, t.combine(b1, b2))
+            if top.is_unknown:
+                yield Verdict.UNKNOWN
+            if not top.is_proven:
+                continue
+            decomps = t.decompositions(a)
+            complete = decomps is not None
+            if decomps is None:
+                decomps = [(x, y) for x in sample for y in sample
+                           if equivalent(t, t.combine(x, y), a).is_proven]
+            saw_unknown = False
+            for a1, a2 in decomps:
+                d1 = t.geq(a1, b1)
+                d2 = t.geq(a2, b2)
+                if d1.is_proven and d2.is_proven:
+                    break
+                saw_unknown = saw_unknown or d1.is_unknown or d2.is_unknown
+            else:
+                yield (Decision.refuted(("no-split", a, b1, b2))
+                       if complete and not saw_unknown else Verdict.UNKNOWN)
+    return _property("non-interacting", t, sample, bound, outcomes())
 
 
 def check_quantity_like(t: TheoryOracle, sample: Sequence[Any],
                         bound: int = 0) -> PropertyReport:
     """Conservation of value: equal combinations with one side dominating
     force the complementary domination."""
-    inconclusive = 0
-    for a1, a2, b1, b2 in itertools.product(sample, repeat=4):
-        eq = equivalent(t, t.combine(a1, a2), t.combine(b1, b2))
-        if eq.is_unknown:
-            inconclusive += 1
-            continue
-        if eq.is_refuted:
-            continue
-        d = t.geq(a1, b1)
-        if d.is_unknown:
-            inconclusive += 1
-            continue
-        if d.is_refuted:
-            continue
-        back = t.geq(b2, a2)
-        if back.is_refuted:
-            return PropertyReport(
-                "quantity-like",
-                Decision.refuted(("quadruple", a1, a2, b1, b2)),
-                sample_scope(t, sample))
-        if back.is_unknown:
-            inconclusive += 1
-    return _clean_verdict("quantity-like", t, sample, bound, inconclusive)
+    def outcomes():
+        for a1, a2, b1, b2 in itertools.product(sample, repeat=4):
+            eq = equivalent(t, t.combine(a1, a2), t.combine(b1, b2))
+            if eq.is_unknown:
+                yield Verdict.UNKNOWN
+            if not eq.is_proven:
+                continue
+            d = t.geq(a1, b1)
+            if d.is_unknown:
+                yield Verdict.UNKNOWN
+            if not d.is_proven:
+                continue
+            back = t.geq(b2, a2)
+            if back.is_refuted:
+                yield Decision.refuted(("quadruple", a1, a2, b1, b2))
+            if back.is_unknown:
+                yield Verdict.UNKNOWN
+    return _property("quantity-like", t, sample, bound, outcomes())
 
 
 def check_quality_like(t: TheoryOracle, sample: Sequence[Any],
                        bound: int = 0) -> PropertyReport:
     """Idempotence: a combined with itself is interconvertible with a."""
-    inconclusive = 0
-    for a in sample:
-        eq = equivalent(t, t.combine(a, a), a)
-        if eq.is_refuted:
-            return PropertyReport("quality-like",
-                                  Decision.refuted(("not-idempotent", a)),
-                                  sample_scope(t, sample))
-        if eq.is_unknown:
-            inconclusive += 1
-    return _clean_verdict("quality-like", t, sample, bound, inconclusive)
+    def outcomes():
+        for a in sample:
+            eq = equivalent(t, t.combine(a, a), a)
+            if eq.is_refuted:
+                yield Decision.refuted(("not-idempotent", a))
+            if eq.is_unknown:
+                yield Verdict.UNKNOWN
+    return _property("quality-like", t, sample, bound, outcomes())
 
 
 def check_waste_free(t: TheoryOracle, sample: Sequence[Any],
@@ -183,26 +160,22 @@ def check_waste_free(t: TheoryOracle, sample: Sequence[Any],
     (a+b converts to a) is asserted on sample pairs; a failure there is
     flagged as a theorem violation, i.e. an implementation bug.
     """
-    z = t.zero()
-    inconclusive = 0
-    for a in sample:
-        d = t.geq(a, z)
-        if d.is_refuted:
-            return PropertyReport("waste-free",
-                                  Decision.refuted(("not-disposable", a)),
-                                  sample_scope(t, sample))
-        if d.is_unknown:
-            inconclusive += 1
-    if not inconclusive:
+    def outcomes():
+        z = t.zero()
+        disposable = True
         for a in sample:
-            for b in sample:
+            d = t.geq(a, z)
+            if d.is_refuted:
+                yield Decision.refuted(("not-disposable", a))
+            if d.is_unknown:
+                disposable = False
+                yield Verdict.UNKNOWN
+        if disposable:
+            for a, b in itertools.product(sample, repeat=2):
                 if t.geq(t.combine(a, b), a).is_refuted:
-                    return PropertyReport(
-                        "waste-free",
-                        Decision.refuted(("whole-covers-part-fails", a, b),
-                                         note="theorem violation: disposability held"),
-                        sample_scope(t, sample))
-    return _clean_verdict("waste-free", t, sample, bound, inconclusive)
+                    yield Decision.refuted(("whole-covers-part-fails", a, b),
+                                           note="theorem violation: disposability held")
+    return _property("waste-free", t, sample, bound, outcomes())
 
 
 def check_riesz_interpolation(t: TheoryOracle, uppers: Sequence[Any],
@@ -249,89 +222,71 @@ def cross_check_theorems(t: TheoryOracle, sample: Sequence[Any],
     ql = check_quantity_like(t, sample, bound)
     qual = check_quality_like(t, sample, bound)
     cf = check_catalysis_free(t, sample, bound)
-    reports = [ni, ql, qual, cf]
+    checked = Decision.proven(("checked", len(sample)))
 
     hypotheses_hold = not ni.decision.is_refuted and not ql.decision.is_refuted
     if hypotheses_hold and cf.decision.is_refuted:
-        reports.append(PropertyReport(
-            "thm:no-catalysis-criterion",
-            Decision.refuted(("theorem-violation", cf.decision.witness),
-                             note="non-interacting and quantity-like yet a catalyst exists"),
-            sample_scope(t, sample)))
+        no_catalysis = Decision.refuted(
+            ("theorem-violation", cf.decision.witness),
+            note="non-interacting and quantity-like yet a catalyst exists")
     else:
-        note = None if hypotheses_hold else "hypotheses not satisfied; vacuous"
-        reports.append(PropertyReport(
-            "thm:no-catalysis-criterion",
-            Decision.proven(("checked", len(sample)), note=note),
-            sample_scope(t, sample)))
+        no_catalysis = Decision.proven(
+            ("checked", len(sample)),
+            note=None if hypotheses_hold else "hypotheses not satisfied; vacuous")
 
-    if not ql.decision.is_refuted:
-        bad = None
+    if ql.decision.is_refuted:
+        cloning = Decision.proven(("vacuous",), note="theory is not quantity-like")
+    else:
         z = t.zero()
-        for a in sample:
-            clone = t.geq(a, t.combine(a, a))
-            create = t.geq(z, a)
-            if clone.is_unknown or create.is_unknown:
-                continue
-            if clone.is_proven != create.is_proven:
-                bad = a
-                break
-        if bad is not None:
-            reports.append(PropertyReport(
-                "prop:cloning-is-creation",
-                Decision.refuted(("theorem-violation", bad),
-                                 note="cloning and creation from nothing disagree"),
-                sample_scope(t, sample)))
-        else:
-            reports.append(PropertyReport(
-                "prop:cloning-is-creation",
-                Decision.proven(("checked", len(sample))), sample_scope(t, sample)))
-    else:
-        reports.append(PropertyReport(
-            "prop:cloning-is-creation",
-            Decision.proven(("vacuous",), note="theory is not quantity-like"),
-            sample_scope(t, sample)))
+        bad = next((a for a in sample
+                    if _disagree(t.geq(a, t.combine(a, a)), t.geq(z, a))), None)
+        cloning = checked if bad is None else Decision.refuted(
+            ("theorem-violation", bad), note="cloning and creation from nothing disagree")
 
-    if not qual.decision.is_refuted:
-        bad_pair = None
-        for a in sample:
-            aa = t.combine(a, a)
-            for b in sample:
-                d1 = t.geq(aa, b)
-                d2 = t.geq(a, b)
-                d3 = t.geq(a, t.combine(b, b))
-                trio = (d1, d2, d3)
-                if any(d.is_unknown for d in trio):
-                    continue
-                if len({d.is_proven for d in trio}) != 1:
-                    bad_pair = (a, b)
-                    break
-            if bad_pair:
-                break
-        if bad_pair is not None:
-            reports.append(PropertyReport(
-                "prop:doubling-irrelevant",
-                Decision.refuted(("theorem-violation",) + bad_pair,
-                                 note="doubling changed convertibility in a quality-like theory"),
-                sample_scope(t, sample)))
-        else:
-            reports.append(PropertyReport(
-                "prop:doubling-irrelevant",
-                Decision.proven(("checked", len(sample))), sample_scope(t, sample)))
+    if qual.decision.is_refuted:
+        doubling = Decision.proven(("vacuous",), note="theory is not quality-like")
     else:
-        reports.append(PropertyReport(
-            "prop:doubling-irrelevant",
-            Decision.proven(("vacuous",), note="theory is not quality-like"),
-            sample_scope(t, sample)))
-    return reports
+        bad_pair = next(((a, b) for a in sample for b in sample
+                         if _disagree(t.geq(t.combine(a, a), b), t.geq(a, b),
+                                      t.geq(a, t.combine(b, b)))), None)
+        doubling = checked if bad_pair is None else Decision.refuted(
+            ("theorem-violation",) + bad_pair,
+            note="doubling changed convertibility in a quality-like theory")
+
+    scope = sample_scope(t, sample)
+    return [ni, ql, qual, cf] + [
+        PropertyReport(name, d, scope)
+        for name, d in (("thm:no-catalysis-criterion", no_catalysis),
+                        ("prop:cloning-is-creation", cloning),
+                        ("prop:doubling-irrelevant", doubling))]
+
+
+def _disagree(*decisions: Decision) -> bool:
+    """Definite answers that differ; an Unknown among them settles nothing."""
+    return (not any(d.is_unknown for d in decisions)
+            and len({d.is_proven for d in decisions}) != 1)
 
 
 def sample_scope(t: TheoryOracle, sample: Sequence[Any]) -> str:
     return "exhaustive" if _is_exhaustive(t, sample) else f"sample of {len(sample)}"
 
 
-def _clean_verdict(name: str, t: TheoryOracle, sample: Sequence[Any],
-                   bound: int, inconclusive: int) -> PropertyReport:
+def _property(name: str, t: TheoryOracle, sample: Sequence[Any], bound: int,
+              outcomes: Iterable[Decision | Verdict]) -> PropertyReport:
+    """The verdict rule shared by the property analyzers.
+
+    `outcomes` yields, instance by instance, a refuting Decision or
+    Verdict.UNKNOWN for an inconclusive sub-query.  The first refutation
+    is the verdict.  Otherwise an exhausted finite carrier with no
+    inconclusive sub-query is Proven, and anything else is Unknown with
+    the count.
+    """
+    inconclusive = 0
+    for outcome in outcomes:
+        if outcome is Verdict.UNKNOWN:
+            inconclusive += 1
+        else:
+            return PropertyReport(name, outcome, sample_scope(t, sample))
     if _is_exhaustive(t, sample) and not inconclusive:
         return PropertyReport(name, Decision.proven(("exhausted", len(sample))),
                               "exhaustive")

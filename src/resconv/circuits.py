@@ -39,47 +39,13 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class LibraryMap:
-    name: str
-    lib: str
+class Box:
+    """A fixed map in a layer: a library map, `id[T]` or `swap[T,U]`."""
+    text: str
     dom_wires: tuple[str, ...]
     cod_wires: tuple[str, ...]
     map: StochMap
     free: bool
-
-    def text(self) -> str:
-        return f"{self.name}[{self.lib}]"
-
-
-@dataclass(frozen=True)
-class IdItem:
-    wire: str
-
-    @property
-    def dom_wires(self) -> tuple[str, ...]:
-        return (self.wire,)
-
-    cod_wires = dom_wires
-
-    def text(self) -> str:
-        return f"id[{self.wire}]"
-
-
-@dataclass(frozen=True)
-class SwapItem:
-    first: str
-    second: str
-
-    @property
-    def dom_wires(self) -> tuple[str, ...]:
-        return (self.first, self.second)
-
-    @property
-    def cod_wires(self) -> tuple[str, ...]:
-        return (self.second, self.first)
-
-    def text(self) -> str:
-        return f"swap[{self.first},{self.second}]"
 
 
 @dataclass(frozen=True)
@@ -88,11 +54,12 @@ class HoleItem:
     dom_wires: tuple[str, ...]
     cod_wires: tuple[str, ...]
 
+    @property
     def text(self) -> str:
         return f"hole {self.name}({','.join(self.dom_wires)} -> {','.join(self.cod_wires)})"
 
 
-Item = LibraryMap | IdItem | SwapItem | HoleItem
+Item = Box | HoleItem
 
 
 @dataclass(frozen=True)
@@ -122,7 +89,7 @@ class CircuitDiagram:
 
 
 _ITEM_ID = re.compile(r"id\[\s*(\w+)\s*\]$")
-_ITEM_SWAP = re.compile(r"swap\[\s*(\w+)\s*,\s*(\w+)\s*\]$")
+_ITEM_SWAP = re.compile(r"swap\[\s*(\w+\s*,\s*\w+)\s*\]$")
 _ITEM_HOLE = re.compile(r"hole\s+(\w+)\(\s*([\w\s,]+?)\s*->\s*([\w\s,]+?)\s*\)$")
 _ITEM_BOX = re.compile(r"(\w+)\[\s*(\w+)\s*\]$")
 
@@ -135,12 +102,12 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
     finsets: dict[str, FinSet] = {}
     libraries: list[tuple[str, str]] = []
     lib_data: dict[str, object] = {}
-    lib_cache: dict[tuple[str, str], LibraryMap] = {}
+    lib_cache: dict[tuple[str, str], Box] = {}
     input_wires: tuple[str, ...] | None = None
     layers: list[tuple[Item, ...]] = []
     hole_names: set[str] = set()
 
-    def resolve_box(lib: str, name: str, lineno: int, col: int) -> LibraryMap:
+    def resolve_box(lib: str, name: str, lineno: int, col: int) -> Box:
         # Built on first reference: a library may declare maps over types
         # the circuit does not use.
         if lib not in lib_data:
@@ -151,7 +118,7 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
                 dom_w, cod_w, m, free = jsonio.load_library_map(lib_data[lib], lib, name, finsets)
             except InputError as exc:
                 raise ParseError(str(exc), lineno, col) from None
-            lib_cache[key] = LibraryMap(name, lib, dom_w, cod_w, m, free)
+            lib_cache[key] = Box(f"{name}[{lib}]", dom_w, cod_w, m, free)
         return lib_cache[key]
 
     def wire_list(raw: str, lineno: int, col: int) -> tuple[str, ...]:
@@ -214,7 +181,7 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
                 piece = chunk.strip()
                 if not piece:
                     raise ParseError("empty layer item", lineno, col)
-                items.append(_parse_item(piece, lineno, col, types, resolve_box,
+                items.append(_parse_item(piece, lineno, col, finsets, resolve_box,
                                          hole_names, wire_list))
                 col += len(chunk) + 1
             layers.append(tuple(items))
@@ -229,20 +196,16 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
     return circuit
 
 
-def _parse_item(piece: str, lineno: int, col: int, types: dict[str, int],
+def _parse_item(piece: str, lineno: int, col: int, finsets: dict[str, FinSet],
                 resolve_box, hole_names: set[str], wire_list) -> Item:
     m = _ITEM_ID.fullmatch(piece)
     if m:
-        w = m.group(1)
-        if w not in types:
-            raise ParseError(f"undeclared wire type {w!r}", lineno, col)
-        return IdItem(w)
+        (w,) = wire_list(m.group(1), lineno, col)
+        return Box(f"id[{w}]", (w,), (w,), identity(finsets[w]), True)
     m = _ITEM_SWAP.fullmatch(piece)
     if m:
-        for w in m.groups():
-            if w not in types:
-                raise ParseError(f"undeclared wire type {w!r}", lineno, col)
-        return SwapItem(m.group(1), m.group(2))
+        w, v = wire_list(m.group(1), lineno, col)
+        return Box(f"swap[{w},{v}]", (w, v), (v, w), swap(finsets[w], finsets[v]), True)
     m = _ITEM_HOLE.fullmatch(piece)
     if m:
         name = m.group(1)
@@ -271,26 +234,22 @@ def _check_wiring(c: CircuitDiagram) -> None:
         wires = sum((it.cod_wires for it in layer), ())
 
 
-def item_map(c: CircuitDiagram, it: Item, hole_maps: Mapping[str, StochMap]) -> StochMap:
-    if isinstance(it, LibraryMap):
-        return it.map
-    if isinstance(it, IdItem):
-        return identity(c.finset_of(it.wire))
-    if isinstance(it, SwapItem):
-        return swap(c.finset_of(it.first), c.finset_of(it.second))
-    if it.name not in hole_maps:
-        raise InputError(f"no process supplied for hole {it.name!r}")
-    f = hole_maps[it.name]
-    if f.dom.elements != c.wires_finset(it.dom_wires).elements \
-            or f.cod.elements != c.wires_finset(it.cod_wires).elements:
-        raise InputError(f"process for hole {it.name!r} has the wrong type")
+def _hole_map(c: CircuitDiagram, hole: HoleItem,
+              hole_maps: Mapping[str, StochMap]) -> StochMap:
+    """The process supplied for a hole, checked against the hole's type."""
+    if hole.name not in hole_maps:
+        raise InputError(f"no process supplied for hole {hole.name!r}")
+    f = hole_maps[hole.name]
+    if f.dom.elements != c.wires_finset(hole.dom_wires).elements \
+            or f.cod.elements != c.wires_finset(hole.cod_wires).elements:
+        raise InputError(f"process for hole {hole.name!r} has the wrong type")
     return f
 
 
 def _layer_map(c: CircuitDiagram, items: Sequence[Item],
                hole_maps: Mapping[str, StochMap]) -> StochMap:
     """Parallel composite of the items' maps; the unit map when there are none."""
-    maps = [item_map(c, it, hole_maps) for it in items]
+    maps = [it.map if isinstance(it, Box) else _hole_map(c, it, hole_maps) for it in items]
     return reduce(compose_par, maps) if maps else identity(UNIT)
 
 
@@ -320,8 +279,8 @@ def normalize_to_comb(c: CircuitDiagram) -> OneComb:
         raise InputError(f"normalization needs exactly one hole, found {len(holes)}")
     for layer in c.layers:
         for it in layer:
-            if isinstance(it, LibraryMap) and not it.free:
-                raise InputError(f"non-free map {it.name!r} cannot appear in a comb")
+            if isinstance(it, Box) and not it.free:
+                raise InputError(f"non-free map {it.text!r} cannot appear in a comb")
 
     k_layer, k_pos = next((i, j) for i, layer in enumerate(c.layers)
                           for j, it in enumerate(layer) if isinstance(it, HoleItem))
@@ -353,7 +312,7 @@ def render_circuit(c: CircuitDiagram) -> str:
         lines.append(f"library: {name} = {path}")
     lines.append("input: " + ", ".join(c.input_wires))
     for layer in c.layers:
-        lines.append("layer: " + " ; ".join(it.text() for it in layer))
+        lines.append("layer: " + " ; ".join(it.text for it in layer))
     return "\n".join(lines) + "\n"
 
 
@@ -368,7 +327,7 @@ def to_dot(c: CircuitDiagram) -> str:
         new_prev: list[str] = []
         for ii, it in enumerate(layer):
             node = f"l{li}i{ii}"
-            label = it.text().replace('"', "'")
+            label = it.text.replace('"', "'")
             shape = "box" if not isinstance(it, HoleItem) else "doubleoctagon"
             lines.append(f'  {node} [label="{label}" shape={shape}];')
             for k in range(len(it.dom_wires)):

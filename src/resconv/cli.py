@@ -35,6 +35,18 @@ def _load_theory(args: argparse.Namespace) -> tuple[TheoryOracle, dict]:
     return jsonio.load_theory(data, bound=args.bound), data
 
 
+def _terms(args: argparse.Namespace, theory: TheoryOracle) -> list:
+    """`args.source` and `args.target`, JSON text, as terms of the theory."""
+    terms = []
+    for role in ("source", "target"):
+        try:
+            raw = json.loads(getattr(args, role))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{role} term is not valid JSON: {exc}") from None
+        terms.append(jsonio.parse_term(theory, raw))
+    return terms
+
+
 def _emit(args: argparse.Namespace, payload: Any, human: list[str]) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -58,8 +70,7 @@ def cmd_check_axioms(args: argparse.Namespace) -> int:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     theory, _ = _load_theory(args)
-    a = jsonio.parse_term(theory, json.loads(args.source))
-    b = jsonio.parse_term(theory, json.loads(args.target))
+    a, b = _terms(args, theory)
     d = theory.geq(a, b)
     payload = d.to_json()
     human = [str(d.verdict)]
@@ -73,8 +84,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 def cmd_catalyst(args: argparse.Namespace) -> int:
     theory, _ = _load_theory(args)
-    a = jsonio.parse_term(theory, json.loads(args.source))
-    b = jsonio.parse_term(theory, json.loads(args.target))
+    a, b = _terms(args, theory)
     candidates = theory.enumerate_up_to(args.box)
     d = find_catalyst(theory, a, b, candidates, bound=args.bound)
     human = [f"catalyst search over {len(candidates)} candidates: {d.verdict}"]
@@ -118,8 +128,7 @@ def cmd_properties(args: argparse.Namespace) -> int:
 def cmd_rate(args: argparse.Namespace) -> int:
     theory, data = _load_theory(args)
     monotones = jsonio.load_theory_monotones(data, theory)
-    a = jsonio.parse_term(theory, json.loads(args.source))
-    b = jsonio.parse_term(theory, json.loads(args.target))
+    a, b = _terms(args, theory)
     result = rate(theory, a, b, args.caps, monotones, minimal=args.minimal)
     payload = {"best": str(result.best), "witness": result.witness,
                "upper_bound": None if result.upper_bound is None else str(result.upper_bound),

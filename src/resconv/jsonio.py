@@ -58,12 +58,13 @@ def _list_fields(data: Any, what: str, *names: str) -> list[list]:
 
 
 def _int(x: Any, what: str) -> int:
-    """An integral JSON value as an int; 0.9 or "1.5" is an InputError, not truncated."""
+    """An integral JSON value as an int; 0.9, "1.5" or true is an InputError,
+    not truncated or read as 1."""
     try:
         i = int(x)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{what} must be an integer, got {x!r}") from None
-    if not isinstance(x, str) and i != x:
+    if isinstance(x, bool) or (not isinstance(x, str) and i != x):
         raise InputError(f"{what} must be an integer, got {x!r}")
     return i
 

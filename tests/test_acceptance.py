@@ -12,8 +12,8 @@ from random import Random
 
 from resconv.analysis import (check_catalysis_free, check_non_interacting,
                               check_quantity_like, find_catalyst, random_theory_table)
-from resconv.circuits import (CircuitDiagram, HoleItem, IdItem, LibraryMap,
-                              SwapItem, evaluate_circuit, normalize_to_comb)
+from resconv.circuits import (Box, CircuitDiagram, HoleItem, evaluate_circuit,
+                              normalize_to_comb)
 from resconv.combs import (OneComb, apply_comb, comb_equivalent, compose_combs_par,
                            compose_combs_seq, identity_comb, symmetry_comb)
 from resconv.instances import (EntanglementSpectrumTheory, ProbVector, RandomnessTheory,
@@ -24,7 +24,7 @@ from resconv.monotones import (complete_family, complete_family_violations,
 from resconv.stoch import (all_deterministic_maps, finset, from_function, identity,
                            random_stoch_map, search_exact_simulation,
                            search_free_transformation_batch, simulate_channel, state,
-                           tensor)
+                           swap, tensor)
 
 from conftest import doubly_stochastic_mixable
 
@@ -208,9 +208,12 @@ def _random_circuit(rng: Random, tag: int) -> CircuitDiagram:
                 items.append(HoleItem("h", tuple(dom_w), tuple(cod_w)))
                 hole_placed = True
             elif take == 2 and rng.random() < 0.3:
-                items.append(SwapItem(dom_w[0], dom_w[1]))
+                w, v = dom_w
+                items.append(Box(f"swap[{w},{v}]", (w, v), (v, w),
+                                 swap(fsets[w], fsets[v]), True))
             elif take == 1 and rng.random() < 0.4:
-                items.append(IdItem(dom_w[0]))
+                (w,) = dom_w
+                items.append(Box(f"id[{w}]", (w,), (w,), identity(fsets[w]), True))
             else:
                 cod_w = random_wires(rng.randint(1, 2))
                 name = f"f{tag}_{next(counter)}"
@@ -220,8 +223,8 @@ def _random_circuit(rng: Random, tag: int) -> CircuitDiagram:
                 cod_fs = fsets[cod_w[0]]
                 for w in cod_w[1:]:
                     cod_fs = tensor(cod_fs, fsets[w])
-                items.append(LibraryMap(name, "gen", tuple(dom_w), tuple(cod_w),
-                                        random_stoch_map(rng, dom_fs, cod_fs), True))
+                items.append(Box(f"{name}[gen]", tuple(dom_w), tuple(cod_w),
+                                 random_stoch_map(rng, dom_fs, cod_fs), True))
             if _product(types[w] for it in items for w in it.cod_wires) > DIM_CAP:
                 # overly wide layer; retry the whole circuit
                 return _random_circuit(rng, tag)

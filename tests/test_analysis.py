@@ -182,6 +182,55 @@ def test_cross_checks_on_capped_additive_table():
             assert not r.decision.is_refuted, str(r)
 
 
+# Refuting branches, reached only on tables that violate the axioms: the
+# theorems assume a theory, so a Refuted line flags an implementation or
+# input fault.
+
+T, F = True, False
+NO_CATALYSIS_BREAKER = FiniteTheoryTable(2, ((1, 0), (1, 0)), 0, ((T, F), (F, T)))
+DOUBLING_BREAKER = FiniteTheoryTable(3, ((2, 2, 1), (0, 1, 2), (2, 1, 2)), 0,
+                                     ((T, F, T), (T, T, F), (T, F, T)))
+
+
+def theorem_report(t, name):
+    return next(r for r in cross_check_theorems(t, list(range(t.size))) if r.name == name)
+
+
+def test_no_catalysis_criterion_refuted_on_a_non_theory():
+    t = NO_CATALYSIS_BREAKER
+    assert check_axioms(t) != []
+    r = theorem_report(t, "thm:no-catalysis-criterion")
+    assert r.decision.is_refuted
+    assert r.decision.witness == ("theorem-violation", ("catalyst-triple", 0, 1, 0))
+    assert r.decision.note == "non-interacting and quantity-like yet a catalyst exists"
+
+
+def test_cloning_is_creation_refuted_on_a_non_theory():
+    r = theorem_report(NO_CATALYSIS_BREAKER, "prop:cloning-is-creation")
+    assert r.decision.is_refuted
+    assert r.decision.witness == ("theorem-violation", 0)
+    assert r.decision.note == "cloning and creation from nothing disagree"
+
+
+def test_doubling_irrelevant_refuted_on_a_non_theory():
+    t = DOUBLING_BREAKER
+    assert check_axioms(t) != []
+    r = theorem_report(t, "prop:doubling-irrelevant")
+    assert r.decision.is_refuted
+    assert r.decision.witness == ("theorem-violation", 1, 0)
+    assert r.decision.note == "doubling changed convertibility in a quality-like theory"
+
+
+def test_whole_covers_part_refuted_on_a_non_theory():
+    t = FiniteTheoryTable(3, ((1, 2, 2), (2, 0, 1), (0, 2, 0)), 0,
+                          ((T, F, F), (T, T, T), (T, F, T)))
+    assert check_axioms(t) != []
+    r = check_waste_free(t, list(range(3)))
+    assert r.decision.is_refuted
+    assert r.decision.witness == ("whole-covers-part-fails", 1, 0)
+    assert r.decision.note == "theorem violation: disposability held"
+
+
 # random table generator
 
 def test_random_tables_pass_axioms_and_are_deterministic():

@@ -292,6 +292,13 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
     ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive",
                   "monotones": [{"name": "component:0", "class": "weird"}]},
      ["monotones", "{path}", "--sample-box", "1"]),
+    ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive"},
+     ["convert", "{path}", "[true,1]", "[0,0]"]),
+    ("net.json", {"objects": ["N2", "H2", "NH3"], "morphisms": []},
+     ["convert", "{path}", '{{"N2": true, "H2": 3}}', '{{"NH3": 2}}']),
+    ("table.json", {"carrier": 2, "combine": [[0, 1], [1, 1]], "zero": 0,
+                    "geq": [[1, 0], [1, 1]]},
+     ["convert", "{path}", "true", "0"]),
 ], ids=["vector-without-arity", "vector-without-mode", "matrix-not-list",
         "randomness-without-sa", "theory-not-object", "uc-without-allocation",
         "ncomb-without-stages", "rate-monotone-without-name",
@@ -308,7 +315,8 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
         "table-geq-entry-not-boolean", "presentation-objects-not-list",
         "component-index-out-of-range", "monotones-entropy-on-vectors",
         "rate-entropy-on-vectors", "component-on-table", "component-on-randomness",
-        "monotone-class-unknown"])
+        "monotone-class-unknown", "vector-entry-boolean", "multiset-count-boolean",
+        "table-index-boolean"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, content, argv):
     path = tmp_path / name
     path.write_text(content if isinstance(content, str) else json.dumps(content))
@@ -320,6 +328,15 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, con
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["convert", "catalyst", "rate"])
+def test_term_that_is_not_json_names_its_argument(food_file, capsys, command):
+    assert run([command, str(food_file), "[1,", "[0,0]"]) == 2
+    assert capsys.readouterr().err == (
+        "error: source term is not valid JSON: Expecting value: line 1 column 4 (char 3)\n")
+    assert run([command, str(food_file), "[1,1]", "[0,"]) == 2
+    assert capsys.readouterr().err.startswith("error: target term is not valid JSON: ")
 
 
 @pytest.mark.parametrize("argv", [
