@@ -89,29 +89,33 @@ def check_non_interacting(t: TheoryOracle, sample: Sequence[Any],
 
     Refuted requires a complete decomposition enumeration from the
     theory; with only a sampled search a missing split stays Unknown.
+    The splits of each a are listed once, on its first Proven top query.
     """
     def outcomes():
-        for a, b1, b2 in itertools.product(sample, repeat=3):
-            top = t.geq(a, t.combine(b1, b2))
-            if top.is_unknown:
-                yield Verdict.UNKNOWN
-            if not top.is_proven:
-                continue
-            decomps = t.decompositions(a)
-            complete = decomps is not None
-            if decomps is None:
-                decomps = [(x, y) for x in sample for y in sample
-                           if equivalent(t, t.combine(x, y), a).is_proven]
-            saw_unknown = False
-            for a1, a2 in decomps:
-                d1 = t.geq(a1, b1)
-                d2 = t.geq(a2, b2)
-                if d1.is_proven and d2.is_proven:
-                    break
-                saw_unknown = saw_unknown or d1.is_unknown or d2.is_unknown
-            else:
-                yield (Decision.refuted(("no-split", a, b1, b2))
-                       if complete and not saw_unknown else Verdict.UNKNOWN)
+        for a in sample:
+            decomps = None
+            for b1, b2 in itertools.product(sample, repeat=2):
+                top = t.geq(a, t.combine(b1, b2))
+                if top.is_unknown:
+                    yield Verdict.UNKNOWN
+                if not top.is_proven:
+                    continue
+                if decomps is None:
+                    decomps = t.decompositions(a)
+                    complete = decomps is not None
+                    if decomps is None:
+                        decomps = [(x, y) for x in sample for y in sample
+                                   if equivalent(t, t.combine(x, y), a).is_proven]
+                saw_unknown = False
+                for a1, a2 in decomps:
+                    d1 = t.geq(a1, b1)
+                    d2 = t.geq(a2, b2)
+                    if d1.is_proven and d2.is_proven:
+                        break
+                    saw_unknown = saw_unknown or d1.is_unknown or d2.is_unknown
+                else:
+                    yield (Decision.refuted(("no-split", a, b1, b2))
+                           if complete and not saw_unknown else Verdict.UNKNOWN)
     return _property("non-interacting", t, sample, bound, outcomes())
 
 

@@ -6,8 +6,9 @@ called species, and morphism generators, called rules) and is its
 decategorified theory.  Terms are multisets of species; the order is
 bounded reachability by rewriting with the rules, applied inside any
 ambient multiset (tensoring with identities) and chained sequentially.
-Queries outside the span of the rule deltas are refuted by a conserved
-linear functional before any search.
+The search and the conservation check both run on species-count vectors
+over one rule table.  Queries outside the span of the rule deltas are
+refuted by a conserved linear functional before any search.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations_with_replacement
+from operator import add
 
 from .core import Decision, InputError, TheoryOracle
 from .linalg import complement_projector
@@ -45,25 +48,6 @@ def ms_add(a: Multiset, b: Multiset) -> Multiset:
     return tuple(sorted(counts.items()))
 
 
-def ms_contains(a: Multiset, b: Multiset) -> bool:
-    counts = dict(a)
-    return all(counts.get(name, 0) >= k for name, k in b)
-
-
-def ms_sub(a: Multiset, b: Multiset) -> Multiset:
-    counts = dict(a)
-    for name, k in b:
-        have = counts.get(name, 0)
-        if have < k:
-            raise InputError(f"cannot remove {k} x {name!r} from {a}")
-        counts[name] = have - k
-    return tuple(sorted((n, k) for n, k in counts.items() if k))
-
-
-def ms_size(a: Multiset) -> int:
-    return sum(k for _, k in a)
-
-
 def ms_format(a: Multiset) -> str:
     if not a:
         return "{}"
@@ -90,10 +74,11 @@ class MultisetTheory(TheoryOracle):
     the larger side plus `bound`.  Conservation always runs first: the
     query is tested against the rational span of the rule deltas, and a
     target outside the reachable affine lattice is Refuted with a
-    conserved linear functional as certificate.  The species index
-    and the integer projector onto the complement of that span are
-    computed once per instance, on first use, so a query costs one
-    sparse integer product instead of a fresh Gram-Schmidt.
+    conserved linear functional as certificate.  The search runs on
+    species-count vectors over the rule table: a rule applies when the
+    state holds every count it consumes, and adds its delta.  The species
+    index, the rule table and the integer projector onto the complement of
+    the deltas' span are built once per instance, on first use.
     """
 
     species: tuple[str, ...]
@@ -122,25 +107,37 @@ class MultisetTheory(TheoryOracle):
         """Position of each declared species in `species`."""
         return {o: i for i, o in enumerate(self.species)}
 
+    def _vector(self, a: Multiset) -> tuple[int, ...]:
+        """The species counts of a, in `species` order."""
+        idx = self._index
+        v = [0] * len(idx)
+        for name, k in a:
+            if name not in idx:
+                raise InputError(f"undeclared species {name!r}")
+            if k < 0:
+                raise InputError(f"negative multiplicity for {name!r}")
+            v[idx[name]] += k
+        return tuple(v)
+
+    @cached_property
+    def _rule_table(self) -> tuple[tuple[str, tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
+        """Per rule, in rule order: its name, the (species index, count)
+        pairs it consumes and its delta vector."""
+        table = []
+        for m in self.rules:
+            src, tgt = self._vector(m.source), self._vector(m.target)
+            table.append((m.name, tuple((i, k) for i, k in enumerate(src) if k),
+                          tuple(y - x for x, y in zip(src, tgt))))
+        return tuple(table)
+
     @cached_property
     def _projector(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Integer projector onto the complement of the rule deltas' span,
         built on the first conservation query and reused by every later one."""
-        idx = self._index
-        deltas = []
-        for m in self.rules:
-            v = [0] * len(idx)
-            for name, k in m.target:
-                v[idx[name]] += k
-            for name, k in m.source:
-                v[idx[name]] -= k
-            deltas.append(v)
-        return complement_projector(deltas, len(idx))
+        return complement_projector([d for _, _, d in self._rule_table], len(self.species))
 
     def validate_term(self, a: Multiset) -> None:
-        for name, _ in a:
-            if name not in self._index:
-                raise InputError(f"undeclared species {name!r}")
+        self._vector(a)
 
     def conservation_certificate(self, a: Multiset, b: Multiset) -> tuple[tuple[str, Fraction], ...] | None:
         """A linear functional constant on every rule but separating a from b.
@@ -149,69 +146,47 @@ class MultisetTheory(TheoryOracle):
         the cached projector; None when b - a lies in their span.
         """
         rows, den = self._projector
-        idx = self._index
-        diff = [0] * len(rows)
-        for name, k in b:
-            diff[idx[name]] += k
-        for name, k in a:
-            diff[idx[name]] -= k
         w = [0] * len(rows)
-        for row, dj in zip(rows, diff):  # the projector is symmetric
-            if dj:
-                w = [x + dj * y for x, y in zip(w, row)]
+        for row, ai, bi in zip(rows, self._vector(a), self._vector(b)):  # the projector is symmetric
+            if ai != bi:
+                w = [x + (bi - ai) * y for x, y in zip(w, row)]
         if not any(w):
             return None
         return tuple((o, Fraction(x, den))
                      for o, x in zip(self.species, w) if x)
 
     def geq(self, a: Multiset, b: Multiset) -> Decision:
-        self.validate_term(a)
-        self.validate_term(b)
-        if a == b:
+        start, goal = self._vector(a), self._vector(b)
+        if start == goal:
             return Decision.proven(())
         cert = self.conservation_certificate(a, b)
         if cert is not None:
             return Decision.refuted(("conserved-functional", cert))
-        cap = max(ms_size(a), ms_size(b)) + self.bound
-        seen = {a}
-        frontier: deque[tuple[Multiset, tuple[str, ...]]] = deque([(a, ())])
+        cap = max(sum(start), sum(goal)) + self.bound
+        seen = {start}
+        frontier: deque[tuple[tuple[int, ...], tuple[str, ...]]] = deque([(start, ())])
         depth = 0
         while frontier and depth < self.bound:
             depth += 1
             for _ in range(len(frontier)):
                 state, trace = frontier.popleft()
-                for rule in self.rules:
-                    if not ms_contains(state, rule.source):
+                for name, consumed, delta in self._rule_table:
+                    if any(state[i] < k for i, k in consumed):
                         continue
-                    nxt = ms_add(ms_sub(state, rule.source), rule.target)
-                    if nxt in seen or ms_size(nxt) > cap:
+                    nxt = tuple(map(add, state, delta))
+                    if nxt in seen or sum(nxt) > cap:
                         continue
-                    nxt_trace = trace + (rule.name,)
-                    if nxt == b:
+                    nxt_trace = trace + (name,)
+                    if nxt == goal:
                         return Decision.proven(nxt_trace)
                     seen.add(nxt)
                     frontier.append((nxt, nxt_trace))
         return Decision.unknown(self.bound)
 
     def enumerate_up_to(self, bound: int) -> list[Multiset]:
-        objs = self.species
-        out: list[Multiset] = []
-
-        def rec(i: int, remaining: int, acc: list[tuple[str, int]]) -> None:
-            out.append(tuple(acc))
-            if i == len(objs):
-                return
-            for k in range(1, remaining + 1):
-                acc.append((objs[i], k))
-                rec(i + 1, remaining - k, acc)
-                acc.pop()
-            rec(i + 1, remaining, acc)
-
-        rec(0, bound, [])
-        # rec() emits unsorted suffix choices; canonicalize and dedupe.
-        canon = sorted({tuple(sorted(m)) for m in out}, key=lambda m: (ms_size(m), m))
-        return canon
+        """Every multiset of at most `bound` species, by size, then term."""
+        return [m for n in range(bound + 1)
+                for m in sorted(ms_make(c) for c in combinations_with_replacement(self.species, n))]
 
     def format_term(self, a: Multiset) -> str:
         return ms_format(a)
-

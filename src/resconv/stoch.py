@@ -114,9 +114,7 @@ def _freeze(matrix: Iterable[Iterable[Fraction]]) -> tuple[tuple[Fraction, ...],
 
 
 def identity(a: FinSet) -> StochMap:
-    n = len(a)
-    return StochMap(a, a, tuple(tuple(F1 if i == j else F0 for j in range(n))
-                                for i in range(n)))
+    return from_function(a, a, range(len(a)))
 
 
 def from_function(dom: FinSet, cod: FinSet, f: Callable[[int], int] | Sequence[int]) -> StochMap:
@@ -127,7 +125,7 @@ def from_function(dom: FinSet, cod: FinSet, f: Callable[[int], int] | Sequence[i
     rows = [[F0] * len(dom) for _ in range(len(cod))]
     for i, j in enumerate(table):
         rows[j][i] = F1
-    return StochMap(dom, cod, _freeze(rows))
+    return StochMap(dom, cod, tuple(map(tuple, rows)))
 
 
 def state(cod: FinSet, probs: Sequence[Fraction | int | str]) -> StochMap:
@@ -146,7 +144,7 @@ def uniform_state(cod: FinSet) -> StochMap:
 
 
 def discard(dom: FinSet) -> StochMap:
-    return StochMap(dom, UNIT, (tuple(F1 for _ in dom.elements),))
+    return from_function(dom, UNIT, [0] * len(dom))
 
 
 def compose_seq(q: StochMap, p: StochMap) -> StochMap:
@@ -338,12 +336,8 @@ def _map_from_functions(left: FinSet, shared: FinSet, target: FinSet,
     """Deterministic map left*shared -> target sending (i, x) to funcs[x][i]:
     an encoder or decoder that applies the function picked by the
     shared-randomness value x."""
-    dom = tensor(left, shared)
-    rows = [[F0] * len(dom) for _ in range(len(target))]
-    for i in range(len(left)):
-        for x, f in enumerate(funcs):
-            rows[f[i]][i * len(shared) + x] = F1
-    return StochMap(dom, target, _freeze(rows))
+    return from_function(tensor(left, shared), target,
+                         [f[i] for i in range(len(left)) for f in funcs])
 
 
 def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Decision:

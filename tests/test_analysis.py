@@ -1,12 +1,17 @@
 import itertools
+from pathlib import Path
 from random import Random
 
+import resconv.analysis
 from resconv.analysis import (check_catalysis_free, check_non_interacting,
                               check_quality_like, check_quantity_like,
                               check_riesz_interpolation, check_waste_free,
                               cross_check_theorems, find_catalyst, random_theory_table)
 from resconv.core import FiniteTheoryTable, check_axioms, equivalent
+from resconv.jsonio import load_theory, read_json
 from resconv.presentation import MorphismGenerator, MultisetTheory, ms_make
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def box(t, size):
@@ -119,6 +124,23 @@ def test_non_interacting_refuted_with_replayable_witness():
     assert t.geq(a, t.combine(b1, b2)).is_proven
     for a1, a2 in t.decompositions(a):
         assert not (t.geq(a1, b1).is_proven and t.geq(a2, b2).is_proven)
+
+
+def test_non_interacting_lists_the_splits_of_each_term_once(monkeypatch):
+    # A reaction network has no decompositions, so the splits of a come
+    # from a sample-squared equivalence sweep: at most one per a, 10^3 calls.
+    t = load_theory(read_json(DEMO / "haber.json"), bound=6)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return equivalent(*args)
+
+    monkeypatch.setattr(resconv.analysis, "equivalent", counted)
+    report = check_non_interacting(t, box(t, 2), 6)
+    assert len(calls) <= 1000
+    assert str(report) == ("non-interacting: Unknown (sample of 10) "
+                           "[unrefuted on sample (2 inconclusive sub-queries)]")
 
 
 def test_unknown_subanswers_never_prove_or_refute():

@@ -167,6 +167,15 @@ def test_hasse_merges_equivalence_classes(tmp_path, capsys):
     assert dot.count("label=") == 1
 
 
+def test_hasse_refuses_an_undecided_order(capsys):
+    # at box 4 the bounded search cannot settle 2 NH3 against N2 + 3 H2
+    assert run(["hasse", str(DEMO / "haber.json"), "--box", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: order undecided between {2*NH3} and {3*H2, N2}; "
+                            "diagram needs definite answers\n")
+
+
 def test_simulate_channel_apply(tmp_path, capsys):
     rng = Random(0)
     b2 = finset("b", 2)

@@ -1,4 +1,6 @@
+from collections import Counter, deque
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
@@ -193,6 +195,25 @@ def test_undeclared_species_rejected():
         t.geq(ms_make({"O2": 1}), ms_make({"N2": 1}))
 
 
+def a_to_b():
+    return MultisetTheory(("A", "B"), (MorphismGenerator("r", ms_make(["A"]), ms_make(["B"])),))
+
+
+@pytest.mark.parametrize("a, b, trace", [
+    ((("B", 1), ("A", 1)), (("A", 1), ("B", 1)), ()),
+    ((("A", 1), ("A", 1)), ms_make({"B": 2}), ("r", "r")),
+    ((("A", 0),), (), ()),
+], ids=["reordered", "repeated-species", "zero-count"])
+def test_non_canonical_terms_are_read_as_their_species_counts(a, b, trace):
+    d = a_to_b().geq(a, b)
+    assert d.is_proven and d.witness == trace
+
+
+def test_negative_species_count_rejected():
+    with pytest.raises(InputError, match="negative multiplicity for 'A'"):
+        a_to_b().geq((("A", -1),), ())
+
+
 def test_quality_like_idempotence_on_box(proficiency):
     for a in proficiency.enumerate_up_to(3):
         assert proficiency.combine(a, a) == a
@@ -308,3 +329,79 @@ def test_projector_is_computed_once_per_theory(monkeypatch):
     assert len(calls) == 1
     haber().geq(ms_make({"NH3": 1}), ms_make({"N2": 1}))
     assert len(calls) == 2
+
+
+def reference_geq(rules, bound, a, b):
+    """Bounded BFS over Counters with MultisetTheory's rule order, size cap
+    and early return: the shortest trace it finds, or None."""
+    start, goal = Counter(dict(a)), Counter(dict(b))
+    if start == goal:
+        return ()
+    cap = max(start.total(), goal.total()) + bound
+    seen = {frozenset(start.items())}
+    frontier = deque([(start, ())])
+    for _ in range(bound):
+        for _ in range(len(frontier)):
+            state, trace = frontier.popleft()
+            for rule in rules:
+                source = Counter(dict(rule.source))
+                if any(state[s] < k for s, k in source.items()):
+                    continue
+                nxt = state - source + Counter(dict(rule.target))
+                key = frozenset(nxt.items())
+                if key in seen or nxt.total() > cap:
+                    continue
+                if nxt == goal:
+                    return trace + (rule.name,)
+                seen.add(key)
+                frontier.append((nxt, trace + (rule.name,)))
+    return None
+
+
+SPECIES = ("A", "B", "C")
+small_side = st.lists(st.sampled_from(SPECIES), max_size=2).map(ms_make)
+small_term = st.lists(st.sampled_from(SPECIES), max_size=3).map(ms_make)
+
+
+def fire(rules, a, picks):
+    """a after firing the picked rules in turn, skipping any that cannot
+    fire or would grow the term past 3 species."""
+    state = Counter(dict(a))
+    for i in picks:
+        rule = rules[i % len(rules)]
+        source = Counter(dict(rule.source))
+        nxt = state - source + Counter(dict(rule.target))
+        if all(state[s] >= k for s, k in source.items()) and nxt.total() <= 3:
+            state = nxt
+    return ms_make(dict(state))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(small_side, small_side), min_size=1, max_size=3),
+       st.integers(0, 4), small_term, small_term, st.lists(st.integers(0, 2), min_size=1, max_size=4))
+def test_vector_search_matches_a_counter_reference(sides, bound, a, b, picks):
+    # b is drawn at random; fire(...) is a target that is often reachable
+    rules = tuple(MorphismGenerator(f"r{i}", src, tgt) for i, (src, tgt) in enumerate(sides))
+    t = MultisetTheory(SPECIES, rules, bound=bound)
+    for target in (b, fire(rules, a, picks)):
+        d = t.geq(a, target)
+        expected = reference_geq(rules, bound, a, target)
+        if expected is not None:
+            assert d.is_proven and d.witness == expected
+            continue
+        assert not d.is_proven
+        if d.is_refuted:
+            kind, cert = d.witness
+            assert kind == "conserved-functional"
+            w = [dict(cert).get(s, F(0)) for s in SPECIES]
+            assert all(sum(x * y for x, y in zip(w, delta(r, SPECIES))) == 0 for r in rules)
+            diff = [dict(target).get(s, 0) - dict(a).get(s, 0) for s in SPECIES]
+            assert sum(x * y for x, y in zip(w, diff)) != 0
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_enumeration_lists_each_multiset_once_by_size_then_term(k):
+    terms = MultisetTheory(SPECIES, ()).enumerate_up_to(k)
+    assert len(terms) == len(set(terms)) == comb(3 + k, k)
+    assert all(ms_make(dict(m)) == m and sum(dict(m).values()) <= k for m in terms)
+    assert terms == sorted(terms, key=lambda m: (sum(dict(m).values()), m))
