@@ -303,29 +303,26 @@ def _property(name: str, t: TheoryOracle, sample: Sequence[Any], bound: int,
 
 # Random finite theories for stress-testing the theorem battery.
 
-def _base_monoids(n: int) -> list[tuple[str, Any]]:
-    kinds: list[tuple[str, Any]] = [
-        (f"cyclic{n}", lambda a, b: (a + b) % n),
-        (f"truncated-add{n}", lambda a, b: min(a + b, n - 1)),
-        (f"max-chain{n}", lambda a, b: max(a, b)),
-    ]
-    return kinds
+def _base_monoids(n: int) -> list[Any]:
+    return [lambda a, b: (a + b) % n,         # cyclic
+            lambda a, b: min(a + b, n - 1),   # truncated addition
+            lambda a, b: max(a, b)]           # max chain
 
 
-def _product_monoid(n: int, rng: Random) -> tuple[str, Any] | None:
+def _product_monoid(n: int, rng: Random) -> Any | None:
     factors = [(p, n // p) for p in range(2, n) if n % p == 0 and n // p >= 2]
     if not factors:
         return None
     p, q = rng.choice(factors)
-    name1, op1 = rng.choice(_base_monoids(p))
-    name2, op2 = rng.choice(_base_monoids(q))
+    op1 = rng.choice(_base_monoids(p))
+    op2 = rng.choice(_base_monoids(q))
 
     def op(a: int, b: int) -> int:
         a1, a2 = divmod(a, q)
         b1, b2 = divmod(b, q)
         return op1(a1, b1) * q + op2(a2, b2)
 
-    return (f"{name1}x{name2}", op)
+    return op
 
 
 def random_theory_table(rng: Random, size: int, density: float | None = None) -> FiniteTheoryTable:
@@ -341,7 +338,7 @@ def random_theory_table(rng: Random, size: int, density: float | None = None) ->
     prod = _product_monoid(size, rng)
     if prod is not None:
         choices = choices + [prod]
-    _, op = rng.choice(choices)
+    op = rng.choice(choices)
     table = tuple(tuple(op(a, b) for b in range(size)) for a in range(size))
 
     if density is None:

@@ -97,36 +97,56 @@ _ITEM_BOX = re.compile(r"(\w+)\[\s*(\w+)\s*\]$")
 def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
                   base_dir: str | Path = ".") -> CircuitDiagram:
     """Parse the DSL; library paths resolve through `library_files` first,
-    then relative to `base_dir`."""
-    types: dict[str, int] = {}
+    then relative to `base_dir`.  Each layer is checked against the wires
+    below it on the line that declares it."""
     finsets: dict[str, FinSet] = {}
     libraries: list[tuple[str, str]] = []
     lib_data: dict[str, object] = {}
     lib_cache: dict[tuple[str, str], Box] = {}
     input_wires: tuple[str, ...] | None = None
+    wires: tuple[str, ...] = ()
     layers: list[tuple[Item, ...]] = []
     hole_names: set[str] = set()
-
-    def resolve_box(lib: str, name: str, lineno: int, col: int) -> Box:
-        # Built on first reference: a library may declare maps over types
-        # the circuit does not use.
-        if lib not in lib_data:
-            raise ParseError(f"unknown library {lib!r}", lineno, col)
-        key = (lib, name)
-        if key not in lib_cache:
-            try:
-                dom_w, cod_w, m, free = jsonio.load_library_map(lib_data[lib], lib, name, finsets)
-            except InputError as exc:
-                raise ParseError(str(exc), lineno, col) from None
-            lib_cache[key] = Box(f"{name}[{lib}]", dom_w, cod_w, m, free)
-        return lib_cache[key]
 
     def wire_list(raw: str, lineno: int, col: int) -> tuple[str, ...]:
         names = tuple(w.strip() for w in raw.split(",") if w.strip())
         for w in names:
-            if w not in types:
+            if w not in finsets:
                 raise ParseError(f"undeclared wire type {w!r}", lineno, col)
         return names
+
+    def item(piece: str, lineno: int, col: int) -> Item:
+        m = _ITEM_ID.fullmatch(piece)
+        if m:
+            (w,) = wire_list(m.group(1), lineno, col)
+            return Box(f"id[{w}]", (w,), (w,), identity(finsets[w]), True)
+        m = _ITEM_SWAP.fullmatch(piece)
+        if m:
+            w, v = wire_list(m.group(1), lineno, col)
+            return Box(f"swap[{w},{v}]", (w, v), (v, w), swap(finsets[w], finsets[v]), True)
+        m = _ITEM_HOLE.fullmatch(piece)
+        if m:
+            name = m.group(1)
+            if name in hole_names:
+                raise ParseError(f"duplicate hole name {name!r}", lineno, col)
+            hole_names.add(name)
+            return HoleItem(name, wire_list(m.group(2), lineno, col),
+                            wire_list(m.group(3), lineno, col))
+        m = _ITEM_BOX.fullmatch(piece)
+        if not m:
+            raise ParseError(f"cannot parse item {piece!r}", lineno, col)
+        # Built on first reference: a library may declare maps over types
+        # the circuit does not use.
+        name, lib = m.groups()
+        if lib not in lib_data:
+            raise ParseError(f"unknown library {lib!r}", lineno, col)
+        if (lib, name) not in lib_cache:
+            try:
+                dom_w, cod_w, f, free = jsonio.load_library_map(lib_data[lib], lib, name, finsets)
+            except InputError as exc:
+                raise ParseError(str(exc), lineno, col) from None
+            lib_cache[lib, name] = Box(f"{name}[{lib}]", dom_w, cod_w, f, free)
+        return lib_cache[lib, name]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -143,11 +163,10 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
                 if not m:
                     raise ParseError(f"bad type declaration {part!r}", lineno, indent)
                 name, size = m.group(1), int(m.group(2))
-                if name in types:
+                if name in finsets:
                     raise ParseError(f"duplicate type {name!r}", lineno, indent)
                 if size < 1:
                     raise ParseError(f"type {name!r} must have size >= 1", lineno, indent)
-                types[name] = size
                 finsets[name] = finset(name, size)
         elif stripped.startswith("library:"):
             m = re.fullmatch(r"library:\s*(\w+)\s*=\s*(\S+)", stripped)
@@ -171,67 +190,34 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
         elif stripped.startswith("input:"):
             if input_wires is not None:
                 raise ParseError("duplicate input declaration", lineno, indent)
-            input_wires = wire_list(stripped[len("input:"):], lineno, indent)
+            input_wires = wires = wire_list(stripped[len("input:"):], lineno, indent)
         elif stripped.startswith("layer:"):
             if input_wires is None:
                 raise ParseError("input must be declared before layers", lineno, indent)
             items: list[Item] = []
-            col = line.index("layer:") + len("layer:") + 1
+            col = indent + len("layer:")
             for chunk in stripped[len("layer:"):].split(";"):
                 piece = chunk.strip()
                 if not piece:
                     raise ParseError("empty layer item", lineno, col)
-                items.append(_parse_item(piece, lineno, col, finsets, resolve_box,
-                                         hole_names, wire_list))
+                items.append(item(piece, lineno, col))
                 col += len(chunk) + 1
+            needed = sum((it.dom_wires for it in items), ())
+            if needed != wires:
+                bad = next((i for i, (x, y) in enumerate(zip(needed, wires)) if x != y),
+                           min(len(needed), len(wires)))
+                raise ParseError(
+                    f"layer {len(layers) + 1} consumes wires {needed} but receives {wires}; "
+                    f"first mismatch at wire {bad}", lineno, indent)
             layers.append(tuple(items))
+            wires = sum((it.cod_wires for it in items), ())
         else:
             raise ParseError(f"unrecognized line {stripped!r}", lineno, indent)
 
     if input_wires is None:
         raise ParseError("missing input declaration", max(1, text.count("\n") + 1))
-    circuit = CircuitDiagram(tuple(types.items()), tuple(libraries),
-                             input_wires, tuple(layers))
-    _check_wiring(circuit)
-    return circuit
-
-
-def _parse_item(piece: str, lineno: int, col: int, finsets: dict[str, FinSet],
-                resolve_box, hole_names: set[str], wire_list) -> Item:
-    m = _ITEM_ID.fullmatch(piece)
-    if m:
-        (w,) = wire_list(m.group(1), lineno, col)
-        return Box(f"id[{w}]", (w,), (w,), identity(finsets[w]), True)
-    m = _ITEM_SWAP.fullmatch(piece)
-    if m:
-        w, v = wire_list(m.group(1), lineno, col)
-        return Box(f"swap[{w},{v}]", (w, v), (v, w), swap(finsets[w], finsets[v]), True)
-    m = _ITEM_HOLE.fullmatch(piece)
-    if m:
-        name = m.group(1)
-        if name in hole_names:
-            raise ParseError(f"duplicate hole name {name!r}", lineno, col)
-        hole_names.add(name)
-        return HoleItem(name, wire_list(m.group(2), lineno, col),
-                        wire_list(m.group(3), lineno, col))
-    m = _ITEM_BOX.fullmatch(piece)
-    if m:
-        name, lib = m.group(1), m.group(2)
-        return resolve_box(lib, name, lineno, col)
-    raise ParseError(f"cannot parse item {piece!r}", lineno, col)
-
-
-def _check_wiring(c: CircuitDiagram) -> None:
-    wires = c.input_wires
-    for depth, layer in enumerate(c.layers, start=1):
-        needed = sum((it.dom_wires for it in layer), ())
-        if needed != wires:
-            bad = next((i for i, (x, y) in enumerate(zip(needed, wires)) if x != y),
-                       min(len(needed), len(wires)))
-            raise ParseError(
-                f"layer {depth} consumes wires {needed} but receives {wires}; "
-                f"first mismatch at wire {bad}", depth, 1)
-        wires = sum((it.cod_wires for it in layer), ())
+    return CircuitDiagram(tuple((name, len(f)) for name, f in finsets.items()),
+                          tuple(libraries), input_wires, tuple(layers))
 
 
 def _hole_map(c: CircuitDiagram, hole: HoleItem,

@@ -25,8 +25,8 @@ from .combs import apply_comb, apply_uc, plug_ncombs
 from .core import FiniteTheoryTable, InputError, TheoryOracle, check_axioms
 from .hasse import hasse_dot
 from .monotones import classify, rate, verify_monotone
-from .stoch import (CompositionError, all_deterministic_maps, random_stoch_map,
-                    search_exact_simulation, simulate_channel)
+from .stoch import (all_deterministic_maps, random_stoch_map, search_exact_simulation,
+                    simulate_channel)
 
 
 def _load_theory(args: argparse.Namespace) -> tuple[TheoryOracle, dict]:
@@ -379,7 +379,7 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (InputError, CompositionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

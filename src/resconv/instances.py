@@ -153,51 +153,34 @@ def deterministic_convertible(p: ProbVector, q: ProbVector) -> Decision:
     if not isinstance(p, ProbVector) or not isinstance(q, ProbVector):
         raise InputError("both arguments must be probability vectors")
     order = sorted(range(len(p)), key=lambda i: p[i], reverse=True)
-    n, k = len(order), len(q)
-    sums = [Fraction(0)] * k
-    assign = [-1] * n
-    # Explicit-stack backtracking; vectors can be long (copy tensors), so
-    # recursion depth must not scale with len(p).
-    cursor = [0] * (n + 1)
-    tried: list[set] = [set() for _ in range(n + 1)]
-    pos = 0
-    solved = False
-    while pos >= 0:
-        if pos == n:
-            solved = all(s == t for s, t in zip(sums, q.entries))
-            if solved:
-                break
-            pos -= 1
-            sums[assign[pos]] -= p[order[pos]]
-            continue
-        i = order[pos]
-        j = cursor[pos]
-        moved = False
-        while j < k:
-            key = (sums[j], q[j])
-            # blocks in interchangeable states need only one attempt
-            if key not in tried[pos] and sums[j] + p[i] <= q[j]:
-                tried[pos].add(key)
-                cursor[pos] = j + 1
-                sums[j] += p[i]
-                assign[pos] = j
-                pos += 1
-                cursor[pos] = 0
-                tried[pos] = set()
-                moved = True
-                break
-            j += 1
-        if not moved:
-            pos -= 1
-            if pos >= 0:
-                sums[assign[pos]] -= p[order[pos]]
+    sums = [Fraction(0)] * len(q)
+    blocks: list[list[int]] = [[] for _ in q.entries]
 
-    if solved:
-        blocks: list[list[int]] = [[] for _ in q.entries]
-        for i, j in zip(order, assign):
-            blocks[j].append(i)
-        witness = tuple(tuple(sorted(b)) for b in blocks)
-        return Decision.proven(("partition", witness))
+    def choices(i: int):
+        """Put entry i in each block it fits, one block per distinct
+        (block sum, target) state, undoing each placement on resume."""
+        x, seen = p[i], set()
+        for j, t in enumerate(q.entries):
+            state = (sums[j], t)
+            if state not in seen and sums[j] + x <= t:
+                seen.add(state)
+                sums[j] += x
+                blocks[j].append(i)
+                yield j
+                blocks[j].pop()
+                sums[j] -= x
+
+    # One generator per placed entry, largest entries first; an explicit
+    # stack because vectors can be long (copy tensors).  Nothing overshoots
+    # and both sides sum to 1, so placing every entry hits q exactly.
+    stack = [choices(order[0])]
+    while stack:
+        if next(stack[-1], None) is None:
+            stack.pop()
+        elif len(stack) == len(order):
+            return Decision.proven(("partition", tuple(tuple(sorted(b)) for b in blocks)))
+        else:
+            stack.append(choices(order[len(stack)]))
     return Decision.refuted(("exhausted-partition-search", len(p), len(q)))
 
 

@@ -92,9 +92,11 @@ class MultisetTheory(TheoryOracle):
             raise InputError("duplicate object generator names")
         declared = set(self.species)
         for m in self.rules:
-            for name, _ in m.source + m.target:
+            for name, k in m.source + m.target:
                 if name not in declared:
                     raise InputError(f"morphism {m.name!r} references undeclared object {name!r}")
+                if k < 0:
+                    raise InputError(f"morphism {m.name!r} has negative count for {name!r}")
 
     def combine(self, a: Multiset, b: Multiset) -> Multiset:
         return ms_add(a, b)

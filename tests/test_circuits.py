@@ -71,6 +71,7 @@ def test_ill_typed_junction_names_the_wire():
         parse_circuit(text)
     msg = str(exc.value)
     assert "('B',)" in msg and "('A',)" in msg
+    assert (exc.value.line, exc.value.col) == (4, 1)  # the line declaring the layer
 
 
 def test_duplicate_hole_name_rejected():

@@ -490,6 +490,17 @@ def test_normalize_circuit_cli(tmp_path, capsys):
     assert "matches circuit on 4 basis processes" in out  # all deterministic 2->2 maps
 
 
+def test_wiring_mismatch_names_the_line_of_the_layer(tmp_path, capsys):
+    circ = tmp_path / "bad.circ"
+    circ.write_text("types: A=2, B=2\ninput: A\nlayer: id[A]\n\n"
+                    "# the next layer expects B\n  layer: id[B]\n")
+    assert run(["normalize-circuit", str(circ)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 6, col 3: layer 2 consumes wires ('B',) "
+                          "but receives ('A',); first mismatch at wire 0")
+    assert "Traceback" not in err
+
+
 def test_normalize_circuit_writes_comb_json(tmp_path, capsys):
     circ = circuit_files(tmp_path)
     out_file = tmp_path / "comb.json"

@@ -67,6 +67,78 @@ def test_witness_partition_replays():
                 assert tuple(sums) == q.entries
 
 
+
+def reference_partition_search(p, q):
+    """Explicit-stack backtracking with per-position cursors and tried-state
+    sets: the reference the partition search must match.  Returns whether
+    a partition exists and the witness."""
+    order = sorted(range(len(p)), key=lambda i: p[i], reverse=True)
+    n, k = len(order), len(q)
+    sums = [F(0)] * k
+    assign = [-1] * n
+    cursor = [0] * (n + 1)
+    tried = [set() for _ in range(n + 1)]
+    pos = 0
+    while pos >= 0:
+        if pos == n:
+            if all(s == t for s, t in zip(sums, q.entries)):
+                blocks = [[] for _ in q.entries]
+                for i, j in zip(order, assign):
+                    blocks[j].append(i)
+                return True, ("partition", tuple(tuple(sorted(b)) for b in blocks))
+            pos -= 1
+            sums[assign[pos]] -= p[order[pos]]
+            continue
+        i = order[pos]
+        for j in range(cursor[pos], k):
+            key = (sums[j], q[j])
+            if key not in tried[pos] and sums[j] + p[i] <= q[j]:
+                tried[pos].add(key)
+                cursor[pos] = j + 1
+                sums[j] += p[i]
+                assign[pos] = j
+                pos += 1
+                cursor[pos] = 0
+                tried[pos] = set()
+                break
+        else:
+            pos -= 1
+            if pos >= 0:
+                sums[assign[pos]] -= p[order[pos]]
+    return False, ("exhausted-partition-search", n, k)
+
+
+def differential_pairs(rng):
+    def vector(n):
+        den = rng.randint(1, 12)
+        cuts = sorted(rng.randint(0, den) for _ in range(n - 1))  # equal cuts give zeros
+        return ProbVector(tuple(F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])))
+
+    for _ in range(730):
+        p = vector(rng.randint(1, 9))
+        f = [rng.randrange(rng.randint(1, len(p))) for _ in p.entries]
+        yield p, ProbVector(tuple(sum((x for x, j in zip(p.entries, f) if j == b), F(0))
+                                  for b in range(max(f) + 1)))
+        yield p, vector(rng.randint(1, 9))
+    for a in range(1, 6):
+        for b in range(1, 6):
+            yield ProbVector.uniform(4 ** a), ProbVector.uniform(2 ** b)
+            yield ProbVector.uniform(2 ** b), ProbVector.uniform(4 ** a)
+
+
+def test_partition_search_matches_the_reference_search():
+    pairs = list(differential_pairs(Random(10)))
+    assert len(pairs) == 1510
+    for p, q in pairs:
+        d = deterministic_convertible(p, q)
+        assert (d.is_proven, d.witness) == reference_partition_search(p, q), (p, q)
+
+
+def test_partition_search_depth_does_not_recurse():
+    d = deterministic_convertible(ProbVector.uniform(2048), ProbVector.of("1/2", "1/2"))
+    assert d.witness == ("partition", (tuple(range(1024)), tuple(range(1024, 2048))))
+
+
 # majorization
 
 def test_point_mass_majorizes_everything():
@@ -212,6 +284,11 @@ def test_non_canonical_terms_are_read_as_their_species_counts(a, b, trace):
 def test_negative_species_count_rejected():
     with pytest.raises(InputError, match="negative multiplicity for 'A'"):
         a_to_b().geq((("A", -1),), ())
+
+
+def test_rule_with_negative_count_rejected_at_construction():
+    with pytest.raises(InputError, match="morphism 'r' has negative count for 'A'"):
+        MultisetTheory(("A", "B"), (MorphismGenerator("r", (("A", -1),), ()),))
 
 
 def test_quality_like_idempotence_on_box(proficiency):
