@@ -5,6 +5,13 @@ is reported only when the term domain is finite and exhausted, otherwise
 a clean sample yields Unknown with an "unrefuted on sample" note.
 Unknown answers from the underlying oracle are propagated as
 inconclusive, never as evidence either way.
+
+Each analyzer asks many `geq` questions twice or more, so each public
+entry (the five `check_*` and `cross_check_theorems`) wraps its theory in
+one `QueryMemo` and asks it instead.  The memo lives for that one call:
+`cross_check_theorems` hands its memo to the checks it runs, and the CLI's
+`properties` command shares one across its five checks, but nothing is
+kept between calls and no state is global.
 """
 
 from __future__ import annotations
@@ -32,7 +39,53 @@ class PropertyReport:
         return {"property": self.name, "scope": self.scope, **self.decision.to_json()}
 
 
+class QueryMemo(TheoryOracle):
+    """A theory that asks the wrapped theory each `geq` and `equivalent`
+    question once, keyed by the pair of terms, and hands everything else
+    to it unchanged.  Theories answer deterministically, so the answers
+    are those of the wrapped theory."""
+
+    def __init__(self, theory: TheoryOracle):
+        self.theory = theory
+        self._geq: dict[tuple[Any, Any], Decision] = {}
+        self._equivalent: dict[tuple[Any, Any], Decision] = {}
+
+    @staticmethod
+    def of(t: TheoryOracle) -> "QueryMemo":
+        """`t` itself when it is already a memo, else a fresh memo of `t`."""
+        return t if isinstance(t, QueryMemo) else QueryMemo(t)
+
+    def geq(self, a: Any, b: Any) -> Decision:
+        d = self._geq.get((a, b))
+        if d is None:
+            d = self._geq[a, b] = self.theory.geq(a, b)
+        return d
+
+    def equivalent(self, a: Any, b: Any) -> Decision:
+        d = self._equivalent.get((a, b))
+        if d is None:
+            d = self._equivalent[a, b] = equivalent(self, a, b)
+        return d
+
+    def combine(self, a: Any, b: Any) -> Any:
+        return self.theory.combine(a, b)
+
+    def zero(self) -> Any:
+        return self.theory.zero()
+
+    def enumerate_up_to(self, bound: int) -> list[Any]:
+        return self.theory.enumerate_up_to(bound)
+
+    def decompositions(self, a: Any) -> list[tuple[Any, Any]] | None:
+        return self.theory.decompositions(a)
+
+    def format_term(self, a: Any) -> str:
+        return self.theory.format_term(a)
+
+
 def _is_exhaustive(t: TheoryOracle, sample: Sequence[Any]) -> bool:
+    if isinstance(t, QueryMemo):
+        t = t.theory
     if not isinstance(t, FiniteTheoryTable):
         return False
     return set(sample) == set(range(t.size))
@@ -67,6 +120,7 @@ def find_catalyst(t: TheoryOracle, a: Any, b: Any, candidates: Sequence[Any],
 def check_catalysis_free(t: TheoryOracle, sample: Sequence[Any],
                          bound: int = 0) -> PropertyReport:
     """Catalysis-free: a+c converts to b+c only when a converts to b."""
+    t = QueryMemo.of(t)
     def outcomes():
         for a, b in itertools.product(sample, repeat=2):
             base = t.geq(a, b)
@@ -91,6 +145,7 @@ def check_non_interacting(t: TheoryOracle, sample: Sequence[Any],
     theory; with only a sampled search a missing split stays Unknown.
     The splits of each a are listed once, on its first Proven top query.
     """
+    t = QueryMemo.of(t)
     def outcomes():
         for a in sample:
             decomps = None
@@ -105,7 +160,7 @@ def check_non_interacting(t: TheoryOracle, sample: Sequence[Any],
                     complete = decomps is not None
                     if decomps is None:
                         decomps = [(x, y) for x in sample for y in sample
-                                   if equivalent(t, t.combine(x, y), a).is_proven]
+                                   if t.equivalent(t.combine(x, y), a).is_proven]
                 saw_unknown = False
                 for a1, a2 in decomps:
                     d1 = t.geq(a1, b1)
@@ -123,9 +178,10 @@ def check_quantity_like(t: TheoryOracle, sample: Sequence[Any],
                         bound: int = 0) -> PropertyReport:
     """Conservation of value: equal combinations with one side dominating
     force the complementary domination."""
+    t = QueryMemo.of(t)
     def outcomes():
         for a1, a2, b1, b2 in itertools.product(sample, repeat=4):
-            eq = equivalent(t, t.combine(a1, a2), t.combine(b1, b2))
+            eq = t.equivalent(t.combine(a1, a2), t.combine(b1, b2))
             if eq.is_unknown:
                 yield Verdict.UNKNOWN
             if not eq.is_proven:
@@ -146,9 +202,10 @@ def check_quantity_like(t: TheoryOracle, sample: Sequence[Any],
 def check_quality_like(t: TheoryOracle, sample: Sequence[Any],
                        bound: int = 0) -> PropertyReport:
     """Idempotence: a combined with itself is interconvertible with a."""
+    t = QueryMemo.of(t)
     def outcomes():
         for a in sample:
-            eq = equivalent(t, t.combine(a, a), a)
+            eq = t.equivalent(t.combine(a, a), a)
             if eq.is_refuted:
                 yield Decision.refuted(("not-idempotent", a))
             if eq.is_unknown:
@@ -164,6 +221,7 @@ def check_waste_free(t: TheoryOracle, sample: Sequence[Any],
     (a+b converts to a) is asserted on sample pairs; a failure there is
     flagged as a theorem violation, i.e. an implementation bug.
     """
+    t = QueryMemo.of(t)
     def outcomes():
         z = t.zero()
         disposable = True
@@ -222,6 +280,7 @@ def cross_check_theorems(t: TheoryOracle, sample: Sequence[Any],
     a conversion changes nothing.  A Refuted entry here means the
     implementation violated a theorem, not a property of the theory.
     """
+    t = QueryMemo.of(t)
     ni = check_non_interacting(t, sample, bound)
     ql = check_quantity_like(t, sample, bound)
     qual = check_quality_like(t, sample, bound)

@@ -15,7 +15,7 @@ from random import Random
 from typing import Any
 
 from . import jsonio
-from .analysis import (PropertyReport, check_catalysis_free,
+from .analysis import (PropertyReport, QueryMemo, check_catalysis_free,
                        check_non_interacting, check_quality_like,
                        check_quantity_like, check_waste_free,
                        cross_check_theorems, find_catalyst,
@@ -112,7 +112,7 @@ def cmd_properties(args: argparse.Namespace) -> int:
         return 0
     if not args.theory:
         raise InputError("properties needs a theory file or --random-tables")
-    theory, _ = _load_theory(args)
+    theory = QueryMemo(_load_theory(args)[0])  # one memo for all five checks
     sample = theory.enumerate_up_to(args.sample_box)
     reports = [
         check_quality_like(theory, sample, args.bound),

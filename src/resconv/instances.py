@@ -147,41 +147,57 @@ def deterministic_convertible(p: ProbVector, q: ProbVector) -> Decision:
 
     Proven with a partition of p's indices whose block sums are q's
     entries; Refuted after exhausting all assignments.  Backtracking
-    assigns the largest entries first and prunes on block overshoot.
-    Worst case is exponential; intended for vectors of length <= 12.
+    assigns the largest entries first and prunes on block overshoot.  It
+    refutes without searching when p's largest entry exceeds q's, or when
+    p has fewer nonzero entries than q: every nonzero entry of q needs its
+    own nonzero entry of p.  Equal entries are placed in non-decreasing
+    block order, so permutations of them are tried once; the partition
+    found is still the first in assignment order, since swapping two equal
+    entries placed out of that order gives an earlier one.  Worst case is
+    still exponential, e.g. a uniform p against blocks it can never fill.
     """
     if not isinstance(p, ProbVector) or not isinstance(q, ProbVector):
         raise InputError("both arguments must be probability vectors")
+    refuted = Decision.refuted(("exhausted-partition-search", len(p), len(q)))
+    if max(p.entries) > max(q.entries) or \
+            sum(1 for x in p.entries if x) < sum(1 for y in q.entries if y):
+        return refuted
     order = sorted(range(len(p)), key=lambda i: p[i], reverse=True)
+    targets = q.entries
     sums = [Fraction(0)] * len(q)
-    blocks: list[list[int]] = [[] for _ in q.entries]
+    block_of = [0] * len(p)
 
-    def choices(i: int):
-        """Put entry i in each block it fits, one block per distinct
-        (block sum, target) state, undoing each placement on resume."""
+    def choices(k: int):
+        """Put the k-th largest entry in each block it fits, from the block
+        of an equal predecessor on, one block per distinct (block sum,
+        target) state, undoing each placement on resume."""
+        i = order[k]
         x, seen = p[i], set()
-        for j, t in enumerate(q.entries):
-            state = (sums[j], t)
-            if state not in seen and sums[j] + x <= t:
+        first = block_of[order[k - 1]] if k and p[order[k - 1]] == x else 0
+        for j in range(first, len(targets)):
+            state = (sums[j], targets[j])
+            if state not in seen and sums[j] + x <= targets[j]:
                 seen.add(state)
                 sums[j] += x
-                blocks[j].append(i)
+                block_of[i] = j
                 yield j
-                blocks[j].pop()
                 sums[j] -= x
 
     # One generator per placed entry, largest entries first; an explicit
     # stack because vectors can be long (copy tensors).  Nothing overshoots
     # and both sides sum to 1, so placing every entry hits q exactly.
-    stack = [choices(order[0])]
+    stack = [choices(0)]
     while stack:
         if next(stack[-1], None) is None:
             stack.pop()
         elif len(stack) == len(order):
-            return Decision.proven(("partition", tuple(tuple(sorted(b)) for b in blocks)))
+            blocks: list[list[int]] = [[] for _ in targets]
+            for i in range(len(p)):
+                blocks[block_of[i]].append(i)
+            return Decision.proven(("partition", tuple(map(tuple, blocks))))
         else:
-            stack.append(choices(order[len(stack)]))
-    return Decision.refuted(("exhausted-partition-search", len(p), len(q)))
+            stack.append(choices(len(stack)))
+    return refuted
 
 
 class _DistributionTheory(TheoryOracle):

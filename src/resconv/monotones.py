@@ -56,16 +56,17 @@ def _eq_values(x: Fraction | float, y: Fraction | float) -> bool:
 def verify_monotone(m: Monotone, t: TheoryOracle, sample: Sequence[Any]) -> PropertyReport:
     """Check order preservation on every Proven pair of the sample."""
     inconclusive = 0
-    for a in sample:
-        for b in sample:
+    values = [m(a) for a in sample]
+    for a, ma in zip(sample, values):
+        for b, mb in zip(sample, values):
             d = t.geq(a, b)
             if d.is_unknown:
                 inconclusive += 1
                 continue
-            if d.is_proven and not _geq_values(m(a), m(b)):
+            if d.is_proven and not _geq_values(ma, mb):
                 return PropertyReport(
                     f"monotone:{m.name}",
-                    Decision.refuted(("order-violated", a, b, m(a), m(b))),
+                    Decision.refuted(("order-violated", a, b, ma, mb)),
                     sample_scope(t, sample))
     note = "unrefuted on sample"
     if inconclusive:
@@ -81,14 +82,11 @@ def classify(m: Monotone, t: TheoryOracle, sample: Sequence[Any]) -> PropertyRep
                               Decision.proven(("no-law-declared",),
                                               note="general monotone; nothing to test"),
                               sample_scope(t, sample))
-    for a in sample:
-        for b in sample:
+    values = [m(a) for a in sample]
+    for a, ma in zip(sample, values):
+        for b, mb in zip(sample, values):
             combined = m(t.combine(a, b))
-            expected: Fraction | float
-            if m.kind == "additive":
-                expected = m(a) + m(b)
-            else:
-                expected = max(m(a), m(b))
+            expected = ma + mb if m.kind == "additive" else max(ma, mb)
             if not _eq_values(combined, expected):
                 return PropertyReport(
                     f"class:{m.name}",

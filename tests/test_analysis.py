@@ -1,17 +1,21 @@
 import itertools
+from collections import Counter
 from pathlib import Path
 from random import Random
 
-import resconv.analysis
+import resconv.cli
 from resconv.analysis import (check_catalysis_free, check_non_interacting,
                               check_quality_like, check_quantity_like,
                               check_riesz_interpolation, check_waste_free,
                               cross_check_theorems, find_catalyst, random_theory_table)
+from resconv.cli import run
 from resconv.core import FiniteTheoryTable, check_axioms, equivalent
+from resconv.instances import VectorTheory
 from resconv.jsonio import load_theory, read_json
 from resconv.presentation import MorphismGenerator, MultisetTheory, ms_make
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def box(t, size):
@@ -126,21 +130,53 @@ def test_non_interacting_refuted_with_replayable_witness():
         assert not (t.geq(a1, b1).is_proven and t.geq(a2, b2).is_proven)
 
 
+def count_geq(monkeypatch, cls):
+    """Count, per pair of terms, the questions that reach `cls.geq`."""
+    asked = Counter()
+    geq = cls.geq
+
+    def counted(self, a, b):
+        asked[a, b] += 1
+        return geq(self, a, b)
+
+    monkeypatch.setattr(cls, "geq", counted)
+    return asked
+
+
 def test_non_interacting_lists_the_splits_of_each_term_once(monkeypatch):
     # A reaction network has no decompositions, so the splits of a come
-    # from a sample-squared equivalence sweep: at most one per a, 10^3 calls.
+    # from a sample-squared equivalence sweep, at most once per a; with
+    # each pair asked once the theory answers at most 10^3 questions.
     t = load_theory(read_json(DEMO / "haber.json"), bound=6)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return equivalent(*args)
-
-    monkeypatch.setattr(resconv.analysis, "equivalent", counted)
+    asked = count_geq(monkeypatch, type(t))
     report = check_non_interacting(t, box(t, 2), 6)
-    assert len(calls) <= 1000
+    assert sum(asked.values()) <= 1000
     assert str(report) == ("non-interacting: Unknown (sample of 10) "
                            "[unrefuted on sample (2 inconclusive sub-queries)]")
+
+
+def test_each_cross_check_run_asks_the_theory_each_pair_once(monkeypatch, capsys):
+    asked = count_geq(monkeypatch, FiniteTheoryTable)
+    most = []
+
+    def counted_run(*args):
+        asked.clear()
+        reports = cross_check_theorems(*args)
+        most.append(max(asked.values()))
+        return reports
+
+    monkeypatch.setattr(resconv.cli, "cross_check_theorems", counted_run)
+    assert run(["properties", "--random-tables", "50", "--size", "5", "--seed", "7",
+                "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "properties-random.stdout").read_text()
+    assert most == [1] * 50
+
+
+def test_a_properties_run_asks_the_theory_each_pair_once(monkeypatch, capsys):
+    asked = count_geq(monkeypatch, VectorTheory)
+    assert run(["properties", str(DEMO / "prof.json"), "--sample-box", "3", "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "properties-prof.stdout").read_text()
+    assert max(asked.values()) == 1
 
 
 def test_unknown_subanswers_never_prove_or_refute():

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resconv.core import InputError
+from resconv.core import InputError, replicate
 from resconv.instances import (ProbVector, RandomnessTheory, deterministic_convertible,
                                entanglement_convertible, enumerate_prob_vectors,
                                majorizes, shannon_entropy)
 from resconv.presentation import MorphismGenerator, MultisetTheory, ms_add, ms_make
 import resconv.presentation
 
-from conftest import brute_force_coarse_graining, doubly_stochastic_mixable
+from conftest import brute_force_coarse_graining, doubly_stochastic_mixable, pushforward
 
 F = Fraction
 
@@ -114,24 +114,51 @@ def differential_pairs(rng):
         cuts = sorted(rng.randint(0, den) for _ in range(n - 1))  # equal cuts give zeros
         return ProbVector(tuple(F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])))
 
+    def coarse(p):
+        f = [rng.randrange(rng.randint(1, len(p))) for _ in p.entries]
+        return ProbVector(pushforward(p, f, max(f) + 1))
+
     for _ in range(730):
         p = vector(rng.randint(1, 9))
-        f = [rng.randrange(rng.randint(1, len(p))) for _ in p.entries]
-        yield p, ProbVector(tuple(sum((x for x, j in zip(p.entries, f) if j == b), F(0))
-                                  for b in range(max(f) + 1)))
+        yield p, coarse(p)
         yield p, vector(rng.randint(1, 9))
     for a in range(1, 6):
         for b in range(1, 6):
             yield ProbVector.uniform(4 ** a), ProbVector.uniform(2 ** b)
             yield ProbVector.uniform(2 ** b), ProbVector.uniform(4 ** a)
+    # Tensor powers are full of equal entries.
+    d3 = ProbVector.of("1/2", "1/4", "1/4")
+    for k in range(1, 6):
+        for p in (replicate(RandomnessTheory(), k, d3), ProbVector.uniform(2 ** k)):
+            for m in range(1, 4):
+                yield p, ProbVector.uniform(4 ** m)
+            for _ in range(3):
+                yield p, coarse(p)
+    # Refuted before searching.
+    yield ProbVector.uniform(2), ProbVector.uniform(4 ** 6)
+    yield ProbVector.of("3/4", "1/4"), ProbVector.uniform(2)
+    yield ProbVector.of("1/2", "1/2", 0, 0), ProbVector.of("1/2", "1/4", "1/4")
 
 
 def test_partition_search_matches_the_reference_search():
     pairs = list(differential_pairs(Random(10)))
-    assert len(pairs) == 1510
+    assert len(pairs) == 1573
     for p, q in pairs:
         d = deterministic_convertible(p, q)
         assert (d.is_proven, d.witness) == reference_partition_search(p, q), (p, q)
+
+
+def test_partition_search_refutes_without_searching():
+    # a larger largest entry and fewer nonzero entries than the target
+    d = deterministic_convertible(ProbVector.uniform(2), ProbVector.uniform(4 ** 6))
+    assert d.is_refuted and d.witness == ("exhausted-partition-search", 2, 4096)
+    # a larger largest entry only
+    d = deterministic_convertible(ProbVector.of("3/4", "1/4"), ProbVector.uniform(2))
+    assert d.is_refuted and d.witness == ("exhausted-partition-search", 2, 2)
+    # fewer nonzero entries only
+    d = deterministic_convertible(ProbVector.of("1/2", "1/2", 0, 0),
+                                  ProbVector.of("1/2", "1/4", "1/4"))
+    assert d.is_refuted and d.witness == ("exhausted-partition-search", 4, 3)
 
 
 def test_partition_search_depth_does_not_recurse():
