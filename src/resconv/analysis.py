@@ -424,7 +424,7 @@ def random_theory_table(rng: Random, size: int, density: float | None = None) ->
                             rel[table[a][c]][table[b][d]] = True
                             changed = True
     t = FiniteTheoryTable(size, table, 0, tuple(tuple(r) for r in rel))
-    violations = check_axioms(t)
+    violations = check_axioms(t, range(size))
     if violations:
         raise AssertionError(f"generator produced an invalid table: {violations[0]}")
     return t

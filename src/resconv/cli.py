@@ -59,7 +59,7 @@ def cmd_check_axioms(args: argparse.Namespace) -> int:
     theory, _ = _load_theory(args)
     if not isinstance(theory, FiniteTheoryTable):
         raise InputError("check-axioms expects a finite table theory")
-    violations = check_axioms(theory)
+    violations = check_axioms(theory, range(theory.size))
     payload = [str(v) for v in violations]
     human = [f"{len(violations)} violation(s)"] + payload
     if not violations:

@@ -4,7 +4,9 @@ A theory is a carrier of terms with a commutative, associative combine
 operation (up to interconvertibility), a neutral element, and a preorder
 "can be converted into".  Queries answer with a three-valued `Decision`
 because some preorders (e.g. rewrite reachability) are only semidecidable
-under a search bound.
+under a search bound.  `shortest_traces` is the bounded breadth-first
+search behind the reachability orders.  `check_axioms` checks the axioms
+for any theory, on the given terms; Unknown is never a violation.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable
 
 
 class InputError(ValueError):
@@ -140,6 +142,38 @@ def equivalent(t: TheoryOracle, a: Any, b: Any) -> Decision:
     return Decision.unknown(bound)
 
 
+def shortest_traces(start: Hashable, moves: Callable[[Any], Iterable[tuple[Hashable, Any]]],
+                    depth: int, targets: Iterable[Hashable]) -> dict[Any, tuple]:
+    """Breadth-first search from `start`, at most `depth` levels deep.
+
+    `moves(state)` yields (next state, step) pairs in a fixed order.  The
+    result maps each reached state to the first trace of steps found for
+    it, which is a shortest one; `start` maps to ().  The search returns as
+    soon as every target is reached, even in the middle of a level: a
+    state's first trace never changes later, so the targets' traces are
+    those of the full search.
+    """
+    traces: dict[Any, tuple] = {start: ()}
+    remaining = set(targets) - {start}
+    frontier = [start]
+    for _ in range(depth):
+        if not frontier or not remaining:
+            break
+        level = frontier
+        frontier = []
+        for state in level:
+            trace = traces[state]
+            for nxt, step in moves(state):
+                if nxt in traces:
+                    continue
+                traces[nxt] = trace + (step,)
+                frontier.append(nxt)
+                remaining.discard(nxt)
+                if not remaining:
+                    return traces
+    return traces
+
+
 def replicate(t: TheoryOracle, n: int, a: Any) -> Any:
     """n-fold combine of `a` with itself; n = 0 yields the zero term."""
     if n < 0:
@@ -207,90 +241,68 @@ class FiniteTheoryTable(TheoryOracle):
                     out.append((x, y))
         return out
 
-    def sim(self, a: int, b: int) -> bool:
-        return self.order[a][b] and self.order[b][a]
 
+def check_axioms(t: TheoryOracle, terms: Iterable[Any]) -> list[Violation]:
+    """Check the preordered-commutative-monoid axioms for any theory, on the
+    given terms; Unknown is never a violation.
 
-def check_axioms(t: FiniteTheoryTable) -> list[Violation]:
-    """Exhaustively check the preordered-commutative-monoid axioms.
-
-    Returns one violation per failing instance: reflexivity, transitivity,
-    commutativity/associativity/unit up to interconvertibility, and
-    compatibility of combine with the order.
+    Pass range(t.size) to check a finite table exhaustively.  Returns one
+    violation per failing instance, law by law: reflexivity,
+    commutativity, unit, transitivity, associativity and compatibility of
+    combine with the order, the monoid laws up to interconvertibility.
+    Only Refuted answers are violations; transitivity and compatibility
+    run over the Proven pairs.  Each ordered pair is asked once.
     """
-    n = t.size
+    terms = list(terms)
+    answers: dict[tuple[Any, Any], bool | None] = {}
+
+    def geq(x: Any, y: Any) -> bool | None:
+        """True if Proven, False if Refuted, None if Unknown."""
+        if (x, y) not in answers:
+            d = t.geq(x, y)
+            answers[x, y] = None if d.is_unknown else d.is_proven
+        return answers[x, y]
+
+    def inequivalent(x: Any, y: Any) -> bool:
+        return geq(x, y) is False or geq(y, x) is False
+
+    f = t.format_term
     out: list[Violation] = []
-    for a in range(n):
-        if not t.order[a][a]:
-            out.append(Violation("reflexivity", (a,), f"{a} not >= itself"))
-    for a in range(n):
-        for b in range(n):
-            if not t.sim(t.table[a][b], t.table[b][a]):
-                out.append(Violation("commutativity", (a, b),
-                                     f"{a}+{b} = {t.table[a][b]} != {t.table[b][a]} = {b}+{a}"))
-    z = t.zero_index
-    for a in range(n):
-        if not t.sim(t.table[a][z], a):
-            out.append(Violation("unit", (a,), f"{a}+0 = {t.table[a][z]} not equivalent to {a}"))
-    for a in range(n):
-        for b in range(n):
-            if t.order[a][b]:
-                for c in range(n):
-                    if t.order[b][c] and not t.order[a][c]:
-                        out.append(Violation("transitivity", (a, b, c),
-                                             f"{a}>={b} and {b}>={c} but not {a}>={c}"))
-    for a in range(n):
-        for b in range(n):
-            ab = t.table[a][b]
-            for c in range(n):
-                if not t.sim(t.table[ab][c], t.table[a][t.table[b][c]]):
-                    out.append(Violation("associativity", (a, b, c),
-                                         f"({a}+{b})+{c} not equivalent to {a}+({b}+{c})"))
-    for a in range(n):
-        for b in range(n):
-            if not t.order[a][b]:
-                continue
-            for c in range(n):
-                for d in range(n):
-                    if t.order[c][d] and not t.order[t.table[a][c]][t.table[b][d]]:
-                        out.append(Violation("compatibility", (a, b, c, d),
-                                             f"{a}>={b}, {c}>={d} but not {a}+{c} >= {b}+{d}"))
-    return out
-
-
-def check_oracle_axioms(t: TheoryOracle, terms: Sequence[Any]) -> list[Violation]:
-    """Check the same axioms on a list of terms of any theory.
-
-    Compatibility and transitivity are checked on Proven answers only;
-    Unknown answers never count as violations.
-    """
-    out: list[Violation] = []
-
-    def equiv(x: Any, y: Any) -> bool:
-        return equivalent(t, x, y).is_proven
-
     for a in terms:
-        if t.geq(a, a).is_refuted:
-            out.append(Violation("reflexivity", (a,), "a not >= a"))
-        if not equiv(t.combine(a, t.zero()), a):
-            out.append(Violation("unit", (a,), "a+0 not equivalent to a"))
+        if geq(a, a) is False:
+            out.append(Violation("reflexivity", (a,), f"{f(a)} not >= itself"))
     for a in terms:
         for b in terms:
-            if not equiv(t.combine(a, b), t.combine(b, a)):
-                out.append(Violation("commutativity", (a, b), "a+b not equivalent to b+a"))
+            ab, ba = t.combine(a, b), t.combine(b, a)
+            if inequivalent(ab, ba):
+                out.append(Violation("commutativity", (a, b),
+                                     f"{f(a)}+{f(b)} = {f(ab)} != {f(ba)} = {f(b)}+{f(a)}"))
+    z = t.zero()
+    for a in terms:
+        az = t.combine(a, z)
+        if inequivalent(az, a):
+            out.append(Violation("unit", (a,), f"{f(a)}+0 = {f(az)} not equivalent to {f(a)}"))
+    proven = [(a, b) for a in terms for b in terms if geq(a, b)]
+    for a, b in proven:
+        for c in terms:
+            if geq(b, c) and geq(a, c) is False:
+                out.append(Violation("transitivity", (a, b, c),
+                                     f"{f(a)}>={f(b)} and {f(b)}>={f(c)} "
+                                     f"but not {f(a)}>={f(c)}"))
+    for a in terms:
+        for b in terms:
+            ab = t.combine(a, b)
             for c in terms:
-                if not equiv(t.combine(t.combine(a, b), c), t.combine(a, t.combine(b, c))):
+                if inequivalent(t.combine(ab, c), t.combine(a, t.combine(b, c))):
                     out.append(Violation("associativity", (a, b, c),
-                                         "(a+b)+c not equivalent to a+(b+c)"))
-    proven_pairs = [(a, b) for a in terms for b in terms if t.geq(a, b).is_proven]
-    for a, b in proven_pairs:
-        for b2, c in proven_pairs:
-            if b == b2 and t.geq(a, c).is_refuted:
-                out.append(Violation("transitivity", (a, b, c), "chain broken"))
-        for c, d in proven_pairs:
-            if t.geq(t.combine(a, c), t.combine(b, d)).is_refuted:
+                                         f"({f(a)}+{f(b)})+{f(c)} not equivalent to "
+                                         f"{f(a)}+({f(b)}+{f(c)})"))
+    for a, b in proven:
+        for c, d in proven:
+            if geq(t.combine(a, c), t.combine(b, d)) is False:
                 out.append(Violation("compatibility", (a, b, c, d),
-                                     "combine does not respect the order"))
+                                     f"{f(a)}>={f(b)}, {f(c)}>={f(d)} "
+                                     f"but not {f(a)}+{f(c)} >= {f(b)}+{f(d)}"))
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log2
+from math import gcd, lcm, log2
 from typing import Iterable, Literal, Sequence
 
 from .core import Decision, InputError, TheoryOracle
@@ -148,19 +148,25 @@ def deterministic_convertible(p: ProbVector, q: ProbVector) -> Decision:
     Proven with a partition of p's indices whose block sums are q's
     entries; Refuted after exhausting all assignments.  Backtracking
     assigns the largest entries first and prunes on block overshoot.  It
-    refutes without searching when p's largest entry exceeds q's, or when
-    p has fewer nonzero entries than q: every nonzero entry of q needs its
-    own nonzero entry of p.  Equal entries are placed in non-decreasing
-    block order, so permutations of them are tried once; the partition
-    found is still the first in assignment order, since swapping two equal
-    entries placed out of that order gives an earlier one.  Worst case is
-    still exponential, e.g. a uniform p against blocks it can never fill.
+    refutes without searching when p's largest entry exceeds q's, when p
+    has fewer nonzero entries than q (every nonzero entry of q needs its
+    own nonzero entry of p), or when an entry of q is not a multiple of
+    the gcd of p's entries, which divides every block sum.  Equal entries
+    are placed in non-decreasing block order, so permutations of them are
+    tried once; the partition found is still the first in assignment
+    order, since swapping two equal entries placed out of that order gives
+    an earlier one.  Worst case is still exponential.
     """
     if not isinstance(p, ProbVector) or not isinstance(q, ProbVector):
         raise InputError("both arguments must be probability vectors")
     refuted = Decision.refuted(("exhausted-partition-search", len(p), len(q)))
     if max(p.entries) > max(q.entries) or \
             sum(1 for x in p.entries if x) < sum(1 for y in q.entries if y):
+        return refuted
+    # Every block sum is a multiple of g/den, the gcd of p's entries.
+    den = lcm(*(x.denominator for x in p.entries))
+    g = gcd(*(x.numerator * (den // x.denominator) for x in p.entries))
+    if any(y.numerator * den % (y.denominator * g) for y in q.entries):
         return refuted
     order = sorted(range(len(p)), key=lambda i: p[i], reverse=True)
     targets = q.entries

@@ -13,14 +13,13 @@ refuted by a conserved linear functional before any search.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import add
 
-from .core import Decision, InputError, TheoryOracle
+from .core import Decision, InputError, TheoryOracle, shortest_traces
 from .linalg import complement_projector
 
 # A multiset is canonically a sorted tuple of (name, count) pairs, counts > 0.
@@ -165,24 +164,19 @@ class MultisetTheory(TheoryOracle):
         if cert is not None:
             return Decision.refuted(("conserved-functional", cert))
         cap = max(sum(start), sum(goal)) + self.bound
-        seen = {start}
-        frontier: deque[tuple[tuple[int, ...], tuple[str, ...]]] = deque([(start, ())])
-        depth = 0
-        while frontier and depth < self.bound:
-            depth += 1
-            for _ in range(len(frontier)):
-                state, trace = frontier.popleft()
-                for name, consumed, delta in self._rule_table:
-                    if any(state[i] < k for i, k in consumed):
-                        continue
-                    nxt = tuple(map(add, state, delta))
-                    if nxt in seen or sum(nxt) > cap:
-                        continue
-                    nxt_trace = trace + (name,)
-                    if nxt == goal:
-                        return Decision.proven(nxt_trace)
-                    seen.add(nxt)
-                    frontier.append((nxt, nxt_trace))
+        table = self._rule_table
+
+        def moves(state: tuple[int, ...]):
+            for name, consumed, delta in table:
+                if any(state[i] < k for i, k in consumed):
+                    continue
+                nxt = tuple(map(add, state, delta))
+                if sum(nxt) <= cap:
+                    yield nxt, name
+
+        traces = shortest_traces(start, moves, self.bound, (goal,))
+        if goal in traces:
+            return Decision.proven(traces[goal])
         return Decision.unknown(self.bound)
 
     def enumerate_up_to(self, bound: int) -> list[Multiset]:

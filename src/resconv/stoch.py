@@ -13,13 +13,12 @@ strictly associative and unital on element lists.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .core import Decision, InputError
+from .core import Decision, InputError, shortest_traces
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -439,22 +438,32 @@ def _state_key(m: StochMap) -> _StateKey:
     return (m.cod.elements, tuple(row[0] for row in m.matrix))
 
 
-def _free_reachable(s: StochMap, free_generators: Sequence[StochMap], depth: int,
-                    targets: set[_StateKey]) -> dict[_StateKey, tuple[StochMap, ...]]:
-    """Breadth-first closure of a state under the free generators.
+def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
+                                     free_generators: Sequence[StochMap],
+                                     depth: int) -> list[Decision]:
+    """Search for circuits of free generators carrying state s to each target.
 
-    Keys are (codomain elements, distribution); values are the shortest
-    witness circuits, as sequences of one-step maps.  Each step applies a
-    single generator, or a parallel pair of generators/identities when
-    the state's alphabet factors accordingly.  The search stops early once
-    every key in `targets` is found.
-
+    All targets are answered from one breadth-first closure of s, which
+    stops once every target is found.  A state of the closure is its key,
+    (codomain elements, distribution), and a step pushes the distribution
+    forward exactly: along the index table of a deterministic one-step
+    map, or through an exact matrix-vector product that skips zero terms.
+    Each step applies a single generator, or a parallel pair of
+    generators/identities when the state's alphabet factors accordingly.
     The one-step maps out of an alphabet, with the index table of each
-    deterministic one, are built once per alphabet.  A deterministic step
-    pushes the state's distribution forward through its table and looks
-    the result up by key; a validated StochMap is built only for a state
-    not seen before.  Stochastic steps go through compose_seq.
+    deterministic one, are built once per alphabet.
+
+    Proven witnesses are the shortest sequences of one-step maps whose
+    composite sends s to the target exactly; replay by folding
+    compose_seq.  Parallel structure is explored one pairing per step,
+    which covers chains of single and pairwise-parallel generator
+    applications.
     """
+    keys = []
+    for t in targets:
+        if t.dom.elements != UNIT.elements:
+            raise InputError("targets must be states")
+        keys.append(_state_key(t))
     if s.dom.elements != UNIT.elements:
         raise InputError("search starts from a state (singleton-domain map)")
 
@@ -477,8 +486,8 @@ def _free_reachable(s: StochMap, free_generators: Sequence[StochMap], depth: int
     for g in pool:
         pool_by_size.setdefault(len(g.dom), []).append(g)
 
-    def one_step_maps(cod: FinSet) -> list[tuple[StochMap, tuple[int, ...] | None]]:
-        out = list(by_dom.get(cod.elements, []))
+    def one_step_maps(cod: tuple[str, ...]) -> list[tuple[StochMap, tuple[int, ...] | None]]:
+        out = list(by_dom.get(cod, []))
         n = len(cod)
         for n1, gs1 in pool_by_size.items():
             if n % n1 != 0 or n // n1 not in pool_by_size:
@@ -487,63 +496,33 @@ def _free_reachable(s: StochMap, free_generators: Sequence[StochMap], depth: int
             for g1 in gs1:
                 for g2 in gs2:
                     # cheap name pre-filter before building the product
-                    if pair_head(g1.dom, g2.dom) != cod.elements[0]:
+                    if pair_head(g1.dom, g2.dom) != cod[0]:
                         continue
-                    if tensor(g1.dom, g2.dom).elements == cod.elements:
+                    if tensor(g1.dom, g2.dom).elements == cod:
                         out.append(compose_par(g1, g2))
         return [(g, deterministic_function(g)) for g in out]
 
     step_cache: dict[tuple[str, ...], list[tuple[StochMap, tuple[int, ...] | None]]] = {}
 
-    start = _state_key(s)
-    found: dict[_StateKey, tuple[StochMap, ...]] = {start: ()}
-    frontier = deque([(s, start)])
-    remaining = targets - {start}
-    for _ in range(depth):
-        if not frontier or not remaining:
-            break
-        for _ in range(len(frontier)):
-            cur, (ck, dist) = frontier.popleft()
-            if ck not in step_cache:
-                step_cache[ck] = one_step_maps(cur.cod)
-            trace = found[(ck, dist)]
-            for g, fn in step_cache[ck]:
-                if fn is not None:
-                    col = [F0] * len(g.cod)
-                    for i, j in enumerate(fn):
-                        col[j] += dist[i]
-                    k = (g.cod.elements, tuple(col))
-                    if k in found:
-                        continue
-                    nxt = StochMap(UNIT, g.cod, tuple((x,) for x in col))
-                else:
-                    nxt = compose_seq(g, cur)
-                    k = _state_key(nxt)
-                    if k in found:
-                        continue
-                found[k] = trace + (g,)
-                remaining.discard(k)
-                frontier.append((nxt, k))
-    return found
+    def moves(key: _StateKey):
+        cod, dist = key
+        if cod not in step_cache:
+            step_cache[cod] = one_step_maps(cod)
+        for g, fn in step_cache[cod]:
+            if fn is not None:
+                col = [F0] * len(g.cod)
+                for i, j in enumerate(fn):
+                    col[j] += dist[i]
+            else:
+                col = []
+                for row in g.matrix:
+                    acc = F0
+                    for w, x in zip(row, dist):
+                        if w and x:
+                            acc += w * x
+                    col.append(acc)
+            yield (g.cod.elements, tuple(col)), g
 
-
-def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
-                                     free_generators: Sequence[StochMap],
-                                     depth: int) -> list[Decision]:
-    """Search for circuits of free generators carrying state s to each target.
-
-    All targets are answered from one closure pass, which stops early once
-    every target is found.  Proven witnesses are sequences of one-step
-    maps whose composite sends s to the target exactly; replay by folding
-    compose_seq.  Parallel structure is explored one pairing per step,
-    which covers chains of single and pairwise-parallel generator
-    applications.
-    """
-    keys = []
-    for t in targets:
-        if t.dom.elements != UNIT.elements:
-            raise InputError("targets must be states")
-        keys.append(_state_key(t))
-    found = _free_reachable(s, free_generators, depth, set(keys))
+    found = shortest_traces(_state_key(s), moves, depth, keys)
     return [Decision.proven(("circuit", found[k])) if k in found else Decision.unknown(depth)
             for k in keys]

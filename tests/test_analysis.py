@@ -121,7 +121,7 @@ def test_non_interacting_refuted_with_replayable_witness():
     table = tuple(tuple(min(a + b, 2) for b in range(3)) for a in range(3))
     order = ((True, False, False), (False, True, True), (False, False, True))
     t = FiniteTheoryTable(3, table, 0, order)
-    assert check_axioms(t) == []
+    assert check_axioms(t, range(t.size)) == []
     r = check_non_interacting(t, list(range(3)))
     assert r.decision.is_refuted
     a, b1, b2 = r.decision.witness[1:]
@@ -256,7 +256,7 @@ def theorem_report(t, name):
 
 def test_no_catalysis_criterion_refuted_on_a_non_theory():
     t = NO_CATALYSIS_BREAKER
-    assert check_axioms(t) != []
+    assert check_axioms(t, range(t.size)) != []
     r = theorem_report(t, "thm:no-catalysis-criterion")
     assert r.decision.is_refuted
     assert r.decision.witness == ("theorem-violation", ("catalyst-triple", 0, 1, 0))
@@ -272,7 +272,7 @@ def test_cloning_is_creation_refuted_on_a_non_theory():
 
 def test_doubling_irrelevant_refuted_on_a_non_theory():
     t = DOUBLING_BREAKER
-    assert check_axioms(t) != []
+    assert check_axioms(t, range(t.size)) != []
     r = theorem_report(t, "prop:doubling-irrelevant")
     assert r.decision.is_refuted
     assert r.decision.witness == ("theorem-violation", 1, 0)
@@ -282,7 +282,7 @@ def test_doubling_irrelevant_refuted_on_a_non_theory():
 def test_whole_covers_part_refuted_on_a_non_theory():
     t = FiniteTheoryTable(3, ((1, 2, 2), (2, 0, 1), (0, 2, 0)), 0,
                           ((T, F, F), (T, T, T), (T, F, T)))
-    assert check_axioms(t) != []
+    assert check_axioms(t, range(t.size)) != []
     r = check_waste_free(t, list(range(3)))
     assert r.decision.is_refuted
     assert r.decision.witness == ("whole-covers-part-fails", 1, 0)
@@ -298,7 +298,7 @@ def test_random_tables_pass_axioms_and_are_deterministic():
     seen = set()
     for _ in range(30):
         t = random_theory_table(rng, rng.randint(2, 6))
-        assert check_axioms(t) == []
+        assert check_axioms(t, range(t.size)) == []
         seen.add((t.size, t.table, tuple(t.order)))
     assert len(seen) > 10  # actual variety
 

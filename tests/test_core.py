@@ -1,9 +1,12 @@
+from dataclasses import dataclass
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resconv.core import (Decision, FiniteTheoryTable, InputError, Verdict,
-                          check_axioms, check_oracle_axioms, equivalent,
+from resconv.core import (Decision, FiniteTheoryTable, InputError, TheoryOracle,
+                          Verdict, Violation, check_axioms, equivalent,
                           finite_table_from_oracle, replicate)
 from resconv.instances import ProbVector, RandomnessTheory
 from resconv.presentation import MorphismGenerator, MultisetTheory, ms_make
@@ -33,7 +36,7 @@ def max_table(levels_per_axis):
 
 def test_truncated_proficiency_table_has_no_violations():
     t, _ = max_table((3, 3))
-    assert check_axioms(t) == []
+    assert check_axioms(t, range(t.size)) == []
 
 
 def test_broken_transitivity_is_reported_with_the_triple():
@@ -41,14 +44,115 @@ def test_broken_transitivity_is_reported_with_the_triple():
     table = tuple(tuple(max(a, b) for b in range(3)) for a in range(3))
     order = ((True, True, False), (False, True, True), (False, False, True))
     t = FiniteTheoryTable(3, table, 0, order)
-    violations = check_axioms(t)
+    violations = check_axioms(t, range(t.size))
     trans = [v for v in violations if v.law == "transitivity"]
     assert any(v.elements == (0, 1, 2) for v in trans)
 
 
 def test_single_element_theory_is_clean():
     t = FiniteTheoryTable(1, ((0,),), 0, ((True,),))
-    assert check_axioms(t) == []
+    assert check_axioms(t, range(t.size)) == []
+
+
+def reference_table_axioms(t):
+    """The table-only axiom check the general one replaced: it reads the
+    combine table and the order matrix directly."""
+    n, z = t.size, t.zero_index
+    tab, order = t.table, t.order
+
+    def sim(a, b):
+        return order[a][b] and order[b][a]
+
+    out = []
+    for a in range(n):
+        if not order[a][a]:
+            out.append(("reflexivity", (a,), f"{a} not >= itself"))
+    for a in range(n):
+        for b in range(n):
+            if not sim(tab[a][b], tab[b][a]):
+                out.append(("commutativity", (a, b),
+                            f"{a}+{b} = {tab[a][b]} != {tab[b][a]} = {b}+{a}"))
+    for a in range(n):
+        if not sim(tab[a][z], a):
+            out.append(("unit", (a,), f"{a}+0 = {tab[a][z]} not equivalent to {a}"))
+    for a in range(n):
+        for b in range(n):
+            if order[a][b]:
+                for c in range(n):
+                    if order[b][c] and not order[a][c]:
+                        out.append(("transitivity", (a, b, c),
+                                    f"{a}>={b} and {b}>={c} but not {a}>={c}"))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if not sim(tab[tab[a][b]][c], tab[a][tab[b][c]]):
+                    out.append(("associativity", (a, b, c),
+                                f"({a}+{b})+{c} not equivalent to {a}+({b}+{c})"))
+    for a in range(n):
+        for b in range(n):
+            if not order[a][b]:
+                continue
+            for c in range(n):
+                for d in range(n):
+                    if order[c][d] and not order[tab[a][c]][tab[b][d]]:
+                        out.append(("compatibility", (a, b, c, d),
+                                    f"{a}>={b}, {c}>={d} but not {a}+{c} >= {b}+{d}"))
+    return out
+
+
+def broken_tables(rng, count):
+    """Random combine tables and random, mostly unclosed orders, sizes 1-5."""
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        table = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+        density = rng.random()
+        order = tuple(tuple(a == b and rng.random() < 0.9 or rng.random() < density
+                            for b in range(n)) for a in range(n))
+        yield FiniteTheoryTable(n, table, rng.randrange(n), order)
+
+
+def test_axiom_check_matches_the_table_reference():
+    laws = set()
+    for t in broken_tables(Random(12), 300):
+        got = [(v.law, v.elements, v.detail) for v in check_axioms(t, range(t.size))]
+        assert got == reference_table_axioms(t), t
+        laws.update(law for law, _, _ in got)
+    assert laws == {"reflexivity", "commutativity", "unit", "transitivity",
+                    "associativity", "compatibility"}
+
+
+@dataclass(frozen=True)
+class WordTheory(TheoryOracle):
+    """Words under concatenation, a non-canonical combine: ab and ba are
+    different terms.  Equal words convert; distinct words answer Unknown,
+    or Refuted when `decided`."""
+
+    decided: bool = False
+
+    def combine(self, a, b):
+        return a + b
+
+    def zero(self):
+        return ""
+
+    def geq(self, a, b):
+        if a == b:
+            return Decision.proven(("same", a))
+        return Decision.refuted(("differ", a, b)) if self.decided else Decision.unknown(1)
+
+    def enumerate_up_to(self, bound):
+        return ["", "a", "b"]
+
+    def format_term(self, a):
+        return f"<{a}>"
+
+
+def test_only_definite_answers_are_violations():
+    assert check_axioms(WordTheory(), ["", "a", "b"]) == []
+    violations = check_axioms(WordTheory(decided=True), ["", "a", "b"])
+    assert {v.law for v in violations} == {"commutativity"}
+    assert violations[0] == Violation("commutativity", ("a", "b"),
+                                      "<a>+<b> = <ab> != <ba> = <b>+<a>")
 
 
 def test_malformed_table_rejected():
@@ -135,13 +239,13 @@ def test_reverse_reaction_unknown_at_bound():
 def test_decategorified_oracle_satisfies_axioms():
     t = MultisetTheory(*chemistry(), bound=3)
     terms = [m for m in t.enumerate_up_to(2) if len(m) <= 2]
-    assert check_oracle_axioms(t, terms) == []
+    assert check_axioms(t, terms) == []
 
 
 def test_oracle_axiom_check_on_vector_theories(food, proficiency):
     sample = [(0, 0), (1, 0), (0, 1), (2, 1)]
-    assert check_oracle_axioms(food, sample) == []
-    assert check_oracle_axioms(proficiency, sample) == []
+    assert check_axioms(food, sample) == []
+    assert check_axioms(proficiency, sample) == []
 
 
 def test_finite_table_from_oracle_roundtrip(proficiency):
@@ -149,7 +253,7 @@ def test_finite_table_from_oracle_roundtrip(proficiency):
     box = [tuple(v) for v in itertools.product(range(3), repeat=2)]
     table, elems = finite_table_from_oracle(proficiency, box)
     assert table.size == 9
-    assert check_axioms(table) == []
+    assert check_axioms(table, range(table.size)) == []
     i = elems.index((2, 1))
     j = elems.index((1, 1))
     assert table.order[i][j] and not table.order[j][i]

@@ -138,11 +138,16 @@ def differential_pairs(rng):
     yield ProbVector.uniform(2), ProbVector.uniform(4 ** 6)
     yield ProbVector.of("3/4", "1/4"), ProbVector.uniform(2)
     yield ProbVector.of("1/2", "1/2", 0, 0), ProbVector.of("1/2", "1/4", "1/4")
+    # A target entry off the multiples of the gcd of the source's entries.
+    for a, b in ((9, 4), (12, 8), (6, 4), (10, 4), (15, 4), (16, 6), (20, 8)):
+        yield ProbVector.uniform(a), ProbVector.uniform(b)
+    yield ProbVector.of("2/9", "2/9", "2/9", "1/9", "1/9", "1/9"), ProbVector.uniform(4)
+    yield ProbVector.of("1/3", "1/6", "1/6", "1/6", "1/6", 0), ProbVector.of("1/4", "3/4")
 
 
 def test_partition_search_matches_the_reference_search():
     pairs = list(differential_pairs(Random(10)))
-    assert len(pairs) == 1573
+    assert len(pairs) == 1582
     for p, q in pairs:
         d = deterministic_convertible(p, q)
         assert (d.is_proven, d.witness) == reference_partition_search(p, q), (p, q)
@@ -159,6 +164,16 @@ def test_partition_search_refutes_without_searching():
     d = deterministic_convertible(ProbVector.of("1/2", "1/2", 0, 0),
                                   ProbVector.of("1/2", "1/4", "1/4"))
     assert d.is_refuted and d.witness == ("exhausted-partition-search", 4, 3)
+
+
+def test_partition_search_refutes_off_the_gcd_without_searching():
+    # every block sum of a uniform source on 81 outcomes is a multiple of 1/81
+    third = replicate(RandomnessTheory(), 4, ProbVector.uniform(3))
+    quarter = replicate(RandomnessTheory(), 2, ProbVector.uniform(4))
+    d = deterministic_convertible(third, quarter)
+    assert d.is_refuted and d.witness == ("exhausted-partition-search", 81, 16)
+    d = deterministic_convertible(ProbVector.uniform(81), ProbVector.uniform(16))
+    assert d.is_refuted and d.witness == ("exhausted-partition-search", 81, 16)
 
 
 def test_partition_search_depth_does_not_recurse():

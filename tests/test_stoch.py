@@ -412,6 +412,24 @@ def test_index_tables_are_computed_once_per_alphabet(monkeypatch):
     assert len({id(g) for g in calls}) == len(calls)  # each one-step map once
 
 
+def test_closure_builds_no_map_per_reached_state(monkeypatch):
+    start, gens = closure_case(0)
+    expected = naive_free_reachable(start, gens, depth=3)
+    targets = [state_of(k) for k in expected]
+    built = []
+    real = StochMap.__post_init__
+
+    def counting(m):
+        if m.dom.elements == UNIT.elements:
+            built.append(m)
+        real(m)
+
+    monkeypatch.setattr(StochMap, "__post_init__", counting)
+    batch = search_free_transformation_batch(start, targets, gens, depth=3)
+    assert built == []
+    assert [d.witness[1] for d in batch] == list(expected.values())
+
+
 def sparse_map(rng, dom, cod):
     """A random stochastic map whose columns are mostly zero."""
     cols = []
