@@ -8,7 +8,7 @@ inconclusive, never as evidence either way.
 
 Each analyzer asks many `geq` questions twice or more, so each public
 entry (the five `check_*` and `cross_check_theorems`) wraps its theory in
-one `QueryMemo` and asks it instead.  The memo lives for that one call:
+one `core.QueryMemo` and asks it instead.  The memo lives for that one call:
 `cross_check_theorems` hands its memo to the checks it runs, and the CLI's
 `properties` command shares one across its five checks, but nothing is
 kept between calls and no state is global.
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any, Iterable, Sequence
 
-from .core import (Decision, FiniteTheoryTable, TheoryOracle, Verdict,
-                   check_axioms, equivalent)
+from .core import (Decision, FiniteTheoryTable, QueryMemo, TheoryOracle, Verdict,
+                   check_axioms)
 
 
 @dataclass(frozen=True)
@@ -37,50 +37,6 @@ class PropertyReport:
 
     def to_json(self) -> dict:
         return {"property": self.name, "scope": self.scope, **self.decision.to_json()}
-
-
-class QueryMemo(TheoryOracle):
-    """A theory that asks the wrapped theory each `geq` and `equivalent`
-    question once, keyed by the pair of terms, and hands everything else
-    to it unchanged.  Theories answer deterministically, so the answers
-    are those of the wrapped theory."""
-
-    def __init__(self, theory: TheoryOracle):
-        self.theory = theory
-        self._geq: dict[tuple[Any, Any], Decision] = {}
-        self._equivalent: dict[tuple[Any, Any], Decision] = {}
-
-    @staticmethod
-    def of(t: TheoryOracle) -> "QueryMemo":
-        """`t` itself when it is already a memo, else a fresh memo of `t`."""
-        return t if isinstance(t, QueryMemo) else QueryMemo(t)
-
-    def geq(self, a: Any, b: Any) -> Decision:
-        d = self._geq.get((a, b))
-        if d is None:
-            d = self._geq[a, b] = self.theory.geq(a, b)
-        return d
-
-    def equivalent(self, a: Any, b: Any) -> Decision:
-        d = self._equivalent.get((a, b))
-        if d is None:
-            d = self._equivalent[a, b] = equivalent(self, a, b)
-        return d
-
-    def combine(self, a: Any, b: Any) -> Any:
-        return self.theory.combine(a, b)
-
-    def zero(self) -> Any:
-        return self.theory.zero()
-
-    def enumerate_up_to(self, bound: int) -> list[Any]:
-        return self.theory.enumerate_up_to(bound)
-
-    def decompositions(self, a: Any) -> list[tuple[Any, Any]] | None:
-        return self.theory.decompositions(a)
-
-    def format_term(self, a: Any) -> str:
-        return self.theory.format_term(a)
 
 
 def _is_exhaustive(t: TheoryOracle, sample: Sequence[Any]) -> bool:
@@ -180,8 +136,9 @@ def check_quantity_like(t: TheoryOracle, sample: Sequence[Any],
     force the complementary domination."""
     t = QueryMemo.of(t)
     def outcomes():
-        for a1, a2, b1, b2 in itertools.product(sample, repeat=4):
-            eq = t.equivalent(t.combine(a1, a2), t.combine(b1, b2))
+        sums = [(x, y, t.combine(x, y)) for x, y in itertools.product(sample, repeat=2)]
+        for (a1, a2, a), (b1, b2, b) in itertools.product(sums, repeat=2):
+            eq = t.equivalent(a, b)
             if eq.is_unknown:
                 yield Verdict.UNKNOWN
             if not eq.is_proven:

@@ -15,14 +15,14 @@ from random import Random
 from typing import Any
 
 from . import jsonio
-from .analysis import (PropertyReport, QueryMemo, check_catalysis_free,
+from .analysis import (PropertyReport, check_catalysis_free,
                        check_non_interacting, check_quality_like,
                        check_quantity_like, check_waste_free,
                        cross_check_theorems, find_catalyst,
                        random_theory_table)
 from .circuits import evaluate_circuit, normalize_to_comb, parse_circuit
 from .combs import apply_comb, apply_uc, plug_ncombs
-from .core import FiniteTheoryTable, InputError, TheoryOracle, check_axioms
+from .core import FiniteTheoryTable, InputError, QueryMemo, TheoryOracle, check_axioms
 from .hasse import hasse_dot
 from .monotones import classify, rate, verify_monotone
 from .stoch import (all_deterministic_maps, random_stoch_map, search_exact_simulation,

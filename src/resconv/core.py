@@ -5,8 +5,11 @@ operation (up to interconvertibility), a neutral element, and a preorder
 "can be converted into".  Queries answer with a three-valued `Decision`
 because some preorders (e.g. rewrite reachability) are only semidecidable
 under a search bound.  `shortest_traces` is the bounded breadth-first
-search behind the reachability orders.  `check_axioms` checks the axioms
-for any theory, on the given terms; Unknown is never a violation.
+search behind the reachability orders.  `QueryMemo` asks a theory each
+`geq` and `equivalent` pair once, for `check_axioms` and the analyzers.
+`order_matrix` is the one order table, behind Hasse diagrams and
+tabulation.  `check_axioms` checks the axioms for any theory, on the
+given terms; Unknown is never a violation.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 
 class InputError(ValueError):
@@ -142,6 +145,50 @@ def equivalent(t: TheoryOracle, a: Any, b: Any) -> Decision:
     return Decision.unknown(bound)
 
 
+class QueryMemo(TheoryOracle):
+    """A theory that asks the wrapped theory each `geq` and `equivalent`
+    question once, keyed by the pair of terms, and hands everything else
+    to it unchanged.  Theories answer deterministically, so the answers
+    are those of the wrapped theory."""
+
+    def __init__(self, theory: TheoryOracle):
+        self.theory = theory
+        self._geq: dict[tuple[Any, Any], Decision] = {}
+        self._equivalent: dict[tuple[Any, Any], Decision] = {}
+
+    @staticmethod
+    def of(t: TheoryOracle) -> "QueryMemo":
+        """`t` itself when it is already a memo, else a fresh memo of `t`."""
+        return t if isinstance(t, QueryMemo) else QueryMemo(t)
+
+    def geq(self, a: Any, b: Any) -> Decision:
+        d = self._geq.get((a, b))
+        if d is None:
+            d = self._geq[a, b] = self.theory.geq(a, b)
+        return d
+
+    def equivalent(self, a: Any, b: Any) -> Decision:
+        d = self._equivalent.get((a, b))
+        if d is None:
+            d = self._equivalent[a, b] = equivalent(self, a, b)
+        return d
+
+    def combine(self, a: Any, b: Any) -> Any:
+        return self.theory.combine(a, b)
+
+    def zero(self) -> Any:
+        return self.theory.zero()
+
+    def enumerate_up_to(self, bound: int) -> list[Any]:
+        return self.theory.enumerate_up_to(bound)
+
+    def decompositions(self, a: Any) -> list[tuple[Any, Any]] | None:
+        return self.theory.decompositions(a)
+
+    def format_term(self, a: Any) -> str:
+        return self.theory.format_term(a)
+
+
 def shortest_traces(start: Hashable, moves: Callable[[Any], Iterable[tuple[Hashable, Any]]],
                     depth: int, targets: Iterable[Hashable]) -> dict[Any, tuple]:
     """Breadth-first search from `start`, at most `depth` levels deep.
@@ -254,22 +301,15 @@ def check_axioms(t: TheoryOracle, terms: Iterable[Any]) -> list[Violation]:
     run over the Proven pairs.  Each ordered pair is asked once.
     """
     terms = list(terms)
-    answers: dict[tuple[Any, Any], bool | None] = {}
-
-    def geq(x: Any, y: Any) -> bool | None:
-        """True if Proven, False if Refuted, None if Unknown."""
-        if (x, y) not in answers:
-            d = t.geq(x, y)
-            answers[x, y] = None if d.is_unknown else d.is_proven
-        return answers[x, y]
+    t = QueryMemo.of(t)
 
     def inequivalent(x: Any, y: Any) -> bool:
-        return geq(x, y) is False or geq(y, x) is False
+        return t.geq(x, y).is_refuted or t.geq(y, x).is_refuted
 
     f = t.format_term
     out: list[Violation] = []
     for a in terms:
-        if geq(a, a) is False:
+        if t.geq(a, a).is_refuted:
             out.append(Violation("reflexivity", (a,), f"{f(a)} not >= itself"))
     for a in terms:
         for b in terms:
@@ -282,10 +322,10 @@ def check_axioms(t: TheoryOracle, terms: Iterable[Any]) -> list[Violation]:
         az = t.combine(a, z)
         if inequivalent(az, a):
             out.append(Violation("unit", (a,), f"{f(a)}+0 = {f(az)} not equivalent to {f(a)}"))
-    proven = [(a, b) for a in terms for b in terms if geq(a, b)]
+    proven = [(a, b) for a in terms for b in terms if t.geq(a, b).is_proven]
     for a, b in proven:
         for c in terms:
-            if geq(b, c) and geq(a, c) is False:
+            if t.geq(b, c).is_proven and t.geq(a, c).is_refuted:
                 out.append(Violation("transitivity", (a, b, c),
                                      f"{f(a)}>={f(b)} and {f(b)}>={f(c)} "
                                      f"but not {f(a)}>={f(c)}"))
@@ -299,18 +339,35 @@ def check_axioms(t: TheoryOracle, terms: Iterable[Any]) -> list[Violation]:
                                          f"{f(a)}+({f(b)}+{f(c)})"))
     for a, b in proven:
         for c, d in proven:
-            if geq(t.combine(a, c), t.combine(b, d)) is False:
+            if t.geq(t.combine(a, c), t.combine(b, d)).is_refuted:
                 out.append(Violation("compatibility", (a, b, c, d),
                                      f"{f(a)}>={f(b)}, {f(c)}>={f(d)} "
                                      f"but not {f(a)}+{f(c)} >= {f(b)}+{f(d)}"))
     return out
 
 
+def order_matrix(t: TheoryOracle, terms: Sequence[Any], use: str) -> tuple[tuple[bool, ...], ...]:
+    """Row i, column j: whether terms[i] converts to terms[j].
+
+    Asks `t` once per entry.  Raises InputError naming the first undecided
+    pair, since the `use` ("diagram", "table") needs definite answers.
+    """
+    def entry(a: Any, b: Any) -> bool:
+        d = t.geq(a, b)
+        if d.is_unknown:
+            raise InputError(f"order undecided between {t.format_term(a)} and "
+                             f"{t.format_term(b)}; {use} needs definite answers")
+        return d.is_proven
+
+    return tuple(tuple(entry(a, b) for b in terms) for a in terms)
+
+
 def finite_table_from_oracle(t: TheoryOracle, terms: Iterable[Any]) -> tuple[FiniteTheoryTable, list[Any]]:
     """Tabulate a theory on a combine-closed list of terms.
 
-    Raises InputError when `terms` is not closed under combine or does not
-    contain the zero term.  Returns the table and the index->term list.
+    Raises InputError when `terms` is not closed under combine, lacks the
+    zero term, or holds a pair the order leaves undecided (named through
+    `format_term`).  Returns the table and the index->term list.
     """
     elems = list(dict.fromkeys(terms))
     index = {e: i for i, e in enumerate(elems)}
@@ -326,13 +383,5 @@ def finite_table_from_oracle(t: TheoryOracle, terms: Iterable[Any]) -> tuple[Fin
                 raise InputError(f"term list not closed under combine: {a!r} + {b!r} = {c!r}")
             row.append(index[c])
         table.append(tuple(row))
-    order = []
-    for a in elems:
-        row_o = []
-        for b in elems:
-            d = t.geq(a, b)
-            if d.is_unknown:
-                raise InputError(f"order undecided between {a!r} and {b!r}; cannot tabulate")
-            row_o.append(d.is_proven)
-        order.append(tuple(row_o))
-    return FiniteTheoryTable(len(elems), tuple(table), index[z], tuple(order)), elems
+    return FiniteTheoryTable(len(elems), tuple(table), index[z],
+                             order_matrix(t, elems, "table")), elems

@@ -10,27 +10,18 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from .core import InputError, TheoryOracle
+from .core import TheoryOracle, order_matrix
 
 
 def hasse_classes(t: TheoryOracle, terms: Sequence[Any]) -> tuple[list[list[Any]], list[tuple[int, int]]]:
     """Equivalence classes and covering edges of the quotient order."""
     elems = list(dict.fromkeys(terms))
-    n = len(elems)
-    ge = [[False] * n for _ in range(n)]
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            d = t.geq(a, b)
-            if d.is_unknown:
-                raise InputError(
-                    f"order undecided between {t.format_term(a)} and {t.format_term(b)}; "
-                    "diagram needs definite answers")
-            ge[i][j] = d.is_proven
+    ge = order_matrix(t, elems, "diagram")
 
     class_of: dict[int, int] = {}
     classes: list[list[Any]] = []
     reps: list[int] = []
-    for i in range(n):
+    for i in range(len(elems)):
         for c, r in enumerate(reps):
             if ge[i][r] and ge[r][i]:
                 class_of[i] = c

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any, Callable, Literal, Sequence, get_args
 
 from .analysis import PropertyReport, sample_scope
-from .core import Decision, FiniteTheoryTable, InputError, TheoryOracle, replicate
+from .core import Decision, FiniteTheoryTable, InputError, TheoryOracle
 from .instances import (EntanglementSpectrumTheory, RandomnessTheory, VectorTheory,
                         shannon_entropy)
 
@@ -209,8 +209,11 @@ def find_activation(t: TheoryOracle, a: Any, b: Any, caps: int) -> Decision:
     search is exposed for experimentation."""
     failing: list[int] = []
     inconclusive = 0
-    for n in range(1, caps + 1):
-        d = t.geq(replicate(t, n, a), replicate(t, n, b))
+    # n copies of a and of b, built as in `rate`
+    copies = zip(itertools.accumulate([a] * caps, t.combine),
+                 itertools.accumulate([b] * caps, t.combine))
+    for n, (an, bn) in enumerate(copies, 1):
+        d = t.geq(an, bn)
         if d.is_proven and failing:
             return Decision.proven(("activation", failing[0], n))
         if d.is_refuted:

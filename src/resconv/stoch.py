@@ -392,20 +392,20 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
     for ap in range(len(target.dom)):
         goal.extend(target.column(ap))
 
-    # No-randomness fast path: a single encoder/decoder pair.
-    for enc in encoders:
-        for dec in decoders:
-            if wrapped(enc, dec) == goal:
-                witness = SimulationWitness(
-                    _map_from_functions(target.dom, UNIT, p.dom, [enc]),
-                    _map_from_functions(p.cod, UNIT, target.cod, [dec]),
-                    trivial_randomness())
-                return Decision.proven(witness)
+    # One pair matching alone needs no randomness; else all columns go to the LP.
+    pairs = [(enc, dec) for enc in encoders for dec in decoders]
+    columns = []
+    for enc, dec in pairs:
+        column = wrapped(enc, dec)
+        if column == goal:
+            return Decision.proven(SimulationWitness(
+                _map_from_functions(target.dom, UNIT, p.dom, [enc]),
+                _map_from_functions(p.cod, UNIT, target.cod, [dec]),
+                trivial_randomness()))
+        columns.append(column)
 
     # Exact feasibility over joint mixtures of encoder/decoder pairs.
     from .linalg import feasible_nonneg_solution
-    pairs = [(enc, dec) for enc in encoders for dec in decoders]
-    columns = [wrapped(enc, dec) for enc, dec in pairs]
     n_eq = len(goal)
     equations = [[columns[k][row] for k in range(len(pairs))] for row in range(n_eq)]
     equations.append([F1] * len(pairs))

@@ -3,13 +3,16 @@ from collections import Counter
 from pathlib import Path
 from random import Random
 
+import pytest
+
 import resconv.cli
-from resconv.analysis import (check_catalysis_free, check_non_interacting,
+from resconv.analysis import (_property, check_catalysis_free, check_non_interacting,
                               check_quality_like, check_quantity_like,
                               check_riesz_interpolation, check_waste_free,
                               cross_check_theorems, find_catalyst, random_theory_table)
 from resconv.cli import run
-from resconv.core import FiniteTheoryTable, check_axioms, equivalent
+from resconv.core import (Decision, FiniteTheoryTable, InputError, QueryMemo, Verdict,
+                          check_axioms, equivalent, finite_table_from_oracle)
 from resconv.instances import VectorTheory
 from resconv.jsonio import load_theory, read_json
 from resconv.presentation import MorphismGenerator, MultisetTheory, ms_make
@@ -177,6 +180,82 @@ def test_a_properties_run_asks_the_theory_each_pair_once(monkeypatch, capsys):
     assert run(["properties", str(DEMO / "prof.json"), "--sample-box", "3", "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "properties-prof.stdout").read_text()
     assert max(asked.values()) == 1
+
+
+def test_check_axioms_and_hasse_ask_the_theory_each_pair_once(monkeypatch, capsys):
+    asked = count_geq(monkeypatch, FiniteTheoryTable)
+    assert run(["check-axioms", str(DEMO / "table.json"), "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "check-axioms.stdout").read_text()
+    assert max(asked.values()) == 1
+    asked = count_geq(monkeypatch, VectorTheory)
+    assert run(["hasse", str(DEMO / "prof.json"), "--box", "2"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "hasse-prof.prof.dot").read_text()
+    assert max(asked.values()) == 1
+
+
+def test_tabulation_names_an_undecided_pair_through_format_term():
+    class Collapsed(QueryMemo):
+        """haber's order, with every sum collapsed to the zero term, so that
+        a term list holding zero is closed and tabulation reaches the order."""
+
+        def combine(self, a, b):
+            return self.zero()
+
+    t = Collapsed(load_theory(read_json(DEMO / "haber.json"), bound=6))
+    terms = [t.zero(), ms_make({"NH3": 2}), ms_make({"N2": 1, "H2": 3})]
+    with pytest.raises(InputError) as err:
+        finite_table_from_oracle(t, terms)
+    assert str(err.value) == ("order undecided between {2*NH3} and {3*H2, N2}; "
+                              "table needs definite answers")
+
+
+def quadruple_quantity_like(t, sample, bound=0):
+    """Reference: the quantity-like check that combines both pairs of every
+    sample quadruple afresh."""
+    t = QueryMemo.of(t)
+
+    def outcomes():
+        for a1, a2, b1, b2 in itertools.product(sample, repeat=4):
+            eq = t.equivalent(t.combine(a1, a2), t.combine(b1, b2))
+            if eq.is_unknown:
+                yield Verdict.UNKNOWN
+            if not eq.is_proven:
+                continue
+            d = t.geq(a1, b1)
+            if d.is_unknown:
+                yield Verdict.UNKNOWN
+            if not d.is_proven:
+                continue
+            back = t.geq(b2, a2)
+            if back.is_refuted:
+                yield Decision.refuted(("quadruple", a1, a2, b1, b2))
+            if back.is_unknown:
+                yield Verdict.UNKNOWN
+    return _property("quantity-like", t, sample, bound, outcomes())
+
+
+def test_quantity_like_matches_the_quadruple_loop(food, proficiency):
+    rng = Random(31)
+    cases = []
+    for _ in range(60):
+        t = random_theory_table(rng, rng.randint(1, 6))
+        cases.append((t, list(range(t.size))))
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        t = FiniteTheoryTable(n, tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)),
+                              0, tuple(tuple(rng.random() < 0.5 for _ in range(n))
+                                       for _ in range(n)))
+        cases.append((t, rng.sample(range(n), rng.randint(1, n))))
+    haber = load_theory(read_json(DEMO / "haber.json"), bound=6)
+    for t, size in ((food, 2), (food, 3), (proficiency, 1), (proficiency, 2), (haber, 2)):
+        sample = box(t, size)
+        cases += [(t, sample), (t, rng.sample(sample, len(sample)))]
+    verdicts = Counter()
+    for t, sample in cases:
+        report = check_quantity_like(t, sample, 6)
+        assert report == quadruple_quantity_like(t, sample, 6)
+        verdicts[report.decision.verdict] += 1
+    assert len(verdicts) == 3  # Proven, Refuted and Unknown all occur
 
 
 def test_unknown_subanswers_never_prove_or_refute():

@@ -1,11 +1,15 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 import resconv.stoch as stoch_module
+from resconv.core import Decision
 from resconv.instances import (ProbVector, deterministic_convertible,
                                enumerate_prob_vectors)
+from resconv.linalg import feasible_nonneg_solution
 from resconv.stoch import (UNIT, CompositionError, FinSet, SharedRandomness, StochMap,
                            all_deterministic_maps, compose_par, compose_seq, finset,
                            from_function, identity, is_deterministic, point_state,
@@ -219,6 +223,98 @@ def test_mixture_over_the_caps_is_unknown_and_proven_within_them():
     w = d.witness
     q = simulate_channel(identity(B2), w.encoder, w.decoder, w.randomness)
     assert q.matrix == target.matrix
+
+
+def two_loop_exact_simulation(p, target, caps):
+    """Reference: the exact-simulation search that tried single pairs in one
+    loop, then wrapped every pair again for the mixture LP."""
+    S = stoch_module
+    if len(set(p.column(i) for i in range(len(p.dom)))) == 1 \
+            and len(set(target.column(i) for i in range(len(target.dom)))) > 1:
+        i0, j0 = next((i, j) for i in range(len(target.dom)) for j in range(len(target.dom))
+                      if target.column(i) != target.column(j))
+        return Decision.refuted(("input-independent-channel", i0, j0),
+                                note="p ignores its input but target does not")
+    n_enc = len(p.dom) ** len(target.dom)
+    n_dec = len(target.cod) ** len(p.cod)
+    if n_enc * n_dec > 20_000:
+        return Decision.unknown(caps, note=f"strategy space has {n_enc * n_dec} pairs; "
+                                           "beyond the desk-scale search limit")
+    encoders = list(itertools.product(range(len(p.dom)), repeat=len(target.dom)))
+    decoders = list(itertools.product(range(len(target.cod)), repeat=len(p.cod)))
+
+    def wrapped(enc, dec):
+        out = []
+        for ap in range(len(target.dom)):
+            col = [F(0)] * len(target.cod)
+            for b in range(len(p.cod)):
+                col[dec[b]] += p.matrix[b][enc[ap]]
+            out.extend(col)
+        return out
+
+    goal = [x for ap in range(len(target.dom)) for x in target.column(ap)]
+    for enc in encoders:
+        for dec in decoders:
+            if wrapped(enc, dec) == goal:
+                return Decision.proven(S.SimulationWitness(
+                    S._map_from_functions(target.dom, UNIT, p.dom, [enc]),
+                    S._map_from_functions(p.cod, UNIT, target.cod, [dec]),
+                    trivial_randomness()))
+    pairs = [(enc, dec) for enc in encoders for dec in decoders]
+    columns = [wrapped(enc, dec) for enc, dec in pairs]
+    equations = [[columns[k][row] for k in range(len(pairs))] for row in range(len(goal))]
+    equations.append([F(1)] * len(pairs))
+    sol = feasible_nonneg_solution(equations, list(goal) + [F(1)])
+    if sol is None:
+        return Decision.unknown(caps, note="no deterministic-given-randomness strategy matches")
+    support = [k for k, w in enumerate(sol) if w != 0]
+    used_enc = sorted({pairs[k][0] for k in support})
+    used_dec = sorted({pairs[k][1] for k in support})
+    if len(used_enc) > caps or len(used_dec) > caps:
+        return Decision.unknown(caps, note="mixture found but its support exceeds the caps")
+    sa, sb = finset("x", len(used_enc)), finset("y", len(used_dec))
+    joint = [[F(0)] * len(used_dec) for _ in range(len(used_enc))]
+    for k in support:
+        joint[used_enc.index(pairs[k][0])][used_dec.index(pairs[k][1])] += sol[k]
+    return Decision.proven(S.SimulationWitness(
+        S._map_from_functions(target.dom, sa, p.dom, used_enc),
+        S._map_from_functions(p.cod, sb, target.cod, used_dec),
+        SharedRandomness(sa, sb, S._freeze(joint))))
+
+
+def simulation_kind(d):
+    if d.is_refuted:
+        return "refuted"
+    if d.is_proven:
+        return "single" if d.witness.randomness.sa == UNIT else "mixture"
+    return d.note.split(";")[0]
+
+
+def test_exact_simulation_matches_the_two_loop_search():
+    rng = Random(41)
+    sets = {n: finset(f"s{n}", n) for n in (1, 2, 3)}
+    cases = [(from_function(B2, B2, [0, 0]), identity(B2), 8),  # constant source
+             (identity(B4), identity(B4), 8)]  # strategy space over the guard
+    for _ in range(80):
+        a, b, a2, b2 = (sets[rng.randint(1, 3)] for _ in range(4))
+        p = random_stoch_map(rng, a, b) if rng.random() < 0.5 \
+            else from_function(a, b, [rng.randrange(len(b)) for _ in range(len(a))])
+        wraps = [compose_seq(from_function(b, b2, [rng.randrange(len(b2)) for _ in b.elements]),
+                             compose_seq(p, from_function(a2, a, [rng.randrange(len(a))
+                                                                   for _ in a2.elements])))
+                 for _ in range(2)]
+        mix = StochMap(a2, b2, tuple(tuple((x + y) / 2 for x, y in zip(r0, r1))
+                                     for r0, r1 in zip(wraps[0].matrix, wraps[1].matrix)))
+        target = rng.choice([wraps[0], mix, random_stoch_map(rng, a2, b2)])
+        cases.append((p, target, rng.randint(1, 2)))
+    kinds = Counter()
+    for p, target, caps in cases:
+        d = search_exact_simulation(p, target, caps)
+        assert d == two_loop_exact_simulation(p, target, caps)
+        kinds[simulation_kind(d)] += 1
+    assert set(kinds) == {"refuted", "single", "mixture", "strategy space has 65536 pairs",
+                          "mixture found but its support exceeds the caps",
+                          "no deterministic-given-randomness strategy matches"}
 
 
 # state transformation search
