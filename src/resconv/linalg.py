@@ -1,17 +1,26 @@
 """Exact rational linear algebra used by the decision procedures.
 
-Everything here works over `fractions.Fraction` or Python integers; no
-floating point.
+Rational inputs and results are `fractions.Fraction`s; inside, both
+kernels compute fraction-free over Python integers (integer numerators
+over one positive denominator per row), as Edmonds and Bareiss do for
+elimination.  No floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 F0 = Fraction(0)
-F1 = Fraction(1)
+
+
+def common_denominator(xs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over den, the lcm of their denominators."""
+    xs = tuple(xs)
+    dens = [x.denominator for x in xs]
+    den = lcm(*dens)
+    return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
 def complement_projector(vectors: Sequence[Sequence[int]],
@@ -57,62 +66,77 @@ def feasible_nonneg_solution(equations: Sequence[Sequence[Fraction]],
     Phase-1 simplex with Bland's rule (least index), which terminates on
     every rational input.  The returned solution is basic, so at most
     len(equations) entries are nonzero.
+
+    The tableau is fraction-free (Edmonds 1967; Bareiss 1968).  Row i,
+    scaled by the lcm L_i of its denominators, is [A_i | L_i e_i | b_i]
+    in integers, with b_i made non-negative; its basic column's entry is
+    the row's positive denominator, so the row read as rationals is the
+    row of the textbook tableau.  A pivot replaces r_i by piv r_i - f r_l
+    and divides out the row's gcd; the ratio test compares b_i / a_i by
+    cross-multiplication.  The cost row is integers over one positive
+    denominator.  Every sign and comparison is that of the rational
+    tableau, so the pivots and the basic solution are the same.
     """
     m = len(equations)
     if m == 0:
         return []
     n = len(equations[0])
-    # Tableau rows: [A | I | b] with b made non-negative.
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(x) for x in equations[i]]
-        b = Fraction(rhs[i])
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        art = [F1 if j == i else F0 for j in range(m)]
-        tab.append(row + art + [b])
-    basis = [n + i for i in range(m)]
     total = n + m
-    # Objective: minimize sum of artificials.  Start from the raw cost row
-    # (1 on artificial columns) and eliminate the basic columns.
-    cost = [F0] * (total + 1)
-    for k in range(m):
-        cost[n + k] = F1
+    tab: list[list[int]] = []
     for i in range(m):
-        cost = [x - y for x, y in zip(cost, tab[i])]
+        nums, den = common_denominator([*equations[i], rhs[i]])
+        if nums[-1] < 0:
+            nums = [-x for x in nums]
+        tab.append(nums[:n] + [den if j == i else 0 for j in range(m)] + nums[n:])
+    basis = [n + i for i in range(m)]
+    # Objective: minimize sum of artificials.  The raw cost row (1 on each
+    # artificial column) less every row divided by its denominator.
+    cden = lcm(*(tab[i][n + i] for i in range(m)))
+    cost = [cden if n <= j < total else 0 for j in range(total + 1)]
+    for i in range(m):
+        k = cden // tab[i][n + i]
+        cost = [c - k * x for c, x in zip(cost, tab[i])]
 
     while True:
         enter = next((j for j in range(total) if cost[j] < 0), None)
         if enter is None:
             break
-        leave, best = None, None
+        leave = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][total] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+                if leave is None:
+                    leave = i
+                    continue
+                here, best = tab[i][total] * tab[leave][enter], tab[leave][total] * a
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
-            # Unbounded phase-1 objective cannot happen; defensive guard.
-            return None
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+            # unreachable: the phase-1 objective is bounded below by 0
+            raise RuntimeError("phase-1 simplex found no leaving row")
+        prow = tab[leave]
+        piv = prow[enter]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+            f = tab[i][enter]
+            if i != leave and f:
+                row = [piv * x - f * y for x, y in zip(tab[i], prow)]
+                g = gcd(*row)
+                tab[i] = [x // g for x in row] if g > 1 else row
+        f = cost[enter]
+        cost = [piv * x - f * y for x, y in zip(cost, prow)]
+        cden *= piv
+        g = gcd(cden, *cost)
+        if g > 1:
+            cost = [x // g for x in cost]
+            cden //= g
         basis[leave] = enter
 
-    if -cost[total] != 0:
+    if cost[total] != 0:
         return None
     x = [F0] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = tab[i][total]
+            x[bv] = Fraction(tab[i][total], tab[i][bv])
         elif tab[i][total] != 0:
             return None  # artificial stuck at a nonzero level
     return x

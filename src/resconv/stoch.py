@@ -15,10 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from random import Random
 from typing import Callable, Iterable, Sequence
 
 from .core import Decision, InputError, shortest_traces
+from .linalg import common_denominator
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -90,13 +92,13 @@ class StochMap:
                 f"matrix must be {rows}x{cols} for {self.cod} given {self.dom}")
         for r in self.matrix:
             for x in r:
-                if x < 0:
+                if x.numerator < 0:
                     raise InputError(f"negative probability {x}")
-        for i in range(cols):
-            s = sum(self.matrix[j][i] for j in range(rows))
-            if s != 1:
-                raise InputError(
-                    f"column {i} ({self.dom.elements[i]!r}) sums to {s}, not 1")
+        for i, col in enumerate(zip(*self.matrix)):
+            nums, den = common_denominator(col)
+            if sum(nums) != den:
+                raise InputError(f"column {i} ({self.dom.elements[i]!r}) sums to "
+                                 f"{Fraction(sum(nums), den)}, not 1")
 
     def __call__(self, out_name: str, in_name: str) -> Fraction:
         return self.matrix[self.cod.index(out_name)][self.dom.index(in_name)]
@@ -271,7 +273,8 @@ class SharedRandomness:
             raise InputError("joint distribution shape must be |sa| x |sb|")
         if any(x < 0 for row in self.joint for x in row):
             raise InputError("joint probabilities must be non-negative")
-        if sum(x for row in self.joint for x in row) != 1:
+        nums, den = common_denominator(x for row in self.joint for x in row)
+        if sum(nums) != den:
             raise InputError("joint distribution must sum to 1")
 
 
@@ -430,12 +433,22 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
     return Decision.unknown(caps, note="no deterministic-given-randomness strategy matches")
 
 
-_StateKey = tuple[tuple[str, ...], tuple[Fraction, ...]]
+_StateKey = tuple[tuple[str, ...], int, tuple[int, ...]]
+# a one-step map with its index table, or else its integer matrix over dg
+_Step = tuple[StochMap, tuple[int, ...] | None, list[list[int]] | None, int]
+
+
+def _reduced_key(cod: tuple[str, ...], den: int, nums: Sequence[int]) -> _StateKey:
+    """The closure's key for the distribution nums / den on cod, reduced
+    so that gcd(den, *nums) = 1 and each distribution has one key."""
+    g = gcd(den, *nums)
+    return (cod, den // g, tuple(x // g for x in nums)) if g > 1 else (cod, den, tuple(nums))
 
 
 def _state_key(m: StochMap) -> _StateKey:
-    """A state's identity in the closure: (codomain elements, distribution)."""
-    return (m.cod.elements, tuple(row[0] for row in m.matrix))
+    """A state's identity in the closure: (codomain elements, d, numerators)."""
+    nums, den = common_denominator(m.column(0))
+    return _reduced_key(m.cod.elements, den, nums)
 
 
 def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
@@ -444,14 +457,18 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
     """Search for circuits of free generators carrying state s to each target.
 
     All targets are answered from one breadth-first closure of s, which
-    stops once every target is found.  A state of the closure is its key,
-    (codomain elements, distribution), and a step pushes the distribution
-    forward exactly: along the index table of a deterministic one-step
-    map, or through an exact matrix-vector product that skips zero terms.
-    Each step applies a single generator, or a parallel pair of
-    generators/identities when the state's alphabet factors accordingly.
-    The one-step maps out of an alphabet, with the index table of each
-    deterministic one, are built once per alphabet.
+    stops once every target is found.  A state of the closure is its key
+    (codomain elements, d, numerators): the distribution as integer
+    numerators over a denominator d, with gcd(d, *numerators) = 1 so that
+    one distribution has one key however it was reached.  A step pushes
+    the numerators forward exactly: summed along the index table of a
+    deterministic one-step map, or multiplied by the integer matrix of a
+    stochastic one over its own denominator dg, giving d * dg before the
+    reduction.  Each step applies a single generator, or a parallel pair
+    of generators/identities when the state's alphabet factors
+    accordingly.  The one-step maps out of an alphabet, with the index
+    table of each deterministic one and the integer matrix of each other
+    one, are built once per alphabet.
 
     Proven witnesses are the shortest sequences of one-step maps whose
     composite sends s to the target exactly; replay by folding
@@ -486,7 +503,7 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
     for g in pool:
         pool_by_size.setdefault(len(g.dom), []).append(g)
 
-    def one_step_maps(cod: tuple[str, ...]) -> list[tuple[StochMap, tuple[int, ...] | None]]:
+    def one_step_maps(cod: tuple[str, ...]) -> list[_Step]:
         out = list(by_dom.get(cod, []))
         n = len(cod)
         for n1, gs1 in pool_by_size.items():
@@ -500,28 +517,31 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
                         continue
                     if tensor(g1.dom, g2.dom).elements == cod:
                         out.append(compose_par(g1, g2))
-        return [(g, deterministic_function(g)) for g in out]
+        steps = []
+        for g in out:
+            table = deterministic_function(g)
+            weights, dg = None, 1
+            if table is None:
+                flat, dg = common_denominator(x for row in g.matrix for x in row)
+                k = len(g.dom)
+                weights = [flat[j * k:(j + 1) * k] for j in range(len(g.cod))]
+            steps.append((g, table, weights, dg))
+        return steps
 
-    step_cache: dict[tuple[str, ...], list[tuple[StochMap, tuple[int, ...] | None]]] = {}
+    step_cache: dict[tuple[str, ...], list[_Step]] = {}
 
     def moves(key: _StateKey):
-        cod, dist = key
+        cod, den, nums = key
         if cod not in step_cache:
             step_cache[cod] = one_step_maps(cod)
-        for g, fn in step_cache[cod]:
-            if fn is not None:
-                col = [F0] * len(g.cod)
-                for i, j in enumerate(fn):
-                    col[j] += dist[i]
+        for g, table, weights, dg in step_cache[cod]:
+            if table is not None:
+                col = [0] * len(g.cod)
+                for i, j in enumerate(table):
+                    col[j] += nums[i]
             else:
-                col = []
-                for row in g.matrix:
-                    acc = F0
-                    for w, x in zip(row, dist):
-                        if w and x:
-                            acc += w * x
-                    col.append(acc)
-            yield (g.cod.elements, tuple(col)), g
+                col = [sum(w * x for w, x in zip(row, nums)) for row in weights]
+            yield _reduced_key(g.cod.elements, den * dg, col), g
 
     found = shortest_traces(_state_key(s), moves, depth, keys)
     return [Decision.proven(("circuit", found[k])) if k in found else Decision.unknown(depth)

@@ -308,6 +308,12 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
     ("table.json", {"carrier": 2, "combine": [[0, 1], [1, 1]], "zero": 0,
                     "geq": [[1, 0], [1, 1]]},
      ["convert", "{path}", "true", "0"]),
+    ("p.json", {"dom": ["a0", "a1"], "cod": ["b0", "b1"],
+                "matrix": [["1", "1/2"], ["0", "1/3"]]},
+     ["simulate-channel", "{path}", "--target", "{other}"]),
+    ("p.json", {"dom": ["a0", "a1"], "cod": ["b0", "b1"],
+                "matrix": [["1", "-1/2"], ["0", "3/2"]]},
+     ["simulate-channel", "{path}", "--target", "{other}"]),
 ], ids=["vector-without-arity", "vector-without-mode", "matrix-not-list",
         "randomness-without-sa", "theory-not-object", "uc-without-allocation",
         "ncomb-without-stages", "rate-monotone-without-name",
@@ -325,7 +331,7 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
         "component-index-out-of-range", "monotones-entropy-on-vectors",
         "rate-entropy-on-vectors", "component-on-table", "component-on-randomness",
         "monotone-class-unknown", "vector-entry-boolean", "multiset-count-boolean",
-        "table-index-boolean"])
+        "table-index-boolean", "channel-column-sum-not-one", "channel-negative-entry"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, content, argv):
     path = tmp_path / name
     path.write_text(content if isinstance(content, str) else json.dumps(content))

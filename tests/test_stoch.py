@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 import resconv.stoch as stoch_module
-from resconv.core import Decision
+from resconv.core import Decision, InputError
 from resconv.instances import (ProbVector, deterministic_convertible,
                                enumerate_prob_vectors)
 from resconv.linalg import feasible_nonneg_solution
@@ -144,6 +144,25 @@ def test_constructors_stay_column_stochastic():
         assert_column_stochastic(compose_seq(q, p))
         assert_column_stochastic(compose_par(p, q))
         assert_column_stochastic(swap(B3, B4))
+
+
+def test_column_that_does_not_sum_to_one_is_named_with_its_exact_sum():
+    with pytest.raises(InputError) as exc:
+        StochMap(finset("a", 2), B2, ((F(1), F(1, 2)), (F(0), F(1, 3))))
+    assert str(exc.value) == "column 1 ('a1') sums to 5/6, not 1"
+
+
+def test_negative_entry_is_reported_before_a_wrong_column_sum():
+    with pytest.raises(InputError) as exc:
+        StochMap(finset("a", 2), B2, ((F(1), F(-1, 2)), (F(1, 2), F(3, 2))))
+    assert str(exc.value) == "negative probability -1/2"
+
+
+def test_joint_distribution_must_sum_to_one():
+    x, y = finset("x", 2), finset("y", 1)
+    assert SharedRandomness(x, y, ((F(1, 3),), (F(2, 3),))).joint[1] == (F(2, 3),)
+    with pytest.raises(InputError, match="must sum to 1"):
+        SharedRandomness(x, y, ((F(1, 3),), (F(1, 2),)))
 
 
 # determinism predicate
@@ -486,6 +505,33 @@ def test_closure_matches_naive_bfs(seed):
     expected = naive_free_reachable(start, gens, depth=3, targets=set(few))
     batch = search_free_transformation_batch(start, [state_of(k) for k in few], gens, depth=3)
     assert [d.witness[1] for d in batch] == [expected[k] for k in few]
+
+
+def test_closure_keys_one_distribution_once_across_denominators(monkeypatch):
+    # (1/2, 1/2) on b is reached by a merge (raw numerators 2, 2 over 4) and
+    # by a generator with thirds (6, 6 over 12): one state, the merge's trace
+    c3, b2 = finset("c", 3), finset("b", 2)
+    merge = from_function(c3, b2, [0, 1, 1])
+    thirds = StochMap(c3, b2, ((F(1, 3), F(2, 3), F(2, 3)), (F(2, 3), F(1, 3), F(1, 3))))
+    start = state(c3, [F(1, 2), F(1, 4), F(1, 4)])
+    gens = [merge, thirds, FLIP, from_function(b2, c3, [0, 2])]
+    expected = naive_free_reachable(start, gens, depth=3)
+    assert expected[(b2.elements, (F(1, 2), F(1, 2)))] == (merge,)
+    closures = []
+    real = stoch_module.shortest_traces
+
+    def recording(*args):
+        closures.append(real(*args))
+        return closures[-1]
+
+    monkeypatch.setattr(stoch_module, "shortest_traces", recording)
+    unreachable = state(b2, [F(1, 7), F(6, 7)])
+    targets = [state_of(k) for k in expected] + [unreachable]
+    batch = search_free_transformation_batch(start, targets, gens, depth=3)
+    assert [d.witness[1] for d in batch[:-1]] == list(expected.values())
+    assert batch[-1].is_unknown
+    assert len(closures[0]) == len(expected)
+    assert (b2.elements, 2, (1, 1)) in closures[0]
 
 
 def test_index_tables_are_computed_once_per_alphabet(monkeypatch):
