@@ -39,10 +39,7 @@ def _terms(args: argparse.Namespace, theory: TheoryOracle) -> list:
     """`args.source` and `args.target`, JSON text, as terms of the theory."""
     terms = []
     for role in ("source", "target"):
-        try:
-            raw = json.loads(getattr(args, role))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{role} term is not valid JSON: {exc}") from None
+        raw = jsonio.decode_json(getattr(args, role), f"{role} term is not valid JSON")
         terms.append(jsonio.parse_term(theory, raw))
     return terms
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, log2
+from math import gcd, log2
 from typing import Iterable, Literal, Sequence
 
 from .core import Decision, InputError, TheoryOracle
+from .linalg import common_denominator
 
 Vector = tuple[int, ...]
 
@@ -37,7 +38,8 @@ class VectorTheory(TheoryOracle):
             raise InputError(f"unknown mode {self.mode!r}")
 
     def validate_term(self, a: Vector) -> None:
-        if len(a) != self.arity or any(x < 0 or not isinstance(x, int) for x in a):
+        # the type first, so ("a", 1) is no TypeError; bool is a subclass of int
+        if len(a) != self.arity or not all(type(x) is int and x >= 0 for x in a):
             raise InputError(f"term {a!r} is not a length-{self.arity} vector of naturals")
 
     def combine(self, a: Vector, b: Vector) -> Vector:
@@ -164,8 +166,8 @@ def deterministic_convertible(p: ProbVector, q: ProbVector) -> Decision:
             sum(1 for x in p.entries if x) < sum(1 for y in q.entries if y):
         return refuted
     # Every block sum is a multiple of g/den, the gcd of p's entries.
-    den = lcm(*(x.denominator for x in p.entries))
-    g = gcd(*(x.numerator * (den // x.denominator) for x in p.entries))
+    nums, den = common_denominator(p.entries)
+    g = gcd(*nums)
     if any(y.numerator * den % (y.denominator * g) for y in q.entries):
         return refuted
     order = sorted(range(len(p)), key=lambda i: p[i], reverse=True)

@@ -262,11 +262,17 @@ def parse_term(t: TheoryOracle, raw: Any) -> Any:
     raise InputError(f"no term parser for theory {type(t).__name__}")
 
 
+def decode_json(text: str, what: str) -> Any:
+    """JSON text as a value; malformed or too deeply nested text is an
+    InputError reading "<what>: <reason>"."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{what}: {exc}") from None
+
+
 def read_json(path: str | Path) -> Any:
     p = Path(path)
     if not p.exists():
         raise InputError(f"file not found: {p}")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {p}: {exc}") from None
+    return decode_json(p.read_text(), f"invalid JSON in {p}")

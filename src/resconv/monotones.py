@@ -252,7 +252,10 @@ def builtin_monotone(name: str, kind: str, t: TheoryOracle) -> Monotone:
     family, _, raw = name.partition(":")
 
     def index(size: int) -> int:
-        i = int(raw)
+        try:
+            i = int(raw)
+        except ValueError:
+            raise InputError(f"{family} index must be an integer, got {raw!r}") from None
         if not 0 <= i < size:
             raise InputError(f"{family} index {i} out of range")
         return i

@@ -434,8 +434,9 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
 
 
 _StateKey = tuple[tuple[str, ...], int, tuple[int, ...]]
-# a one-step map with its index table, or else its integer matrix over dg
-_Step = tuple[StochMap, tuple[int, ...] | None, list[list[int]] | None, int]
+# a one-step map, its nonzero entries as (domain symbol, codomain symbol,
+# weight) triples, and the denominator dg of the integer weights
+_Step = tuple[StochMap, list[tuple[int, int, int]], int]
 
 
 def _reduced_key(cod: tuple[str, ...], den: int, nums: Sequence[int]) -> _StateKey:
@@ -451,6 +452,15 @@ def _state_key(m: StochMap) -> _StateKey:
     return _reduced_key(m.cod.elements, den, nums)
 
 
+def _step(g: StochMap) -> _Step:
+    """g as a sparse integer step: its nonzero entries as integer weights
+    over their lcm dg.  A deterministic map has one entry of weight 1 per
+    domain symbol and dg = 1."""
+    support = [(i, j, x) for j, row in enumerate(g.matrix) for i, x in enumerate(row) if x]
+    weights, dg = common_denominator(x for _, _, x in support)
+    return g, [(i, j, w) for (i, j, _), w in zip(support, weights)], dg
+
+
 def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
                                      free_generators: Sequence[StochMap],
                                      depth: int) -> list[Decision]:
@@ -460,15 +470,16 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
     stops once every target is found.  A state of the closure is its key
     (codomain elements, d, numerators): the distribution as integer
     numerators over a denominator d, with gcd(d, *numerators) = 1 so that
-    one distribution has one key however it was reached.  A step pushes
-    the numerators forward exactly: summed along the index table of a
-    deterministic one-step map, or multiplied by the integer matrix of a
-    stochastic one over its own denominator dg, giving d * dg before the
-    reduction.  Each step applies a single generator, or a parallel pair
-    of generators/identities when the state's alphabet factors
-    accordingly.  The one-step maps out of an alphabet, with the index
-    table of each deterministic one and the integer matrix of each other
-    one, are built once per alphabet.
+    one distribution has one key however it was reached.
+
+    Each step applies a single generator, or a parallel pair g1 (x) g2 of
+    generators/identities whose domains tensor to the state's alphabet.
+    A domain d1 has at most one right factor r with d1 (x) r equal to the
+    alphabet, so each alphabet is factored once over the pool's distinct
+    domains and each g1 is paired with the pool maps out of its r.  The
+    one-step maps out of an alphabet are built once, each as one sparse
+    integer table (see _step) over its denominator dg; a step pushes the
+    numerators through it exactly, to numerators over d * dg.
 
     Proven witnesses are the shortest sequences of one-step maps whose
     composite sends s to the target exactly; replay by folding
@@ -491,42 +502,22 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
         for fs in (g.dom, g.cod):
             idsets.setdefault(fs.elements, fs)
 
-    def pair_head(d1: FinSet, d2: FinSet) -> str:
-        if d1.elements == UNIT.elements:
-            return d2.elements[0]
-        if d2.elements == UNIT.elements:
-            return d1.elements[0]
-        return f"{d1.elements[0]}|{d2.elements[0]}"
-
+    # idsets holds every pool domain.  Left factors run by size class, then in
+    # pool order: the first trace found for a state depends on this order.
     pool = list(free_generators) + [identity(fs) for fs in idsets.values()]
     pool_by_size: dict[int, list[StochMap]] = {}
+    pool_by_dom: dict[tuple[str, ...], list[StochMap]] = {}
     for g in pool:
         pool_by_size.setdefault(len(g.dom), []).append(g)
+        pool_by_dom.setdefault(g.dom.elements, []).append(g)
+    lefts = [g for gs in pool_by_size.values() for g in gs]
 
     def one_step_maps(cod: tuple[str, ...]) -> list[_Step]:
-        out = list(by_dom.get(cod, []))
-        n = len(cod)
-        for n1, gs1 in pool_by_size.items():
-            if n % n1 != 0 or n // n1 not in pool_by_size:
-                continue
-            gs2 = pool_by_size[n // n1]
-            for g1 in gs1:
-                for g2 in gs2:
-                    # cheap name pre-filter before building the product
-                    if pair_head(g1.dom, g2.dom) != cod[0]:
-                        continue
-                    if tensor(g1.dom, g2.dom).elements == cod:
-                        out.append(compose_par(g1, g2))
-        steps = []
-        for g in out:
-            table = deterministic_function(g)
-            weights, dg = None, 1
-            if table is None:
-                flat, dg = common_denominator(x for row in g.matrix for x in row)
-                k = len(g.dom)
-                weights = [flat[j * k:(j + 1) * k] for j in range(len(g.cod))]
-            steps.append((g, table, weights, dg))
-        return steps
+        right = {d: r for d in idsets for r in idsets if len(d) * len(r) == len(cod)
+                 and tensor(idsets[d], idsets[r]).elements == cod}
+        pairs = [compose_par(g1, g2) for g1 in lefts if g1.dom.elements in right
+                 for g2 in pool_by_dom[right[g1.dom.elements]]]
+        return [_step(g) for g in by_dom.get(cod, []) + pairs]
 
     step_cache: dict[tuple[str, ...], list[_Step]] = {}
 
@@ -534,14 +525,12 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
         cod, den, nums = key
         if cod not in step_cache:
             step_cache[cod] = one_step_maps(cod)
-        for g, table, weights, dg in step_cache[cod]:
-            if table is not None:
-                col = [0] * len(g.cod)
-                for i, j in enumerate(table):
-                    col[j] += nums[i]
-            else:
-                col = [sum(w * x for w, x in zip(row, nums)) for row in weights]
-            yield _reduced_key(g.cod.elements, den * dg, col), g
+        for g, table, dg in step_cache[cod]:
+            out = g.cod.elements
+            col = [0] * len(out)
+            for i, j, w in table:
+                col[j] += w * nums[i]
+            yield _reduced_key(out, den * dg, col), g
 
     found = shortest_traces(_state_key(s), moves, depth, keys)
     return [Decision.proven(("circuit", found[k])) if k in found else Decision.unknown(depth)

@@ -314,6 +314,9 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
     ("p.json", {"dom": ["a0", "a1"], "cod": ["b0", "b1"],
                 "matrix": [["1", "-1/2"], ["0", "3/2"]]},
      ["simulate-channel", "{path}", "--target", "{other}"]),
+    ("vec.json", "[" * 100_000 + "]" * 100_000, ["convert", "{path}", "[1]", "[1]"]),
+    ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive"},
+     ["convert", "{path}", "[" * 100_000 + "]" * 100_000, "[0,0]"]),
 ], ids=["vector-without-arity", "vector-without-mode", "matrix-not-list",
         "randomness-without-sa", "theory-not-object", "uc-without-allocation",
         "ncomb-without-stages", "rate-monotone-without-name",
@@ -331,7 +334,8 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
         "component-index-out-of-range", "monotones-entropy-on-vectors",
         "rate-entropy-on-vectors", "component-on-table", "component-on-randomness",
         "monotone-class-unknown", "vector-entry-boolean", "multiset-count-boolean",
-        "table-index-boolean", "channel-column-sum-not-one", "channel-negative-entry"])
+        "table-index-boolean", "channel-column-sum-not-one", "channel-negative-entry",
+        "theory-nested-too-deep", "term-nested-too-deep"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, content, argv):
     path = tmp_path / name
     path.write_text(content if isinstance(content, str) else json.dumps(content))

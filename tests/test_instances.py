@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resconv.core import InputError, replicate
-from resconv.instances import (ProbVector, RandomnessTheory, deterministic_convertible,
-                               entanglement_convertible, enumerate_prob_vectors,
-                               majorizes, shannon_entropy)
+from resconv.instances import (ProbVector, RandomnessTheory, VectorTheory,
+                               deterministic_convertible, entanglement_convertible,
+                               enumerate_prob_vectors, majorizes, shannon_entropy)
 from resconv.presentation import MorphismGenerator, MultisetTheory, ms_add, ms_make
 import resconv.presentation
 
@@ -524,3 +524,13 @@ def test_enumeration_lists_each_multiset_once_by_size_then_term(k):
     assert len(terms) == len(set(terms)) == comb(3 + k, k)
     assert all(ms_make(dict(m)) == m and sum(dict(m).values()) <= k for m in terms)
     assert terms == sorted(terms, key=lambda m: (sum(dict(m).values()), m))
+
+
+# count vectors
+
+@pytest.mark.parametrize("term", [("a", 1), (True, 1), (-1, 0), (1.5, 0), (1,)],
+                         ids=["string", "boolean", "negative", "fraction", "short"])
+def test_vector_term_that_is_not_a_count_vector_names_itself(term):
+    with pytest.raises(InputError) as exc:
+        VectorTheory(2, "additive").geq(term, (0, 0))
+    assert str(exc.value) == f"term {term!r} is not a length-2 vector of naturals"

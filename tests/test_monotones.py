@@ -1,7 +1,9 @@
 import math
 from fractions import Fraction
 
-from resconv.core import FiniteTheoryTable, replicate
+import pytest
+
+from resconv.core import FiniteTheoryTable, InputError, replicate
 from resconv.instances import (ProbVector, RandomnessTheory, VectorTheory,
                                enumerate_prob_vectors, shannon_entropy)
 from resconv.monotones import (Monotone, builtin_monotone, classify, complete_family,
@@ -160,6 +162,17 @@ def test_rate_grows_monotonically_with_caps(food):
         assert result.best >= best
         best = result.best
     assert best == 2
+
+
+@pytest.mark.parametrize("name, message", [
+    ("indicator:x", "indicator index must be an integer, got 'x'"),
+    ("component:", "component index must be an integer, got ''"),
+], ids=["indicator", "component"])
+def test_monotone_index_that_is_not_an_integer_names_the_declaration(food, name, message):
+    t = chain2() if name.startswith("indicator") else food
+    with pytest.raises(InputError) as exc:
+        builtin_monotone(name, "general", t)
+    assert str(exc.value) == message
 
 
 def test_no_activation_in_food(food):

@@ -11,7 +11,7 @@ from resconv.instances import (ProbVector, deterministic_convertible,
                                enumerate_prob_vectors)
 from resconv.linalg import feasible_nonneg_solution
 from resconv.stoch import (UNIT, CompositionError, FinSet, SharedRandomness, StochMap,
-                           all_deterministic_maps, compose_par, compose_seq, finset,
+                           all_deterministic_maps, compose_par, compose_seq, discard, finset,
                            from_function, identity, is_deterministic, point_state,
                            random_stoch_map, search_exact_simulation,
                            search_free_transformation_batch, simulate_channel, state,
@@ -462,10 +462,11 @@ def naive_free_reachable(s, free_generators, depth, targets=None):
     return found
 
 
-def closure_case(seed):
+def closure_case(seed, unit=False):
     """Seeded generators on 1-, 2-, 3-symbol alphabets and the 2x2 product
     (so parallel pairs apply), one stochastic generator, and a start state
-    with zero entries."""
+    with zero entries; with `unit`, also a state preparation and a discard,
+    generators out of and into the unit object."""
     rng = Random(seed)
     b1, b2, b3 = finset("u", 1), finset("b", 2), finset("c", 3)
     b22 = tensor(b2, b2)
@@ -477,6 +478,8 @@ def closure_case(seed):
     probs[rng.randrange(4)] = F(0)
     probs[rng.randrange(4)] += 1
     start = state(b22, [x / sum(probs) for x in probs])
+    if unit:
+        gens += [state(b2, [F(1, 3), F(2, 3)]), discard(b2)]
     return start, gens
 
 
@@ -485,13 +488,17 @@ def state_of(k):
     return state(FinSet("t", cod), list(dist))
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_closure_matches_naive_bfs(seed):
-    start, gens = closure_case(seed)
+@pytest.mark.parametrize("seed, unit", [(seed, False) for seed in range(6)] + [(0, True)],
+                         ids=[*map(str, range(6)), "unit"])
+def test_closure_matches_naive_bfs(seed, unit):
+    start, gens = closure_case(seed, unit)
     assert any(0 in row for row in start.matrix)
     full = naive_free_reachable(start, gens, depth=3)
     assert any(len(g.dom) == 4 and len(g.cod) == 4 for w in full.values() for g in w)
     assert any(not is_deterministic(g) for w in full.values() for g in w)
+    if unit:  # a discard reaches the unit object, and a pair tensors a prepared b in
+        assert (UNIT.elements, (F(1),)) in full
+        assert any(g.dom == finset("b", 2) and len(g.cod) == 4 for w in full.values() for g in w)
     unreachable = [state(finset("b", 2), [F(1, 7), F(6, 7)]),
                    state(finset("c", 3), [F(1, 11), F(2, 11), F(8, 11)])]
     # every reachable state plus two that are not: the closure runs to depth
@@ -536,22 +543,39 @@ def test_closure_keys_one_distribution_once_across_denominators(monkeypatch):
 
 def test_index_tables_are_computed_once_per_alphabet(monkeypatch):
     start, gens = closure_case(0)
-    calls = []
-    real = stoch_module.deterministic_function
-
-    def counting(g):
-        calls.append(g)
-        return real(g)
-
-    monkeypatch.setattr(stoch_module, "deterministic_function", counting)
     found = naive_free_reachable(start, gens, depth=3)
-    assert not calls  # the reference does not use the counted function
+    tabled, pairs, moves_per_alphabet = [], [], {}
+    real_step, real_par, real_traces = (stoch_module._step, stoch_module.compose_par,
+                                        stoch_module.shortest_traces)
+
+    def counting_step(g):
+        tabled.append(g)
+        return real_step(g)
+
+    def counting_par(g1, g2):
+        pairs.append(real_par(g1, g2))
+        return pairs[-1]
+
+    def counting_traces(start, moves, depth, targets):
+        def counted(key):
+            out = list(moves(key))
+            moves_per_alphabet[key[0]] = len(out)
+            return out
+        return real_traces(start, counted, depth, targets)
+
+    monkeypatch.setattr(stoch_module, "_step", counting_step)
+    monkeypatch.setattr(stoch_module, "compose_par", counting_par)
+    monkeypatch.setattr(stoch_module, "shortest_traces", counting_traces)
     unreachable = state(finset("b", 2), [F(1, 7), F(6, 7)])
     assert search_free_transformation_batch(start, [unreachable], gens, depth=3)[0].is_unknown
     expanded = [k[0] for k, w in found.items() if len(w) < 3]
     assert len(expanded) > len(set(expanded))  # alphabets shared by several states
-    assert {g.dom.elements for g in calls} == set(expanded)
-    assert len({id(g) for g in calls}) == len(calls)  # each one-step map once
+    assert set(moves_per_alphabet) == set(expanded)
+    # one table per one-step map of an expanded alphabet, however many states share it
+    assert Counter(g.dom.elements for g in tabled) == moves_per_alphabet
+    assert len({id(g) for g in tabled}) == len(tabled)
+    # the tables are of the generators out of each alphabet and of each pair built
+    assert sorted(map(id, pairs)) == sorted(id(g) for g in tabled if all(g is not h for h in gens))
 
 
 def test_closure_builds_no_map_per_reached_state(monkeypatch):
