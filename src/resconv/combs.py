@@ -21,8 +21,6 @@ from .core import InputError
 from .stoch import (UNIT, CompositionError, FinSet, StochMap, compose_par,
                     compose_seq, identity, swap, tensor)
 
-F0 = Fraction(0)
-
 HoleType = tuple[FinSet, FinSet]
 
 
@@ -97,22 +95,14 @@ def apply_comb_in_context(k: OneComb, h: StochMap,
 def comb_tensor(k: OneComb) -> tuple[tuple[Fraction, ...], ...]:
     """Four-index behavior tensor W[(a,b')][(a',b)] = sum over z of
     pre((a,z)|a') * post(b'|(b,z)).  Two combs act identically on every
-    plugged process iff their tensors agree entrywise."""
-    na, nb = len(k.hole_dom), len(k.hole_cod)
-    nap, nbp = len(k.outer_dom), len(k.outer_cod)
-    nz = len(k.ancilla)
-    rows = []
-    for a in range(na):
-        for bp in range(nbp):
-            row = []
-            for ap in range(nap):
-                for b in range(nb):
-                    total = F0
-                    for z in range(nz):
-                        total += k.pre.matrix[a * nz + z][ap] * k.post.matrix[bp][b * nz + z]
-                    row.append(total)
-            rows.append(tuple(row))
-    return tuple(rows)
+    plugged process iff their tensors agree entrywise.
+
+    W is the matrix of the kernel composition
+    (id_A (x) (post . swap(Z,B))) . (pre (x) id_B), a stochastic map
+    A' (x) B -> A (x) B' that is kernel-built and not checked again."""
+    post = compose_seq(k.post, swap(k.ancilla, k.hole_cod))
+    return compose_seq(compose_par(identity(k.hole_dom), post),
+                       compose_par(k.pre, identity(k.hole_cod))).matrix
 
 
 def comb_equivalent(k1: OneComb, k2: OneComb) -> bool:

@@ -38,8 +38,9 @@ class VectorTheory(TheoryOracle):
             raise InputError(f"unknown mode {self.mode!r}")
 
     def validate_term(self, a: Vector) -> None:
-        # the type first, so ("a", 1) is no TypeError; bool is a subclass of int
-        if len(a) != self.arity or not all(type(x) is int and x >= 0 for x in a):
+        # the types first, so 5 and ("a", 1) are no TypeError; bool is a subclass of int
+        if not isinstance(a, tuple) or len(a) != self.arity \
+                or not all(type(x) is int and x >= 0 for x in a):
             raise InputError(f"term {a!r} is not a length-{self.arity} vector of naturals")
 
     def combine(self, a: Vector, b: Vector) -> Vector:

@@ -203,28 +203,6 @@ def rate_upper_bound(m: Monotone, a: Any, b: Any) -> Fraction | float:
     return float(va) / float(vb)
 
 
-def find_activation(t: TheoryOracle, a: Any, b: Any, caps: int) -> Decision:
-    """Search for copy counts where conversion fails at k copies but
-    succeeds at n > k copies.  No instance ships with the package; the
-    search is exposed for experimentation."""
-    failing: list[int] = []
-    inconclusive = 0
-    # n copies of a and of b, built as in `rate`
-    copies = zip(itertools.accumulate([a] * caps, t.combine),
-                 itertools.accumulate([b] * caps, t.combine))
-    for n, (an, bn) in enumerate(copies, 1):
-        d = t.geq(an, bn)
-        if d.is_proven and failing:
-            return Decision.proven(("activation", failing[0], n))
-        if d.is_refuted:
-            failing.append(n)
-        if d.is_unknown:
-            inconclusive += 1
-    if inconclusive:
-        return Decision.unknown(caps, note=f"{inconclusive} copy counts inconclusive")
-    return Decision.refuted(("no-activation-up-to", caps))
-
-
 def entropy_monotone() -> Monotone:
     return Monotone("entropy", lambda p: shannon_entropy(p), "additive")
 

@@ -7,7 +7,15 @@ than up to tolerance.
 
 Product sets use flat element names joined with '|'; the canonical unit
 (a singleton named '*') is dropped from products, which makes the tensor
-strictly associative and unital on element lists.
+strictly associative and unital on element lists.  Only this module
+indexes product alphabets: every other contraction, `simulate_channel`
+and `combs.comb_tensor` among them, is a composition of the kernels
+`compose_seq` and `compose_par`.
+
+The public `StochMap` constructor checks shape, signs and column sums.
+Maps the kernels build (`from_function`, `compose_seq`, `compose_par`
+and what is built from them) are stochastic by construction and are not
+checked again.
 """
 
 from __future__ import annotations
@@ -110,6 +118,15 @@ class StochMap:
         return f"StochMap {self.dom.label} -> {self.cod.label} ({len(self.cod)}x{len(self.dom)})"
 
 
+def _kernel_map(dom: FinSet, cod: FinSet,
+                matrix: tuple[tuple[Fraction, ...], ...]) -> StochMap:
+    """The one constructor for maps the kernels build from valid maps or
+    index tables; it skips the public constructor's check."""
+    m = object.__new__(StochMap)
+    m.__dict__.update(dom=dom, cod=cod, matrix=matrix)
+    return m
+
+
 def _freeze(matrix: Iterable[Iterable[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(x) for x in row) for row in matrix)
 
@@ -126,7 +143,7 @@ def from_function(dom: FinSet, cod: FinSet, f: Callable[[int], int] | Sequence[i
     rows = [[F0] * len(dom) for _ in range(len(cod))]
     for i, j in enumerate(table):
         rows[j][i] = F1
-    return StochMap(dom, cod, tuple(map(tuple, rows)))
+    return _kernel_map(dom, cod, tuple(map(tuple, rows)))
 
 
 def state(cod: FinSet, probs: Sequence[Fraction | int | str]) -> StochMap:
@@ -171,7 +188,7 @@ def compose_seq(q: StochMap, p: StochMap) -> StochMap:
                     if x:
                         acc[a] += w * x
         rows.append(tuple(acc))
-    return StochMap(p.dom, q.cod, tuple(rows))
+    return _kernel_map(p.dom, q.cod, tuple(rows))
 
 
 def compose_par(p: StochMap, q: StochMap) -> StochMap:
@@ -189,7 +206,7 @@ def compose_par(p: StochMap, q: StochMap) -> StochMap:
             for x in prow:
                 row.extend([x * y for y in qrow] if x else zeros)
             rows.append(tuple(row))
-    return StochMap(dom, cod, tuple(rows))
+    return _kernel_map(dom, cod, tuple(rows))
 
 
 def swap(a: FinSet, b: FinSet) -> StochMap:
@@ -202,16 +219,6 @@ def swap(a: FinSet, b: FinSet) -> StochMap:
 
 def is_deterministic(p: StochMap) -> bool:
     return all(x == 0 or x == 1 for row in p.matrix for x in row)
-
-
-def deterministic_function(p: StochMap) -> tuple[int, ...] | None:
-    """Index table of a deterministic map, or None if it is not one."""
-    if not is_deterministic(p):
-        return None
-    table = []
-    for i in range(len(p.dom)):
-        table.append(next(j for j in range(len(p.cod)) if p.matrix[j][i] == 1))
-    return tuple(table)
 
 
 def all_deterministic_maps(dom: FinSet, cod: FinSet) -> list[StochMap]:
@@ -290,9 +297,11 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
     Bob's share) to the new output.  The result is
 
         Q(b'|a') = sum over a, b, x, y of
-                   d(b'|b,y) * p(b|a) * e(a|a',x) * r(x,y)
+                   d(b'|b,y) * p(b|a) * e(a|a',x) * r(x,y),
 
-    computed exactly by explicit contraction.
+    the kernel composition d . (p (x) id_sb) . (e (x) id_sb) . (id_a' (x) r)
+    with r read as a state on sa (x) sb.  Only that state goes through the
+    public check; the composites are kernel-built and not checked again.
     """
     if e.cod.elements != p.dom.elements:
         raise CompositionError(f"encoder output {e.cod} does not match channel input {p.dom}")
@@ -300,30 +309,10 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
     if b_check.elements != p.cod.elements:
         raise CompositionError(f"decoder input {d.dom} does not factor as {p.cod} tensor {r.sb}")
     a_new = _split_product_left(e.dom, r.sa)
-    nx, ny = len(r.sa), len(r.sb)
-    na, nb = len(p.dom), len(p.cod)
-    rows = []
-    for bp in range(len(d.cod)):
-        row = []
-        for ap in range(len(a_new)):
-            total = F0
-            for x in range(nx):
-                for y in range(ny):
-                    rxy = r.joint[x][y]
-                    if rxy == 0:
-                        continue
-                    for a in range(na):
-                        ea = e.matrix[a][ap * nx + x]
-                        if ea == 0:
-                            continue
-                        for b in range(nb):
-                            pb = p.matrix[b][a]
-                            if pb == 0:
-                                continue
-                            total += d.matrix[bp][b * ny + y] * pb * ea * rxy
-            row.append(total)
-        rows.append(tuple(row))
-    return StochMap(a_new, d.cod, tuple(rows))
+    shared = state(tensor(r.sa, r.sb), [x for row in r.joint for x in row])
+    id_sb = identity(r.sb)
+    q = compose_seq(compose_par(e, id_sb), compose_par(identity(a_new), shared))
+    return compose_seq(d, compose_seq(compose_par(p, id_sb), q))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # Names the benchmark spec lists for functions the package no longer has.
 KNOWN_ABSENT = {"instances.ReactionTheory.geq", "linalg.in_span",
-                "linalg.orthogonal_residual"}
+                "linalg.orthogonal_residual", "stoch.deterministic_function"}
 
 
 def load_spans():

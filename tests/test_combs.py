@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -5,7 +6,7 @@ import pytest
 
 from resconv.combs import (NComb, OneComb, UCTransformation, apply_comb,
                            apply_comb_in_context, apply_ncomb, apply_uc,
-                           comb_equivalent, compose_combs_par, compose_combs_seq,
+                           comb_equivalent, comb_tensor, compose_combs_par, compose_combs_seq,
                            identity_comb, one_comb_as_ncomb, plug_ncombs, symmetry_comb)
 from resconv.stoch import (UNIT, CompositionError, all_deterministic_maps, compose_par,
                            compose_seq, discard, finset, identity, point_state,
@@ -56,6 +57,40 @@ def test_apply_comb_matches_nested_loop_contraction():
         via_ops = apply_comb(k, f)
         via_loops = contract_comb_on_process(k, f)
         assert [list(r) for r in via_ops.matrix] == via_loops
+
+
+def reference_comb_tensor(k):
+    """comb_tensor as first written: one explicit contraction loop over the
+    flat product indices (a, z) -> a*nz + z and (b, z) -> b*nz + z."""
+    na, nb = len(k.hole_dom), len(k.hole_cod)
+    nap, nbp = len(k.outer_dom), len(k.outer_cod)
+    nz = len(k.ancilla)
+    rows = []
+    for a in range(na):
+        for bp in range(nbp):
+            row = []
+            for ap in range(nap):
+                for b in range(nb):
+                    total = F(0)
+                    for z in range(nz):
+                        total += k.pre.matrix[a * nz + z][ap] * k.post.matrix[bp][b * nz + z]
+                    row.append(total)
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_comb_tensor_matches_the_contraction_loop():
+    rng = Random(17)
+    b3, d3, w3 = finset("b", 3), finset("d", 3), finset("w", 3)
+    cases = []
+    for a, b, z in itertools.product((UNIT, A2), (UNIT, b3), (UNIT, Z2, w3)):
+        for ap, bp in ((C2, D2), (UNIT, d3)):
+            for _ in range(2):
+                cases.append(OneComb(z, random_stoch_map(rng, ap, tensor(a, z)),
+                                     random_stoch_map(rng, tensor(b, z), bp), a, b))
+    assert len(cases) == 48
+    for k in cases:
+        assert comb_tensor(k) == reference_comb_tensor(k)
 
 
 def test_apply_comb_checks_hole_type():

@@ -528,8 +528,8 @@ def test_enumeration_lists_each_multiset_once_by_size_then_term(k):
 
 # count vectors
 
-@pytest.mark.parametrize("term", [("a", 1), (True, 1), (-1, 0), (1.5, 0), (1,)],
-                         ids=["string", "boolean", "negative", "fraction", "short"])
+@pytest.mark.parametrize("term", [("a", 1), (True, 1), (-1, 0), (1.5, 0), (1,), 5],
+                         ids=["string", "boolean", "negative", "fraction", "short", "integer"])
 def test_vector_term_that_is_not_a_count_vector_names_itself(term):
     with pytest.raises(InputError) as exc:
         VectorTheory(2, "additive").geq(term, (0, 0))

@@ -8,7 +8,7 @@ from resconv.instances import (ProbVector, RandomnessTheory, VectorTheory,
                                enumerate_prob_vectors, shannon_entropy)
 from resconv.monotones import (Monotone, builtin_monotone, classify, complete_family,
                                complete_family_violations, component_monotone,
-                               entropy_monotone, find_activation, rate, rate_upper_bound,
+                               entropy_monotone, rate, rate_upper_bound,
                                verify_monotone)
 
 F = Fraction
@@ -173,11 +173,6 @@ def test_monotone_index_that_is_not_an_integer_names_the_declaration(food, name,
     with pytest.raises(InputError) as exc:
         builtin_monotone(name, "general", t)
     assert str(exc.value) == message
-
-
-def test_no_activation_in_food(food):
-    d = find_activation(food, (1, 1), (0, 2), caps=5)
-    assert d.is_refuted
 
 
 def test_builtin_monotone_resolution(food):

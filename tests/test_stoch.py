@@ -158,6 +158,25 @@ def test_negative_entry_is_reported_before_a_wrong_column_sum():
     assert str(exc.value) == "negative probability -1/2"
 
 
+def test_kernels_skip_the_public_check_that_the_constructor_keeps(monkeypatch):
+    rng = Random(10)
+    p, q = random_stoch_map(rng, B2, B3), random_stoch_map(rng, B3, B4)
+    checked = []
+    monkeypatch.setattr(StochMap, "__post_init__", lambda m: checked.append(m))
+    built = [from_function(B3, B2, [0, 1, 1]), compose_seq(q, p), compose_par(p, q),
+             identity(B2), swap(B2, B3), discard(B4)]
+    assert checked == []
+    assert StochMap(p.dom, p.cod, p.matrix) == p and checked == [p]
+    monkeypatch.undo()
+    assert [StochMap(m.dom, m.cod, m.matrix) for m in built] == built
+    with pytest.raises(InputError) as exc:
+        StochMap(UNIT, B2, ((F(3, 2),), (F(-1, 2),)))
+    assert str(exc.value) == "negative probability -1/2"
+    with pytest.raises(InputError) as exc:
+        StochMap(B2, B2, ((F(1), F(1, 3)), (F(0), F(1, 3))))
+    assert str(exc.value) == "column 1 ('b1') sums to 2/3, not 1"
+
+
 def test_joint_distribution_must_sum_to_one():
     x, y = finset("x", 2), finset("y", 1)
     assert SharedRandomness(x, y, ((F(1, 3),), (F(2, 3),))).joint[1] == (F(2, 3),)
@@ -195,6 +214,66 @@ def test_one_time_pad_shape_recovers_identity():
     d = from_function(tensor(B2, sb), B2, [0, 1, 1, 0])
     q = simulate_channel(identity(B2), e, d, corr)
     assert q.matrix == identity(B2).matrix
+
+
+def reference_simulate_channel(p, e, d, r):
+    """simulate_channel as first written: one explicit contraction loop over
+    the flat product indices (a', x) -> a'*nx + x and (b, y) -> b*ny + y."""
+    nx, ny = len(r.sa), len(r.sb)
+    na, nb = len(p.dom), len(p.cod)
+    rows = []
+    for bp in range(len(d.cod)):
+        row = []
+        for ap in range(len(e.dom) // nx):
+            total = F(0)
+            for x in range(nx):
+                for y in range(ny):
+                    rxy = r.joint[x][y]
+                    if rxy == 0:
+                        continue
+                    for a in range(na):
+                        ea = e.matrix[a][ap * nx + x]
+                        if ea == 0:
+                            continue
+                        for b in range(nb):
+                            pb = p.matrix[b][a]
+                            if pb == 0:
+                                continue
+                            total += d.matrix[bp][b * ny + y] * pb * ea * rxy
+            row.append(total)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def random_joint(rng, sa, sb):
+    w = [[rng.randint(0, 3) for _ in range(len(sb))] for _ in range(len(sa))]
+    w[rng.randrange(len(sa))][rng.randrange(len(sb))] += 1
+    total = sum(map(sum, w))
+    return SharedRandomness(sa, sb, tuple(tuple(F(x, total) for x in row) for row in w))
+
+
+def is_correlated(r):
+    px, py = [sum(row) for row in r.joint], [sum(col) for col in zip(*r.joint)]
+    return any(r.joint[x][y] != px[x] * py[y] for x in range(len(px)) for y in range(len(py)))
+
+
+def test_simulate_channel_matches_the_contraction_loop():
+    rng = Random(16)
+    cases = []
+    for sa, sb in itertools.product((UNIT, finset("x", 2)), (UNIT, finset("y", 3))):
+        for a_new, a, b, b_new in ((B2, B2, B2, B2), (B3, B2, B3, B4), (UNIT, B3, B2, UNIT)):
+            for _ in range(4):
+                cases.append((random_stoch_map(rng, a, b),
+                              random_stoch_map(rng, tensor(a_new, sa), a),
+                              random_stoch_map(rng, tensor(b, sb), b_new),
+                              random_joint(rng, sa, sb), a_new))
+    assert len(cases) == 48
+    assert any(not is_deterministic(e) for _, e, _, _, _ in cases)
+    assert any(not is_deterministic(d) for _, _, d, _, _ in cases)
+    assert any(is_correlated(r) for *_, r, _ in cases)
+    for p, e, d, r, a_new in cases:
+        q = simulate_channel(p, e, d, r)
+        assert (q.dom, q.cod, q.matrix) == (a_new, d.cod, reference_simulate_channel(p, e, d, r))
 
 
 def test_simulation_search_finds_trivial_self_simulation():
@@ -583,14 +662,22 @@ def test_closure_builds_no_map_per_reached_state(monkeypatch):
     expected = naive_free_reachable(start, gens, depth=3)
     targets = [state_of(k) for k in expected]
     built = []
-    real = StochMap.__post_init__
+    real_check, real_kernel = StochMap.__post_init__, stoch_module._kernel_map
 
-    def counting(m):
+    def checked(m):
         if m.dom.elements == UNIT.elements:
             built.append(m)
-        real(m)
+        real_check(m)
 
-    monkeypatch.setattr(StochMap, "__post_init__", counting)
+    def kernel_built(dom, cod, matrix):
+        m = real_kernel(dom, cod, matrix)
+        if dom.elements == UNIT.elements:
+            built.append(m)
+        return m
+
+    # a map is built either through the public check or by a kernel
+    monkeypatch.setattr(StochMap, "__post_init__", checked)
+    monkeypatch.setattr(stoch_module, "_kernel_map", kernel_built)
     batch = search_free_transformation_batch(start, targets, gens, depth=3)
     assert built == []
     assert [d.witness[1] for d in batch] == list(expected.values())
