@@ -172,7 +172,7 @@ def cmd_simulate_channel(args: argparse.Namespace) -> int:
         if d.is_proven:
             w = d.witness
             q = simulate_channel(p, w.encoder, w.decoder, w.randomness)
-            if q.matrix != target.matrix:
+            if (q.den, q.nums) != (target.den, target.nums):
                 raise RuntimeError("exact-simulation witness does not replay "
                                    "through simulate_channel")
             human.append("witness re-verified through simulate_channel")
@@ -209,7 +209,8 @@ def cmd_normalize_circuit(args: argparse.Namespace) -> int:
     extra = [random_stoch_map(rng, comb.hole_dom, comb.hole_cod) for _ in range(5)]
     for f in basis + extra:
         direct = evaluate_circuit(circuit, {hole.name: f})
-        if apply_comb(comb, f).matrix != direct.matrix:
+        via_comb = apply_comb(comb, f)
+        if (via_comb.den, via_comb.nums) != (direct.den, direct.nums):
             raise AssertionError("normal form disagrees with direct evaluation")
     human = [
         f"hole {hole.name}: {comb.hole_dom.label}({len(comb.hole_dom)}) -> "

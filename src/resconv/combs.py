@@ -92,26 +92,31 @@ def apply_comb_in_context(k: OneComb, h: StochMap,
     return compose_seq(compose_par(k.post, identity(side_out)), stage)
 
 
+def _behavior(k: OneComb) -> StochMap:
+    """The kernel composition (id_A (x) (post . swap(Z,B))) . (pre (x) id_B),
+    a stochastic map A' (x) B -> A (x) B' that is kernel-built and not
+    checked again; comb_tensor is its matrix."""
+    post = compose_seq(k.post, swap(k.ancilla, k.hole_cod))
+    return compose_seq(compose_par(identity(k.hole_dom), post),
+                       compose_par(k.pre, identity(k.hole_cod)))
+
+
 def comb_tensor(k: OneComb) -> tuple[tuple[Fraction, ...], ...]:
     """Four-index behavior tensor W[(a,b')][(a',b)] = sum over z of
     pre((a,z)|a') * post(b'|(b,z)).  Two combs act identically on every
-    plugged process iff their tensors agree entrywise.
-
-    W is the matrix of the kernel composition
-    (id_A (x) (post . swap(Z,B))) . (pre (x) id_B), a stochastic map
-    A' (x) B -> A (x) B' that is kernel-built and not checked again."""
-    post = compose_seq(k.post, swap(k.ancilla, k.hole_cod))
-    return compose_seq(compose_par(identity(k.hole_dom), post),
-                       compose_par(k.pre, identity(k.hole_cod))).matrix
+    plugged process iff their tensors agree entrywise."""
+    return _behavior(k).matrix
 
 
 def comb_equivalent(k1: OneComb, k2: OneComb) -> bool:
-    """Same operational behavior on every plugged process."""
+    """Same operational behavior on every plugged process: equal behavior
+    tensors, compared as reduced integer numerators."""
     if (k1.hole_dom.elements, k1.hole_cod.elements) != (k2.hole_dom.elements, k2.hole_cod.elements):
         raise CompositionError("combs have different hole types")
     if (k1.outer_dom.elements, k1.outer_cod.elements) != (k2.outer_dom.elements, k2.outer_cod.elements):
         raise CompositionError("combs have different outer types")
-    return comb_tensor(k1) == comb_tensor(k2)
+    w1, w2 = _behavior(k1), _behavior(k2)
+    return (w1.den, w1.nums) == (w2.den, w2.nums)
 
 
 def compose_combs_seq(k2: OneComb, k1: OneComb) -> OneComb:

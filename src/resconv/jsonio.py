@@ -25,6 +25,8 @@ carry "monotones": [{"name": .., "class": ..}].
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -69,9 +71,23 @@ def _int(x: Any, what: str) -> int:
     return i
 
 
+# The exponent of a literal such as "1e-5", in the syntax Fraction reads.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _frac(x: Any) -> Fraction:
+    """A rational literal.  Fraction builds 10**|e| for an exponent e, as in
+    "1e-5", so a literal whose 10**|e| has more digits than Python's
+    int-string limit is refused before conversion, as a numerator or
+    denominator with that many digits is."""
+    text = str(x)
     try:
-        return Fraction(str(x))
+        exp = _EXPONENT.search(text)
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if exp and limit and abs(int(exp.group(1))) >= limit:
+            raise ValueError(f"exponent exceeds the limit ({limit} digits) for "
+                             "integer string conversion")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational literal {x!r}: {exc}") from None
 

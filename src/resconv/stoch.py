@@ -1,9 +1,11 @@
 """Exact finite stochastic maps with strict parallel composition.
 
-Matrices hold `Fraction` entries, rows indexed by the codomain, columns
-by the domain; every column sums to exactly 1.  Map equality is
-entrywise rational equality, so algebraic laws hold on the nose rather
-than up to tolerance.
+A map holds integer numerators over one positive denominator per map,
+rows indexed by the codomain, columns by the domain; every column sums
+to exactly 1.  The form is reduced, so map equality is entrywise
+rational equality and algebraic laws hold on the nose rather than up to
+tolerance.  The kernels and searches read the integers; `matrix`, the
+`Fraction` view, is built only when something reads it.
 
 Product sets use flat element names joined with '|'; the canonical unit
 (a singleton named '*') is dropped from products, which makes the tensor
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -85,45 +88,65 @@ def tensor_all(sets: Sequence[FinSet]) -> FinSet:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StochMap:
-    """Conditional distribution matrix[output][input] between finite sets."""
+    """Conditional distribution between finite sets, held as integer
+    numerators nums[output][input] over one positive denominator den.
+
+    The form is reduced, gcd(den, *nums) == 1, so equality and hashing,
+    which compare (dom, cod, den, nums), are entrywise rational equality.
+    `matrix` is the same map as `Fraction` entries, built on first read
+    and cached.
+    """
 
     dom: FinSet
     cod: FinSet
-    matrix: tuple[tuple[Fraction, ...], ...]
+    den: int
+    nums: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows, cols = len(self.cod), len(self.dom)
-        if len(self.matrix) != rows or any(len(r) != cols for r in self.matrix):
-            raise InputError(
-                f"matrix must be {rows}x{cols} for {self.cod} given {self.dom}")
-        for r in self.matrix:
+    def __init__(self, dom: FinSet, cod: FinSet,
+                 matrix: Sequence[Sequence[Fraction]]) -> None:
+        """Check the rational matrix[output][input] for shape, signs and
+        column sums, then store it over the lcm of its denominators (which
+        is already reduced)."""
+        rows, cols = len(cod), len(dom)
+        if len(matrix) != rows or any(len(r) != cols for r in matrix):
+            raise InputError(f"matrix must be {rows}x{cols} for {cod} given {dom}")
+        for r in matrix:
             for x in r:
                 if x.numerator < 0:
                     raise InputError(f"negative probability {x}")
-        for i, col in enumerate(zip(*self.matrix)):
-            nums, den = common_denominator(col)
-            if sum(nums) != den:
-                raise InputError(f"column {i} ({self.dom.elements[i]!r}) sums to "
-                                 f"{Fraction(sum(nums), den)}, not 1")
+        flat, den = common_denominator(x for r in matrix for x in r)
+        for i in range(cols):
+            total = sum(flat[i::cols])
+            if total != den:
+                raise InputError(f"column {i} ({dom.elements[i]!r}) sums to "
+                                 f"{Fraction(total, den)}, not 1")
+        nums = tuple(tuple(flat[j * cols:(j + 1) * cols]) for j in range(rows))
+        self.__dict__.update(dom=dom, cod=cod, den=den, nums=nums)
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.nums)
 
     def __call__(self, out_name: str, in_name: str) -> Fraction:
-        return self.matrix[self.cod.index(out_name)][self.dom.index(in_name)]
+        return Fraction(self.nums[self.cod.index(out_name)][self.dom.index(in_name)], self.den)
 
     def column(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(self.matrix[j][i] for j in range(len(self.cod)))
+        return tuple(Fraction(row[i], self.den) for row in self.nums)
 
     def __str__(self) -> str:
         return f"StochMap {self.dom.label} -> {self.cod.label} ({len(self.cod)}x{len(self.dom)})"
 
 
-def _kernel_map(dom: FinSet, cod: FinSet,
-                matrix: tuple[tuple[Fraction, ...], ...]) -> StochMap:
+def _kernel_map(dom: FinSet, cod: FinSet, den: int,
+                nums: tuple[tuple[int, ...], ...]) -> StochMap:
     """The one constructor for maps the kernels build from valid maps or
-    index tables; it skips the public constructor's check."""
+    index tables: nums over den, already reduced.  It skips the public
+    constructor's check."""
     m = object.__new__(StochMap)
-    m.__dict__.update(dom=dom, cod=cod, matrix=matrix)
+    m.__dict__.update(dom=dom, cod=cod, den=den, nums=nums)
     return m
 
 
@@ -140,10 +163,10 @@ def from_function(dom: FinSet, cod: FinSet, f: Callable[[int], int] | Sequence[i
     table = [f(i) for i in range(len(dom))] if callable(f) else list(f)
     if len(table) != len(dom) or any(not 0 <= j < len(cod) for j in table):
         raise InputError("function table does not match the domain/codomain")
-    rows = [[F0] * len(dom) for _ in range(len(cod))]
+    rows = [[0] * len(dom) for _ in range(len(cod))]
     for i, j in enumerate(table):
-        rows[j][i] = F1
-    return _kernel_map(dom, cod, tuple(map(tuple, rows)))
+        rows[j][i] = 1
+    return _kernel_map(dom, cod, 1, tuple(map(tuple, rows)))
 
 
 def state(cod: FinSet, probs: Sequence[Fraction | int | str]) -> StochMap:
@@ -168,11 +191,11 @@ def discard(dom: FinSet) -> StochMap:
 def compose_seq(q: StochMap, p: StochMap) -> StochMap:
     """q after p: matrix product, summing over the middle alphabet.
 
-    Each output row is accumulated from the nonzero entries of q's row
-    times the nonzero entries of p's matching rows; zero terms are
+    The integer product of the numerators over q.den * p.den, reduced by
+    one gcd.  Each output row is accumulated from the nonzero entries of
+    q's row times the nonzero entries of p's matching rows; zero terms are
     skipped, so sparse maps (identities, swaps, deterministic maps and
-    their tensor products) cost little.  The sums are exact, so the
-    result equals the dense product entry for entry.
+    their tensor products) cost little.
     """
     if p.cod.elements != q.dom.elements:
         raise CompositionError(
@@ -180,33 +203,43 @@ def compose_seq(q: StochMap, p: StochMap) -> StochMap:
             f"middle types differ")
     nd = len(p.dom)
     rows = []
-    for qrow in q.matrix:
-        acc = [F0] * nd
-        for w, prow in zip(qrow, p.matrix):
+    for qrow in q.nums:
+        acc = [0] * nd
+        for w, prow in zip(qrow, p.nums):
             if w:
                 for a, x in enumerate(prow):
                     if x:
                         acc[a] += w * x
-        rows.append(tuple(acc))
-    return _kernel_map(p.dom, q.cod, tuple(rows))
+        rows.append(acc)
+    den = q.den * p.den
+    g = gcd(den, *itertools.chain.from_iterable(rows)) if den > 1 else 1
+    if g > 1:
+        return _kernel_map(p.dom, q.cod, den // g,
+                           tuple(tuple(x // g for x in row) for row in rows))
+    return _kernel_map(p.dom, q.cod, den, tuple(map(tuple, rows)))
 
 
 def compose_par(p: StochMap, q: StochMap) -> StochMap:
     """Side-by-side execution: Kronecker product on product alphabets.
 
-    Blocks under a zero entry of p are written as zeros without
-    multiplying."""
+    The numerators' Kronecker product over p.den * q.den.  Blocks under a
+    zero entry of p are written as zeros, and under an entry 1 as q's row,
+    without multiplying."""
     dom = tensor(p.dom, q.dom)
     cod = tensor(p.cod, q.cod)
-    zeros = (F0,) * len(q.dom)
+    zeros = (0,) * len(q.dom)
     rows = []
-    for prow in p.matrix:
-        for qrow in q.matrix:
-            row: list[Fraction] = []
+    for prow in p.nums:
+        for qrow in q.nums:
+            row: list[int] = []
             for x in prow:
-                row.extend([x * y for y in qrow] if x else zeros)
+                row.extend(qrow if x == 1 else [x * y for y in qrow] if x else zeros)
             rows.append(tuple(row))
-    return _kernel_map(dom, cod, tuple(rows))
+    # Already reduced: a prime dividing every product x*y divides, for each
+    # pair of columns, all of p's column or all of q's; so it divides all of
+    # p or all of q, and then that map's denominator (a column sum) too,
+    # which a reduced map rules out.
+    return _kernel_map(dom, cod, p.den * q.den, tuple(rows))
 
 
 def swap(a: FinSet, b: FinSet) -> StochMap:
@@ -218,7 +251,7 @@ def swap(a: FinSet, b: FinSet) -> StochMap:
 
 
 def is_deterministic(p: StochMap) -> bool:
-    return all(x == 0 or x == 1 for row in p.matrix for x in row)
+    return p.den == 1
 
 
 def all_deterministic_maps(dom: FinSet, cod: FinSet) -> list[StochMap]:
@@ -351,13 +384,15 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
     if caps < 1:
         raise InputError("caps must be at least 1")
 
+    # Columns of integer numerators, over p.den and target.den.
+    p_cols, t_cols = list(zip(*p.nums)), list(zip(*target.nums))
+
     # Sound refutation: constant channels are closed under wrapping.
-    if len(set(p.column(i) for i in range(len(p.dom)))) == 1 \
-            and len(set(target.column(i) for i in range(len(target.dom)))) > 1:
+    if len(set(p_cols)) == 1 and len(set(t_cols)) > 1:
         i0, j0 = next((i, j)
-                      for i in range(len(target.dom))
-                      for j in range(len(target.dom))
-                      if target.column(i) != target.column(j))
+                      for i in range(len(t_cols))
+                      for j in range(len(t_cols))
+                      if t_cols[i] != t_cols[j])
         return Decision.refuted(("input-independent-channel", i0, j0),
                                 note="p ignores its input but target does not")
 
@@ -369,27 +404,26 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
     encoders = list(itertools.product(range(len(p.dom)), repeat=len(target.dom)))
     decoders = list(itertools.product(range(len(target.cod)), repeat=len(p.cod)))
 
-    def wrapped(enc: tuple[int, ...], dec: tuple[int, ...]) -> list[Fraction]:
-        # Column-major flat entries of dec . p . enc.
+    def wrapped(enc: tuple[int, ...], dec: tuple[int, ...]) -> list[int]:
+        # Column-major flat numerators of dec . p . enc, over p.den.
         out = []
-        for ap in range(len(target.dom)):
-            col = [F0] * len(target.cod)
-            a = enc[ap]
-            for b in range(len(p.cod)):
-                col[dec[b]] += p.matrix[b][a]
+        for a in enc:
+            col = [0] * len(target.cod)
+            for b, x in enumerate(p_cols[a]):
+                col[dec[b]] += x
             out.extend(col)
         return out
 
-    goal = []
-    for ap in range(len(target.dom)):
-        goal.extend(target.column(ap))
+    goal = [y for col in t_cols for y in col]
+    # a column matches the goal iff column / p.den == goal / target.den
+    goal_cross = [y * p.den for y in goal]
 
     # One pair matching alone needs no randomness; else all columns go to the LP.
     pairs = [(enc, dec) for enc in encoders for dec in decoders]
     columns = []
     for enc, dec in pairs:
         column = wrapped(enc, dec)
-        if column == goal:
+        if [x * target.den for x in column] == goal_cross:
             return Decision.proven(SimulationWitness(
                 _map_from_functions(target.dom, UNIT, p.dom, [enc]),
                 _map_from_functions(p.cod, UNIT, target.cod, [dec]),
@@ -398,10 +432,12 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
 
     # Exact feasibility over joint mixtures of encoder/decoder pairs.
     from .linalg import feasible_nonneg_solution
-    n_eq = len(goal)
-    equations = [[columns[k][row] for k in range(len(pairs))] for row in range(n_eq)]
+    # Rational rows, not integer ones: scaling a row would change Bland's
+    # phase-1 cost row, and so possibly the pivots and the witness.
+    frac = {x: Fraction(x, p.den) for x in set(itertools.chain.from_iterable(columns))}
+    equations = [[frac[col[row]] for col in columns] for row in range(len(goal))]
     equations.append([F1] * len(pairs))
-    rhs = list(goal) + [F1]
+    rhs = [Fraction(y, target.den) for y in goal] + [F1]
     sol = feasible_nonneg_solution(equations, rhs)
     if sol is not None:
         support = [k for k, w in enumerate(sol) if w != 0]
@@ -436,18 +472,16 @@ def _reduced_key(cod: tuple[str, ...], den: int, nums: Sequence[int]) -> _StateK
 
 
 def _state_key(m: StochMap) -> _StateKey:
-    """A state's identity in the closure: (codomain elements, d, numerators)."""
-    nums, den = common_denominator(m.column(0))
-    return _reduced_key(m.cod.elements, den, nums)
+    """A state's identity in the closure: (codomain elements, d, numerators).
+    A state's map is one column, reduced, so this is the reduced key."""
+    return m.cod.elements, m.den, tuple(row[0] for row in m.nums)
 
 
 def _step(g: StochMap) -> _Step:
-    """g as a sparse integer step: its nonzero entries as integer weights
-    over their lcm dg.  A deterministic map has one entry of weight 1 per
-    domain symbol and dg = 1."""
-    support = [(i, j, x) for j, row in enumerate(g.matrix) for i, x in enumerate(row) if x]
-    weights, dg = common_denominator(x for _, _, x in support)
-    return g, [(i, j, w) for (i, j, _), w in zip(support, weights)], dg
+    """g as a sparse integer step: its nonzero numerators over dg = g.den.
+    A deterministic map has one entry of weight 1 per domain symbol and
+    dg = 1."""
+    return g, [(i, j, x) for j, row in enumerate(g.nums) for i, x in enumerate(row) if x], g.den
 
 
 def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],

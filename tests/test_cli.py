@@ -317,6 +317,9 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
     ("vec.json", "[" * 100_000 + "]" * 100_000, ["convert", "{path}", "[1]", "[1]"]),
     ("vec.json", {"kind": "vector", "arity": 2, "mode": "additive"},
      ["convert", "{path}", "[" * 100_000 + "]" * 100_000, "[0,0]"]),
+    ("p.json", {"dom": ["b0", "b1"], "cod": ["b0", "b1"],
+                "matrix": [["1", "0e-100000"], ["0e-100000", "1"]]},
+     ["simulate-channel", "{path}", "--target", "{other}"]),
 ], ids=["vector-without-arity", "vector-without-mode", "matrix-not-list",
         "randomness-without-sa", "theory-not-object", "uc-without-allocation",
         "ncomb-without-stages", "rate-monotone-without-name",
@@ -335,7 +338,8 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
         "rate-entropy-on-vectors", "component-on-table", "component-on-randomness",
         "monotone-class-unknown", "vector-entry-boolean", "multiset-count-boolean",
         "table-index-boolean", "channel-column-sum-not-one", "channel-negative-entry",
-        "theory-nested-too-deep", "term-nested-too-deep"])
+        "theory-nested-too-deep", "term-nested-too-deep",
+        "channel-literal-exponent-too-large"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, content, argv):
     path = tmp_path / name
     path.write_text(content if isinstance(content, str) else json.dumps(content))

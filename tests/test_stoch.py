@@ -1,11 +1,13 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 
 import resconv.stoch as stoch_module
+from resconv.combs import NComb, apply_ncomb, comb_equivalent, compose_combs_seq, plug_ncombs
 from resconv.core import Decision, InputError
 from resconv.instances import (ProbVector, deterministic_convertible,
                                enumerate_prob_vectors)
@@ -16,6 +18,8 @@ from resconv.stoch import (UNIT, CompositionError, FinSet, SharedRandomness, Sto
                            random_stoch_map, search_exact_simulation,
                            search_free_transformation_batch, simulate_channel, state,
                            swap, tensor, trivial_randomness, uniform_state)
+
+from conftest import random_comb
 
 F = Fraction
 
@@ -162,7 +166,13 @@ def test_kernels_skip_the_public_check_that_the_constructor_keeps(monkeypatch):
     rng = Random(10)
     p, q = random_stoch_map(rng, B2, B3), random_stoch_map(rng, B3, B4)
     checked = []
-    monkeypatch.setattr(StochMap, "__post_init__", lambda m: checked.append(m))
+    real_init = StochMap.__init__
+
+    def checked_init(m, dom, cod, matrix):  # the public constructor, check included
+        real_init(m, dom, cod, matrix)
+        checked.append(m)
+
+    monkeypatch.setattr(StochMap, "__init__", checked_init)
     built = [from_function(B3, B2, [0, 1, 1]), compose_seq(q, p), compose_par(p, q),
              identity(B2), swap(B2, B3), discard(B4)]
     assert checked == []
@@ -175,6 +185,37 @@ def test_kernels_skip_the_public_check_that_the_constructor_keeps(monkeypatch):
     with pytest.raises(InputError) as exc:
         StochMap(B2, B2, ((F(1), F(1, 3)), (F(0), F(1, 3))))
     assert str(exc.value) == "column 1 ('b1') sums to 2/3, not 1"
+
+
+def test_maps_are_reduced_and_equal_by_value_whatever_the_route():
+    rng = Random(31)
+    sets = [UNIT, B2, B3, B4]
+    maps = []
+    for _ in range(60):
+        a, b, c = (rng.choice(sets) for _ in range(3))
+        p, q = random_stoch_map(rng, a, b), random_stoch_map(rng, b, c)
+        f = from_function(b, c, [rng.randrange(len(c)) for _ in b.elements])
+        w = [rng.randint(0, 3) for _ in b.elements]
+        w[0] += 1
+        maps += [p, f, compose_seq(q, p), compose_seq(f, p), compose_par(p, q),
+                 compose_par(f, p), swap(a, b), identity(c), state(b, [F(x, sum(w)) for x in w])]
+        # a composite that is deterministic, against from_function
+        constant = rng.randrange(len(c))
+        via_p = compose_seq(from_function(b, c, [constant] * len(b)), p)
+        direct = from_function(a, c, [constant] * len(a))
+        assert via_p == direct and hash(via_p) == hash(direct)
+    for m in maps:
+        assert m.den > 0 and gcd(m.den, *itertools.chain(*m.nums)) == 1
+        rebuilt = StochMap(m.dom, m.cod, m.matrix)
+        assert rebuilt == m and hash(rebuilt) == hash(m)
+    for x, y in ((B2, B3), (UNIT, B4), (B3, B3)):
+        there_and_back = compose_seq(swap(y, x), swap(x, y))
+        assert there_and_back == identity(tensor(x, y))
+        assert hash(there_and_back) == hash(identity(tensor(x, y)))
+    spread = compose_seq(compose_seq(uniform_state(B3), discard(B2)), uniform_state(B2))
+    assert spread == uniform_state(B3) and hash(spread) == hash(uniform_state(B3))
+    both = compose_par(uniform_state(B2), uniform_state(B3))
+    assert both == uniform_state(tensor(B2, B3)) and hash(both) == hash(uniform_state(tensor(B2, B3)))
 
 
 def test_joint_distribution_must_sum_to_one():
@@ -662,25 +703,56 @@ def test_closure_builds_no_map_per_reached_state(monkeypatch):
     expected = naive_free_reachable(start, gens, depth=3)
     targets = [state_of(k) for k in expected]
     built = []
-    real_check, real_kernel = StochMap.__post_init__, stoch_module._kernel_map
+    real_init, real_kernel = StochMap.__init__, stoch_module._kernel_map
 
-    def checked(m):
-        if m.dom.elements == UNIT.elements:
+    def checked(m, dom, cod, matrix):
+        if dom.elements == UNIT.elements:
             built.append(m)
-        real_check(m)
+        real_init(m, dom, cod, matrix)
 
-    def kernel_built(dom, cod, matrix):
-        m = real_kernel(dom, cod, matrix)
+    def kernel_built(dom, cod, den, nums):
+        m = real_kernel(dom, cod, den, nums)
         if dom.elements == UNIT.elements:
             built.append(m)
         return m
 
     # a map is built either through the public check or by a kernel
-    monkeypatch.setattr(StochMap, "__post_init__", checked)
+    monkeypatch.setattr(StochMap, "__init__", checked)
     monkeypatch.setattr(stoch_module, "_kernel_map", kernel_built)
     batch = search_free_transformation_batch(start, targets, gens, depth=3)
     assert built == []
     assert [d.witness[1] for d in batch] == list(expected.values())
+
+
+def test_kernels_and_searches_build_no_fraction_view(monkeypatch):
+    """The integer path: kernels, closure steps and state keys, and comb
+    equivalence never build a map's `Fraction` matrix."""
+    rng = Random(33)
+    start, gens = closure_case(0)
+    unreachable = state(B2, [F(1, 7), F(6, 7)])
+    k1, k2, k3 = (random_comb(rng, B2, B2, B2, B2) for _ in range(3))
+    z, z2 = finset("z", 2), finset("y", 2)
+    outer = NComb(((B2, B3),), (0,), (random_stoch_map(rng, B2, tensor(B2, z)),
+                                      random_stoch_map(rng, tensor(B3, z), B2)), (z,))
+    inner = NComb(((B3, B2),), (0,), (random_stoch_map(rng, B2, tensor(B3, z2)),
+                                      random_stoch_map(rng, tensor(B2, z2), B3)), (z2,))
+    g = random_stoch_map(rng, B3, B2)
+    views = []
+    build = StochMap.matrix.func
+
+    def counted(m):
+        views.append(m)
+        return build(m)
+
+    monkeypatch.setattr(StochMap, "matrix", property(counted))
+    closure = search_free_transformation_batch(start, [unreachable], gens, depth=3)
+    assert closure[0].is_unknown
+    assert comb_equivalent(compose_combs_seq(k3, compose_combs_seq(k2, k1)),
+                           compose_combs_seq(compose_combs_seq(k3, k2), k1))
+    plugged = apply_ncomb(plug_ncombs(outer, [inner]), [g])
+    assert plugged == apply_ncomb(outer, [apply_ncomb(inner, [g])])
+    assert views == []
+    assert plugged.matrix == build(plugged) and views == [plugged]
 
 
 def sparse_map(rng, dom, cod):
