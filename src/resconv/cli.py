@@ -191,9 +191,9 @@ def cmd_simulate_channel(args: argparse.Namespace) -> int:
     dmap = jsonio.load_stoch_map(jsonio.read_json(args.decoder))
     r = jsonio.load_shared_randomness(jsonio.read_json(args.randomness))
     q = simulate_channel(p, e, dmap, r)
-    _emit(args, jsonio.dump_stoch_map(q),
-          [f"simulated channel {q.dom.label} -> {q.cod.label}:"]
-          + [" ".join(str(x) for x in row) for row in q.matrix])
+    payload = jsonio.dump_stoch_map(q, "the simulated channel")
+    _emit(args, payload, [f"simulated channel {q.dom.label} -> {q.cod.label}:"]
+          + [" ".join(row) for row in payload["matrix"]])
     return 0
 
 
@@ -245,11 +245,11 @@ def cmd_uc_apply(args: argparse.Namespace) -> int:
     uc = jsonio.load_uc(jsonio.read_json(args.uc))
     fs = [jsonio.load_stoch_map(jsonio.read_json(p)) for p in args.process]
     outputs = apply_uc(uc, fs)
-    payload = [jsonio.dump_stoch_map(q) for q in outputs]
+    payload = [jsonio.dump_stoch_map(q, f"output {j}") for j, q in enumerate(outputs)]
     human = []
-    for j, q in enumerate(outputs):
+    for j, (q, out) in enumerate(zip(outputs, payload)):
         human.append(f"output {j}: {q.dom.label} -> {q.cod.label}")
-        human += ["  " + " ".join(str(x) for x in row) for row in q.matrix]
+        human += ["  " + " ".join(row) for row in out["matrix"]]
     _emit(args, payload, human)
     return 0
 

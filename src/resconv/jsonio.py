@@ -6,7 +6,7 @@ Field names are part of the package contract:
   presentation    {"objects": [..], "morphisms": [{"name", "from", "to"}]}
                   ("from"/"to" are name lists or {"name": count} objects)
   stochastic map  {"dom": ["a0", ..], "cod": ["b0", ..], "matrix": [["1/2", ..], ..]}
-                  (rows indexed by the codomain, entries rational strings)
+                  (rows indexed by the codomain, entries rational literals)
   probabilities   ["1/2", "1/4", "1/4"]
   shared random   {"sa": [..], "sb": [..], "joint": [["1/4", ..], ..]}
   one-comb        {"ancilla": [..], "hole_dom": [..], "hole_cod": [..],
@@ -16,6 +16,11 @@ Field names are part of the package contract:
   allocation      {"allocation": [j0, j1, ..], "combs": [<n-comb>, ..]}
   circuit library {"maps": {name: {"dom": [wire, ..], "cod": [wire, ..],
                    "matrix": [..], "free": bool}}}  ("maps" envelope optional)
+
+A rational literal is a string Fraction accepts ("1/2", "0.25", "1e-3")
+or a JSON number.  A map entry written "p" or "p/q" in ASCII digits is
+read straight to the integers p and q with int(); any other entry goes
+through Fraction, with the same values and messages.
 
 Vector/randomness/spectrum theories use a {"kind": ...} envelope; finite
 tables and presentations are recognized by shape.  A theory file may
@@ -28,6 +33,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -37,7 +43,7 @@ from .instances import (EntanglementSpectrumTheory, ProbVector,
                         RandomnessTheory, VectorTheory)
 from .monotones import Monotone, builtin_monotone
 from .presentation import MorphismGenerator, Multiset, MultisetTheory, ms_make
-from .stoch import FinSet, SharedRandomness, StochMap, tensor_all
+from .stoch import FinSet, SharedRandomness, StochMap, from_ratios, tensor_all
 
 
 def _fields(data: Any, what: str, *names: str) -> list:
@@ -92,6 +98,26 @@ def _frac(x: Any) -> Fraction:
         raise InputError(f"bad rational literal {x!r}: {exc}") from None
 
 
+def _ratio(x: Any) -> tuple[int, int]:
+    """A rational literal as a reduced (numerator, denominator) pair.  A
+    plain ASCII "p" or "p/q" with q != 0 is split and read with int();
+    anything else, and a part past the int-string digit limit, is read
+    by _frac."""
+    if type(x) is str and x.isascii():
+        p, slash, q = x.partition("/")
+        if p.isdigit() and (q.isdigit() or not slash):
+            try:
+                n, d = int(p), int(q) if slash else 1
+            except ValueError:  # more digits than the int-string limit
+                pass
+            else:
+                if d:
+                    g = gcd(n, d)
+                    return n // g, d // g
+    f = _frac(x)
+    return f.numerator, f.denominator
+
+
 def _bool(x: Any, what: str) -> bool:
     """A JSON boolean, or 0/1, as a bool; any other value is an InputError."""
     if x not in (0, 1):  # True and False compare equal to 1 and 0
@@ -130,14 +156,20 @@ def _matrix(raw: Any, what: str, entry: Callable[[Any], Any] = _frac) -> tuple[t
 
 def load_stoch_map(data: Mapping) -> StochMap:
     dom, cod, matrix = _fields(data, "stochastic map", "dom", "cod", "matrix")
-    return StochMap(load_finset(dom, "dom"), load_finset(cod, "cod"),
-                    _matrix(matrix, "stochastic map matrix"))
+    return from_ratios(load_finset(dom, "dom"), load_finset(cod, "cod"),
+                       _matrix(matrix, "stochastic map matrix", _ratio))
 
 
-def dump_stoch_map(p: StochMap) -> dict:
-    return {"dom": list(p.dom.elements),
-            "cod": list(p.cod.elements),
-            "matrix": [[str(x) for x in row] for row in p.matrix]}
+def dump_stoch_map(p: StochMap, what: str = "a stochastic map") -> dict:
+    """p as JSON; an entry too long to print as a string is an InputError
+    naming `what`."""
+    try:
+        matrix = [[str(x) for x in row] for row in p.matrix]
+    except ValueError:  # a numerator or denominator past the int-string limit
+        raise InputError(f"cannot print {what}: an entry has more than "
+                         f"{sys.get_int_max_str_digits()} digits, the limit for "
+                         "integer string conversion") from None
+    return {"dom": list(p.dom.elements), "cod": list(p.cod.elements), "matrix": matrix}
 
 
 def load_prob_vector(raw: Any) -> ProbVector:
@@ -168,8 +200,8 @@ def dump_one_comb(k: OneComb) -> dict:
     return {"ancilla": list(k.ancilla.elements),
             "hole_dom": list(k.hole_dom.elements),
             "hole_cod": list(k.hole_cod.elements),
-            "pre": dump_stoch_map(k.pre),
-            "post": dump_stoch_map(k.post)}
+            "pre": dump_stoch_map(k.pre, "the comb's pre map"),
+            "post": dump_stoch_map(k.post, "the comb's post map")}
 
 
 def load_ncomb(data: Mapping) -> NComb:
@@ -189,7 +221,7 @@ def dump_ncomb(k: NComb) -> dict:
     return {"holes": [{"dom": list(d.elements), "cod": list(c.elements)}
                       for d, c in k.holes],
             "order": list(k.order),
-            "stages": [dump_stoch_map(s) for s in k.stages],
+            "stages": [dump_stoch_map(s, f"comb stage {i}") for i, s in enumerate(k.stages)],
             "ancillas": [list(z.elements) for z in k.ancillas]}
 
 
@@ -216,8 +248,8 @@ def load_library_map(data: Any, libname: str, name: str, types: Mapping[str, Fin
     for w in dom_w + cod_w:
         if w not in types:
             raise InputError(f"{what} uses undeclared type {w!r}")
-    m = StochMap(tensor_all([types[w] for w in dom_w]), tensor_all([types[w] for w in cod_w]),
-                 _matrix(matrix, f"{what} matrix"))
+    m = from_ratios(tensor_all([types[w] for w in dom_w]), tensor_all([types[w] for w in cod_w]),
+                    _matrix(matrix, f"{what} matrix", _ratio))
     return dom_w, cod_w, m, _bool(spec.get("free", True), f"{what} free flag")
 
 

@@ -14,10 +14,12 @@ indexes product alphabets: every other contraction, `simulate_channel`
 and `combs.comb_tensor` among them, is a composition of the kernels
 `compose_seq` and `compose_par`.
 
-The public `StochMap` constructor checks shape, signs and column sums.
-Maps the kernels build (`from_function`, `compose_seq`, `compose_par`
-and what is built from them) are stochastic by construction and are not
-checked again.
+One function checks a given map's shape, signs and column sums: the
+public `StochMap` constructor reads a `Fraction` matrix into it, and
+`from_ratios`, which the file reader uses, hands it (numerator,
+denominator) pairs directly.  Maps the kernels build (`from_function`,
+`compose_seq`, `compose_par` and what is built from them) are
+stochastic by construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -106,23 +108,9 @@ class StochMap:
 
     def __init__(self, dom: FinSet, cod: FinSet,
                  matrix: Sequence[Sequence[Fraction]]) -> None:
-        """Check the rational matrix[output][input] for shape, signs and
-        column sums, then store it over the lcm of its denominators (which
-        is already reduced)."""
-        rows, cols = len(cod), len(dom)
-        if len(matrix) != rows or any(len(r) != cols for r in matrix):
-            raise InputError(f"matrix must be {rows}x{cols} for {cod} given {dom}")
-        for r in matrix:
-            for x in r:
-                if x.numerator < 0:
-                    raise InputError(f"negative probability {x}")
-        flat, den = common_denominator(x for r in matrix for x in r)
-        for i in range(cols):
-            total = sum(flat[i::cols])
-            if total != den:
-                raise InputError(f"column {i} ({dom.elements[i]!r}) sums to "
-                                 f"{Fraction(total, den)}, not 1")
-        nums = tuple(tuple(flat[j * cols:(j + 1) * cols]) for j in range(rows))
+        """The rational matrix[output][input], checked by `_checked_form`."""
+        den, nums = _checked_form(dom, cod, [[(x.numerator, x.denominator) for x in r]
+                                             for r in matrix])
         self.__dict__.update(dom=dom, cod=cod, den=den, nums=nums)
 
     @cached_property
@@ -140,11 +128,42 @@ class StochMap:
         return f"StochMap {self.dom.label} -> {self.cod.label} ({len(self.cod)}x{len(self.dom)})"
 
 
+def _checked_form(dom: FinSet, cod: FinSet, ratios: Sequence[Sequence[tuple[int, int]]],
+                  ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The one check of a map given as reduced (numerator, denominator)
+    pairs ratios[output][input]: shape, then signs, then column sums.
+    Returns the map over den, the lcm of the denominators.  That form is
+    already reduced: for each prime, the entry whose denominator holds its
+    highest power keeps a numerator the prime does not divide."""
+    rows, cols = len(cod), len(dom)
+    if len(ratios) != rows or any(len(r) != cols for r in ratios):
+        raise InputError(f"matrix must be {rows}x{cols} for {cod} given {dom}")
+    for r in ratios:
+        for n, d in r:
+            if n < 0:
+                raise InputError(f"negative probability {Fraction(n, d)}")
+    den = lcm(*{d for r in ratios for _, d in r})
+    nums = tuple(tuple(n * (den // d) for n, d in r) for r in ratios)
+    for i, total in enumerate(map(sum, zip(*nums))):
+        if total != den:
+            raise InputError(f"column {i} ({dom.elements[i]!r}) sums to "
+                             f"{Fraction(total, den)}, not 1")
+    return den, nums
+
+
+def from_ratios(dom: FinSet, cod: FinSet,
+                ratios: Sequence[Sequence[tuple[int, int]]]) -> StochMap:
+    """The map with entries n/d for the reduced pairs ratios[output][input],
+    checked as the public constructor checks a `Fraction` matrix, but
+    without building a `Fraction`."""
+    return _kernel_map(dom, cod, *_checked_form(dom, cod, ratios))
+
+
 def _kernel_map(dom: FinSet, cod: FinSet, den: int,
                 nums: tuple[tuple[int, ...], ...]) -> StochMap:
-    """The one constructor for maps the kernels build from valid maps or
-    index tables: nums over den, already reduced.  It skips the public
-    constructor's check."""
+    """A map from nums over den, already reduced, without a check: the
+    kernels build from valid maps or index tables, and `from_ratios` has
+    checked already."""
     m = object.__new__(StochMap)
     m.__dict__.update(dom=dom, cod=cod, den=den, nums=nums)
     return m

@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -12,7 +13,7 @@ from resconv.core import InputError
 from resconv.jsonio import (dump_ncomb, dump_one_comb, dump_stoch_map,
                             load_finite_table, load_one_comb, load_prob_vector,
                             load_stoch_map, load_theory, parse_term)
-from resconv.stoch import finset, identity, random_stoch_map
+from resconv.stoch import FinSet, finset, identity, random_stoch_map
 
 F = Fraction
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -351,6 +352,27 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, con
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+def test_result_too_long_to_print_is_named(tmp_path, capsys, flags):
+    """A valid composite whose denominator has 6001 digits cannot be printed
+    under the int-string limit; the error names the result and the limit."""
+    nines = "0." + "9" * 3000
+    files = {"p.json": {"dom": ["a0", "a1"], "cod": ["a0", "a1"],
+                        "matrix": [[nines, "1e-3000"], ["1e-3000", nines]]},
+             "id.json": dump_stoch_map(identity(FinSet("a", ("a0", "a1")))),
+             "r.json": {"sa": ["*"], "sb": ["*"], "joint": [["1"]]}}
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    p, ident, r = (str(tmp_path / name) for name in files)
+    assert run(["simulate-channel", p, "--encoder", p, "--decoder", ident,
+                "--randomness", r] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot print the simulated channel: an entry has more than "
+        f"{sys.get_int_max_str_digits()} digits, the limit for integer string conversion\n")
 
 
 @pytest.mark.parametrize("command", ["convert", "catalyst", "rate"])
