@@ -197,36 +197,6 @@ def check_waste_free(t: TheoryOracle, sample: Sequence[Any],
     return _property("waste-free", t, sample, bound, outcomes())
 
 
-def check_riesz_interpolation(t: TheoryOracle, uppers: Sequence[Any],
-                              lowers: Sequence[Any], bound: int) -> PropertyReport:
-    """Between finite families with all uppers above all lowers, search the
-    enumerated terms for an interpolant."""
-    for a in uppers:
-        for b in lowers:
-            if not t.geq(a, b).is_proven:
-                return PropertyReport(
-                    "riesz-interpolation",
-                    Decision.unknown(bound, note=f"precondition fails: {a!r} is not above {b!r}"),
-                    "precondition")
-    candidates = t.enumerate_up_to(bound)
-    inconclusive = 0
-    for c in candidates:
-        decisions = [t.geq(a, c) for a in uppers] + [t.geq(c, b) for b in lowers]
-        if all(d.is_proven for d in decisions):
-            return PropertyReport("riesz-interpolation",
-                                  Decision.proven(("interpolant", c)),
-                                  sample_scope(t, candidates))
-        if any(d.is_unknown for d in decisions):
-            inconclusive += 1
-    if _is_exhaustive(t, candidates) and not inconclusive:
-        return PropertyReport("riesz-interpolation",
-                              Decision.refuted(("no-interpolant", len(candidates))),
-                              "exhaustive")
-    return PropertyReport("riesz-interpolation",
-                          Decision.unknown(bound, note="no interpolant among enumerated terms"),
-                          sample_scope(t, candidates))
-
-
 def cross_check_theorems(t: TheoryOracle, sample: Sequence[Any],
                          bound: int = 0) -> list[PropertyReport]:
     """Executable forms of the structural theorems.

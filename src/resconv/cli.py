@@ -23,10 +23,9 @@ from .analysis import (PropertyReport, check_catalysis_free,
 from .circuits import evaluate_circuit, normalize_to_comb, parse_circuit
 from .combs import apply_comb, apply_uc, plug_ncombs
 from .core import FiniteTheoryTable, InputError, QueryMemo, TheoryOracle, check_axioms
-from .hasse import hasse_dot
+from .hasse import hasse_classes, hasse_dot
 from .monotones import classify, rate, verify_monotone
-from .stoch import (all_deterministic_maps, random_stoch_map, search_exact_simulation,
-                    simulate_channel)
+from .stoch import all_deterministic_maps, search_exact_simulation, simulate_channel
 
 
 def _load_theory(args: argparse.Namespace) -> tuple[TheoryOracle, dict]:
@@ -151,11 +150,11 @@ def cmd_monotones(args: argparse.Namespace) -> int:
 
 def cmd_hasse(args: argparse.Namespace) -> int:
     theory, _ = _load_theory(args)
-    terms = theory.enumerate_up_to(args.box)
-    dot = hasse_dot(theory, terms)
+    classes, edges = hasse_classes(theory, theory.enumerate_up_to(args.box))
+    dot = hasse_dot(theory, (classes, edges))
     if args.out:
         Path(args.out).write_text(dot)
-        _emit(args, {"out": args.out, "nodes": dot.count("label=")},
+        _emit(args, {"out": args.out, "nodes": len(classes)},
               [f"wrote {args.out}"])
     else:
         print(dot, end="")
@@ -172,7 +171,7 @@ def cmd_simulate_channel(args: argparse.Namespace) -> int:
         if d.is_proven:
             w = d.witness
             q = simulate_channel(p, w.encoder, w.decoder, w.randomness)
-            if (q.den, q.nums) != (target.den, target.nums):
+            if q != target:
                 raise RuntimeError("exact-simulation witness does not replay "
                                    "through simulate_channel")
             human.append("witness re-verified through simulate_channel")
@@ -204,20 +203,19 @@ def cmd_normalize_circuit(args: argparse.Namespace) -> int:
     circuit = parse_circuit(path.read_text(), base_dir=path.parent)
     comb = normalize_to_comb(circuit)
     hole = circuit.hole_items()[0]
-    rng = Random(args.seed)
+    # Both sides are linear in the hole process, and every process is a
+    # mixture of deterministic ones, so agreeing on these is agreeing on all.
     basis = all_deterministic_maps(comb.hole_dom, comb.hole_cod)
-    extra = [random_stoch_map(rng, comb.hole_dom, comb.hole_cod) for _ in range(5)]
-    for f in basis + extra:
-        direct = evaluate_circuit(circuit, {hole.name: f})
-        via_comb = apply_comb(comb, f)
-        if (via_comb.den, via_comb.nums) != (direct.den, direct.nums):
+    for f in basis:
+        if apply_comb(comb, f) != evaluate_circuit(circuit, {hole.name: f}):
             raise AssertionError("normal form disagrees with direct evaluation")
     human = [
         f"hole {hole.name}: {comb.hole_dom.label}({len(comb.hole_dom)}) -> "
         f"{comb.hole_cod.label}({len(comb.hole_cod)})",
         f"ancilla size {len(comb.ancilla)}",
         f"pre: {len(comb.pre.cod)}x{len(comb.pre.dom)}, post: {len(comb.post.cod)}x{len(comb.post.dom)}",
-        f"matches circuit on {len(basis)} basis processes (and {len(extra)} random ones)",
+        f"matches circuit on {len(basis)} basis processes (the deterministic ones: both "
+        "sides are linear in the process, and every process is a mixture of these)",
     ]
     payload = jsonio.dump_one_comb(comb)
     if args.out:
@@ -345,7 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize-circuit", help="one-hole circuit to comb form")
     p.add_argument("circuit")
-    p.add_argument("--seed", type=int, default=0)
+    # The check draws nothing at random.  --seed is still accepted and
+    # ignored, unlisted, so that scripts that pass it keep working.
+    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out")
     common(p, theory=False)
     p.set_defaults(fn=cmd_normalize_circuit)

@@ -110,13 +110,12 @@ def comb_tensor(k: OneComb) -> tuple[tuple[Fraction, ...], ...]:
 
 def comb_equivalent(k1: OneComb, k2: OneComb) -> bool:
     """Same operational behavior on every plugged process: equal behavior
-    tensors, compared as reduced integer numerators."""
+    tensors, compared as maps."""
     if (k1.hole_dom.elements, k1.hole_cod.elements) != (k2.hole_dom.elements, k2.hole_cod.elements):
         raise CompositionError("combs have different hole types")
     if (k1.outer_dom.elements, k1.outer_cod.elements) != (k2.outer_dom.elements, k2.outer_cod.elements):
         raise CompositionError("combs have different outer types")
-    w1, w2 = _behavior(k1), _behavior(k2)
-    return (w1.den, w1.nums) == (w2.den, w2.nums)
+    return _behavior(k1) == _behavior(k2)
 
 
 def compose_combs_seq(k2: OneComb, k1: OneComb) -> OneComb:

@@ -7,9 +7,9 @@ because some preorders (e.g. rewrite reachability) are only semidecidable
 under a search bound.  `shortest_traces` is the bounded breadth-first
 search behind the reachability orders.  `QueryMemo` asks a theory each
 `geq` and `equivalent` pair once, for `check_axioms` and the analyzers.
-`order_matrix` is the one order table, behind Hasse diagrams and
-tabulation.  `check_axioms` checks the axioms for any theory, on the
-given terms; Unknown is never a violation.
+`order_matrix` is the order table behind the Hasse diagram.
+`check_axioms` checks the axioms for any theory, on the given terms;
+Unknown is never a violation.
 """
 
 from __future__ import annotations
@@ -346,42 +346,17 @@ def check_axioms(t: TheoryOracle, terms: Iterable[Any]) -> list[Violation]:
     return out
 
 
-def order_matrix(t: TheoryOracle, terms: Sequence[Any], use: str) -> tuple[tuple[bool, ...], ...]:
+def order_matrix(t: TheoryOracle, terms: Sequence[Any]) -> tuple[tuple[bool, ...], ...]:
     """Row i, column j: whether terms[i] converts to terms[j].
 
     Asks `t` once per entry.  Raises InputError naming the first undecided
-    pair, since the `use` ("diagram", "table") needs definite answers.
+    pair, since the Hasse diagram needs definite answers.
     """
     def entry(a: Any, b: Any) -> bool:
         d = t.geq(a, b)
         if d.is_unknown:
             raise InputError(f"order undecided between {t.format_term(a)} and "
-                             f"{t.format_term(b)}; {use} needs definite answers")
+                             f"{t.format_term(b)}; diagram needs definite answers")
         return d.is_proven
 
     return tuple(tuple(entry(a, b) for b in terms) for a in terms)
-
-
-def finite_table_from_oracle(t: TheoryOracle, terms: Iterable[Any]) -> tuple[FiniteTheoryTable, list[Any]]:
-    """Tabulate a theory on a combine-closed list of terms.
-
-    Raises InputError when `terms` is not closed under combine, lacks the
-    zero term, or holds a pair the order leaves undecided (named through
-    `format_term`).  Returns the table and the index->term list.
-    """
-    elems = list(dict.fromkeys(terms))
-    index = {e: i for i, e in enumerate(elems)}
-    z = t.zero()
-    if z not in index:
-        raise InputError("term list must contain the zero term")
-    table = []
-    for a in elems:
-        row = []
-        for b in elems:
-            c = t.combine(a, b)
-            if c not in index:
-                raise InputError(f"term list not closed under combine: {a!r} + {b!r} = {c!r}")
-            row.append(index[c])
-        table.append(tuple(row))
-    return FiniteTheoryTable(len(elems), tuple(table), index[z],
-                             order_matrix(t, elems, "table")), elems

@@ -2,8 +2,9 @@
 
 Nodes are equivalence classes (mutually convertible terms merged, the
 label listing representatives); edges point from the greater class to
-the classes it covers.  Output follows the Graphviz plain-text grammar
-and is byte-deterministic for a fixed input.
+the classes it covers.  Output follows the Graphviz plain-text grammar,
+with `\\` and `"` escaped in labels, and is byte-deterministic for a
+fixed input.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .core import TheoryOracle, order_matrix
 def hasse_classes(t: TheoryOracle, terms: Sequence[Any]) -> tuple[list[list[Any]], list[tuple[int, int]]]:
     """Equivalence classes and covering edges of the quotient order."""
     elems = list(dict.fromkeys(terms))
-    ge = order_matrix(t, elems, "diagram")
+    ge = order_matrix(t, elems)
 
     class_of: dict[int, int] = {}
     classes: list[list[Any]] = []
@@ -49,14 +50,18 @@ def hasse_classes(t: TheoryOracle, terms: Sequence[Any]) -> tuple[list[list[Any]
     return classes, edges
 
 
-def hasse_dot(t: TheoryOracle, terms: Sequence[Any]) -> str:
-    classes, edges = hasse_classes(t, terms)
+def hasse_dot(t: TheoryOracle,
+              diagram: tuple[list[list[Any]], list[tuple[int, int]]]) -> str:
+    """DOT text of `diagram`, the (classes, edges) pair of `hasse_classes`.
+    Nodes are numbered in the order of their unescaped labels."""
+    classes, edges = diagram
     labeled = [", ".join(sorted(t.format_term(x) for x in cls)) for cls in classes]
     order = sorted(range(len(classes)), key=lambda c: labeled[c])
     rename = {c: i for i, c in enumerate(order)}
     lines = ["digraph order {", "  node [shape=box];"]
     for c in order:
-        lines.append(f'  n{rename[c]} [label="{labeled[c]}"];')
+        label = labeled[c].replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{rename[c]} [label="{label}"];')
     for c1, c2 in sorted(edges, key=lambda e: (rename[e[0]], rename[e[1]])):
         lines.append(f"  n{rename[c1]} -> n{rename[c2]};")
     lines.append("}")

@@ -30,10 +30,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import Decision, InputError, shortest_traces
-from .linalg import common_denominator
+from .linalg import common_denominator, feasible_nonneg_solution
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -167,10 +167,6 @@ def _kernel_map(dom: FinSet, cod: FinSet, den: int,
     m = object.__new__(StochMap)
     m.__dict__.update(dom=dom, cod=cod, den=den, nums=nums)
     return m
-
-
-def _freeze(matrix: Iterable[Iterable[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in matrix)
 
 
 def identity(a: FinSet) -> StochMap:
@@ -352,7 +348,8 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
                    d(b'|b,y) * p(b|a) * e(a|a',x) * r(x,y),
 
     the kernel composition d . (p (x) id_sb) . (e (x) id_sb) . (id_a' (x) r)
-    with r read as a state on sa (x) sb.  Only that state goes through the
+    with r read as a state on sa (x) sb.  Q is linear in each of e, d and
+    r when the other two are fixed.  Only the state r goes through the
     public check; the composites are kernel-built and not checked again.
     """
     if e.cod.elements != p.dom.elements:
@@ -387,12 +384,17 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
     """Can wrapping `p` with free encodings reproduce `target` exactly?
 
     The search restricts encoders and decoders to deterministic maps
-    conditioned on the shared-randomness value.  Searching genuinely
-    stochastic encoders and decoders is a documented gap: whether they
-    ever help for exact simulation is left open.
+    conditioned on the shared-randomness value.  That loses nothing when
+    shared randomness is free: every stochastic map is a mixture of
+    deterministic ones and the simulated channel is linear in each of
+    the encoder and the decoder, so every strategy's result is a mixture
+    of deterministic pairs' results, found by one exact feasibility LP
+    over those pairs.  An infeasible LP is still answered Unknown, since
+    the answer would carry no checkable witness.
 
     Proven decisions carry a SimulationWitness that replays through
-    simulate_channel.  Refuted is returned only on a sound impossibility
+    simulate_channel; its joint distribution holds the LP's `Fraction`
+    weights.  Refuted is returned only on a sound impossibility
     argument: a channel whose output does not depend on its input can
     only ever simulate channels of the same kind.  Everything else is
     Unknown at the given caps.  `caps` bounds both the encoder support
@@ -450,7 +452,6 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
         columns.append(column)
 
     # Exact feasibility over joint mixtures of encoder/decoder pairs.
-    from .linalg import feasible_nonneg_solution
     # Rational rows, not integer ones: scaling a row would change Bland's
     # phase-1 cost row, and so possibly the pivots and the witness.
     frac = {x: Fraction(x, p.den) for x in set(itertools.chain.from_iterable(columns))}
@@ -471,16 +472,16 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
             witness = SimulationWitness(
                 _map_from_functions(target.dom, sa, p.dom, used_enc),
                 _map_from_functions(p.cod, sb, target.cod, used_dec),
-                SharedRandomness(sa, sb, _freeze(joint)))
+                SharedRandomness(sa, sb, tuple(map(tuple, joint))))
             return Decision.proven(witness)
         return Decision.unknown(caps, note="mixture found but its support exceeds the caps")
     return Decision.unknown(caps, note="no deterministic-given-randomness strategy matches")
 
 
 _StateKey = tuple[tuple[str, ...], int, tuple[int, ...]]
-# a one-step map, its nonzero entries as (domain symbol, codomain symbol,
-# weight) triples, and the denominator dg of the integer weights
-_Step = tuple[StochMap, list[tuple[int, int, int]], int]
+# a one-step map g and its nonzero entries as (domain symbol, codomain
+# symbol, weight) triples, integer weights over g.den
+_Step = tuple[StochMap, list[tuple[int, int, int]]]
 
 
 def _reduced_key(cod: tuple[str, ...], den: int, nums: Sequence[int]) -> _StateKey:
@@ -497,10 +498,10 @@ def _state_key(m: StochMap) -> _StateKey:
 
 
 def _step(g: StochMap) -> _Step:
-    """g as a sparse integer step: its nonzero numerators over dg = g.den.
+    """g as a sparse integer step: its nonzero numerators over g.den.
     A deterministic map has one entry of weight 1 per domain symbol and
-    dg = 1."""
-    return g, [(i, j, x) for j, row in enumerate(g.nums) for i, x in enumerate(row) if x], g.den
+    denominator 1."""
+    return g, [(i, j, x) for j, row in enumerate(g.nums) for i, x in enumerate(row) if x]
 
 
 def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
@@ -520,8 +521,8 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
     alphabet, so each alphabet is factored once over the pool's distinct
     domains and each g1 is paired with the pool maps out of its r.  The
     one-step maps out of an alphabet are built once, each as one sparse
-    integer table (see _step) over its denominator dg; a step pushes the
-    numerators through it exactly, to numerators over d * dg.
+    integer table (see _step) over its denominator g.den; a step pushes
+    the numerators through it exactly, to numerators over d * g.den.
 
     Proven witnesses are the shortest sequences of one-step maps whose
     composite sends s to the target exactly; replay by folding
@@ -567,12 +568,12 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
         cod, den, nums = key
         if cod not in step_cache:
             step_cache[cod] = one_step_maps(cod)
-        for g, table, dg in step_cache[cod]:
+        for g, table in step_cache[cod]:
             out = g.cod.elements
             col = [0] * len(out)
             for i, j, w in table:
                 col[j] += w * nums[i]
-            yield _reduced_key(out, den * dg, col), g
+            yield _reduced_key(out, den * g.den, col), g
 
     found = shortest_traces(_state_key(s), moves, depth, keys)
     return [Decision.proven(("circuit", found[k])) if k in found else Decision.unknown(depth)

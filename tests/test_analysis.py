@@ -3,16 +3,13 @@ from collections import Counter
 from pathlib import Path
 from random import Random
 
-import pytest
-
 import resconv.cli
 from resconv.analysis import (_property, check_catalysis_free, check_non_interacting,
-                              check_quality_like, check_quantity_like,
-                              check_riesz_interpolation, check_waste_free,
+                              check_quality_like, check_quantity_like, check_waste_free,
                               cross_check_theorems, find_catalyst, random_theory_table)
 from resconv.cli import run
-from resconv.core import (Decision, FiniteTheoryTable, InputError, QueryMemo, Verdict,
-                          check_axioms, equivalent, finite_table_from_oracle)
+from resconv.core import (Decision, FiniteTheoryTable, QueryMemo, Verdict,
+                          check_axioms, equivalent)
 from resconv.instances import VectorTheory
 from resconv.jsonio import load_theory, read_json
 from resconv.presentation import MorphismGenerator, MultisetTheory, ms_make
@@ -193,22 +190,6 @@ def test_check_axioms_and_hasse_ask_the_theory_each_pair_once(monkeypatch, capsy
     assert max(asked.values()) == 1
 
 
-def test_tabulation_names_an_undecided_pair_through_format_term():
-    class Collapsed(QueryMemo):
-        """haber's order, with every sum collapsed to the zero term, so that
-        a term list holding zero is closed and tabulation reaches the order."""
-
-        def combine(self, a, b):
-            return self.zero()
-
-    t = Collapsed(load_theory(read_json(DEMO / "haber.json"), bound=6))
-    terms = [t.zero(), ms_make({"NH3": 2}), ms_make({"N2": 1, "H2": 3})]
-    with pytest.raises(InputError) as err:
-        finite_table_from_oracle(t, terms)
-    assert str(err.value) == ("order undecided between {2*NH3} and {3*H2, N2}; "
-                              "table needs definite answers")
-
-
 def quadruple_quantity_like(t, sample, bound=0):
     """Reference: the quantity-like check that combines both pairs of every
     sample quadruple afresh."""
@@ -270,35 +251,6 @@ def test_unknown_subanswers_never_prove_or_refute():
                    check_catalysis_free(t, sample)):
         assert report.decision.is_unknown
         assert "inconclusive" in report.decision.note
-
-
-# Riesz interpolation
-
-def test_food_interpolates_between_families(food):
-    r = check_riesz_interpolation(food, [(2, 2), (3, 1)], [(1, 1), (0, 1)], bound=3)
-    assert r.decision.is_proven
-    c = r.decision.witness[1]
-    for a in [(2, 2), (3, 1)]:
-        assert food.geq(a, c).is_proven
-    for b in [(1, 1), (0, 1)]:
-        assert food.geq(c, b).is_proven
-
-
-def test_interpolation_refuted_on_the_sink_table():
-    n = 6
-    table = tuple(tuple(j if i == 0 else (i if j == 0 else 5) for j in range(n))
-                  for i in range(n))
-    order = [[i == j for j in range(n)] for i in range(n)]
-    for i, j in [(1, 3), (1, 4), (2, 3), (2, 4)]:
-        order[i][j] = True
-    t = FiniteTheoryTable(n, table, 0, tuple(tuple(r) for r in order))
-    r = check_riesz_interpolation(t, [1, 2], [3, 4], bound=n)
-    assert r.decision.is_refuted
-
-
-def test_interpolation_precondition_reported(food):
-    r = check_riesz_interpolation(food, [(0, 0)], [(1, 1)], bound=2)
-    assert r.scope == "precondition"
 
 
 # theorem cross-checks

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from random import Random
 
@@ -95,6 +96,48 @@ def test_parse_error_carries_line_and_column():
     with pytest.raises(ParseError) as exc:
         parse_circuit(text)
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ("types: A=x\ninput: A\n", "line 1, col 1: bad type declaration 'A=x'"),
+    ("types: A=2, A=3\ninput: A\n", "line 1, col 1: duplicate type 'A'"),
+    ("types: A=0\ninput: A\n", "line 1, col 1: type 'A' must have size >= 1"),
+    ("types: A=2\nlibrary: lib\ninput: A\n",
+     "line 2, col 1: expected 'library: name = path'"),
+    ("types: A=2\nlibrary: lib = maps.json\nlibrary: lib = maps.json\ninput: A\n",
+     "line 3, col 1: duplicate library 'lib'"),
+    ("types: A=2\nlibrary: lib = nope.json\ninput: A\n",
+     "line 2, col 1: library file 'nope.json' not found"),
+    ("types: A=2\nlibrary: lib = bad.json\ninput: A\n",
+     "line 2, col 1: invalid JSON in {dir}/bad.json: Expecting property name enclosed "
+     "in double quotes: line 2 column 1 (char 2)"),
+    ("types: A=2\ninput: A\ninput: A\n", "line 3, col 1: duplicate input declaration"),
+    ("types: A=2\nlayer: id[A]\ninput: A\n",
+     "line 2, col 1: input must be declared before layers"),
+    ("types: A=2\ninput: A, A\nlayer: id[A] ;  ; id[A]\n", "line 3, col 15: empty layer item"),
+    ("types: A=2\ninput: A\n  output: A\n", "line 3, col 3: unrecognized line 'output: A'"),
+    ("types: A=2\n\n# nothing else\n", "line 4, col 1: missing input declaration"),
+    ("types: A=2\ninput: A\nlayer: f[lib]\n", "line 3, col 7: unknown library 'lib'"),
+], ids=["bad-type", "duplicate-type", "empty-type", "library-malformed", "library-duplicate",
+        "library-missing", "library-invalid-json", "input-duplicate", "layer-before-input",
+        "empty-item", "unrecognized-line", "no-input", "unknown-library"])
+def test_malformed_circuit_names_line_and_column(tmp_path, text, message):
+    (tmp_path / "maps.json").write_text(json.dumps(lib_json()))
+    (tmp_path / "bad.json").write_text("{\n")
+    with pytest.raises(ParseError) as exc:
+        parse_circuit(text, base_dir=tmp_path)
+    assert str(exc.value) == message.format(dir=tmp_path)
+
+
+@pytest.mark.parametrize("process, message", [
+    (None, "no process supplied for hole 'h'"),
+    (identity(finset("A", 2)), "process for hole 'h' has the wrong type"),
+], ids=["missing", "wrong-type"])
+def test_hole_process_must_be_supplied_with_the_hole_type(process, message):
+    from resconv.core import InputError
+    holes = {} if process is None else {"h": process}
+    with pytest.raises(InputError, match=f"^{message}$"):
+        evaluate_circuit(parse_sandwich(), holes)
 
 
 # normalization

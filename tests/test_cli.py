@@ -177,6 +177,30 @@ def test_hasse_refuses_an_undecided_order(capsys):
                             "diagram needs definite answers\n")
 
 
+def test_hasse_escapes_quotes_and_backslashes_in_labels(tmp_path, capsys):
+    path = tmp_path / "esc.json"
+    path.write_text(json.dumps({"objects": ['a"b', "c\\d"], "morphisms": [
+        {"name": "r", "from": {'a"b': 1}, "to": {"c\\d": 1}},
+        {"name": "s", "from": {"c\\d": 1}, "to": {'a"b': 1}}]}))
+    assert run(["hasse", str(path), "--box", "1"]) == 0
+    assert capsys.readouterr().out == ('digraph order {\n  node [shape=box];\n'
+                                       '  n0 [label="{a\\"b}, {c\\\\d}"];\n'
+                                       '  n1 [label="{}"];\n}\n')
+
+
+def test_hasse_reports_the_number_of_classes(tmp_path, capsys):
+    # the one species is named like a DOT attribute; its class holds the empty term
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps({"objects": ["label=x"], "morphisms": [
+        {"name": "r", "from": {"label=x": 1}, "to": {}},
+        {"name": "s", "from": {}, "to": {"label=x": 1}}]}))
+    out = tmp_path / "label.dot"
+    assert run(["hasse", str(path), "--box", "1", "--out", str(out), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == 1
+    assert out.read_text() == ('digraph order {\n  node [shape=box];\n'
+                               '  n0 [label="{label=x}, {}"];\n}\n')
+
+
 def test_simulate_channel_apply(tmp_path, capsys):
     rng = Random(0)
     b2 = finset("b", 2)
@@ -417,6 +441,31 @@ def test_bound_is_a_usage_error_without_a_theory(capsys, argv):
     assert "unrecognized arguments: --bound 3" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check-axioms", "{food}"], "error: check-axioms expects a finite table theory\n"),
+    (["properties"], "error: properties needs a theory file or --random-tables\n"),
+    (["monotones", "{prof}"], "error: theory file declares no monotones\n"),
+    (["simulate-channel", "{demo}/p.json", "--encoder", "{demo}/e.json"],
+     "error: simulate-channel needs --target or all of --encoder/--decoder/--randomness\n"),
+    (["normalize-circuit", "{dir}/missing.circ"], "error: file not found: {dir}/missing.circ\n"),
+], ids=["check-axioms-not-a-table", "properties-without-input", "monotones-none-declared",
+        "simulate-channel-without-wrappers", "normalize-circuit-missing-file"])
+def test_command_input_errors_exit_two(food_file, prof_file, tmp_path, capsys, argv, message):
+    fill = dict(food=food_file, prof=prof_file, demo=DEMO, dir=tmp_path)
+    assert run([a.format(**fill) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message.format(**fill)
+
+
+def test_non_integer_bound_is_a_usage_error(food_file, capsys):
+    assert run(["convert", food_file, "[2,3]", "[1,1]", "--bound", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --bound: expected a non-negative integer, got 'abc'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_zero_bound_and_box_stay_valid(food_file, capsys):
     assert run(["convert", food_file, "[2,3]", "[1,1]", "--bound", "0"]) == 0
     assert run(["hasse", food_file, "--box", "0"]) == 0
@@ -524,6 +573,40 @@ def test_normalize_circuit_cli(tmp_path, capsys):
     assert run(["normalize-circuit", str(circ)]) == 0
     out = capsys.readouterr().out
     assert "matches circuit on 4 basis processes" in out  # all deterministic 2->2 maps
+
+
+def test_normalize_circuit_ignores_an_unlisted_seed(capsys):
+    """The check draws nothing at random; --seed is accepted for scripts
+    that pass it, changes nothing and is not listed in the help."""
+    circ = str(DEMO / "sandwich.circ")
+    assert run(["normalize-circuit", circ, "--json"]) == 0
+    plain = capsys.readouterr().out
+    assert run(["normalize-circuit", circ, "--json", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == plain
+    assert run(["normalize-circuit", "--help"]) == 0
+    assert "--seed" not in capsys.readouterr().out
+
+
+def test_normalize_circuit_refuses_a_comb_with_one_altered_post_column(monkeypatch, capsys):
+    import resconv.cli
+    from resconv.combs import OneComb
+    from resconv.stoch import StochMap
+
+    real = resconv.cli.normalize_to_comb
+
+    def altered(circuit):
+        k = real(circuit)
+        column = [row[0] for row in k.post.matrix]
+        rotated = column[1:] + column[:1]  # still a distribution, but another one
+        assert rotated != column
+        matrix = [(rotated[i],) + row[1:] for i, row in enumerate(k.post.matrix)]
+        return OneComb(k.ancilla, k.pre, StochMap(k.post.dom, k.post.cod, matrix),
+                       k.hole_dom, k.hole_cod)
+
+    monkeypatch.setattr(resconv.cli, "normalize_to_comb", altered)
+    with pytest.raises(AssertionError, match="normal form disagrees with direct evaluation"):
+        run(["normalize-circuit", str(DEMO / "sandwich.circ")])
+    assert capsys.readouterr().out == ""
 
 
 def test_wiring_mismatch_names_the_line_of_the_layer(tmp_path, capsys):

@@ -8,8 +8,9 @@ from resconv.combs import (NComb, OneComb, UCTransformation, apply_comb,
                            apply_comb_in_context, apply_ncomb, apply_uc,
                            comb_equivalent, comb_tensor, compose_combs_par, compose_combs_seq,
                            identity_comb, one_comb_as_ncomb, plug_ncombs, symmetry_comb)
+from resconv.core import InputError
 from resconv.stoch import (UNIT, CompositionError, all_deterministic_maps, compose_par,
-                           compose_seq, discard, finset, identity, point_state,
+                           compose_seq, discard, finset, from_function, identity, point_state,
                            random_stoch_map, state, tensor, uniform_state)
 
 from conftest import contract_comb_on_process, random_comb
@@ -372,6 +373,49 @@ def test_disjoint_allocation_computes_outputs_independently():
 
 
 def test_allocation_arity_mismatch_rejected():
-    from resconv.core import InputError
     with pytest.raises(InputError):
         UCTransformation((0, 0), (one_comb_as_ncomb(identity_comb(A2, B2)),))
+
+
+# constructor and type errors name what is wrong
+
+ONE = one_comb_as_ncomb(identity_comb(A2, B2))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: OneComb(UNIT, identity(B2), identity(B2), A2, B2), CompositionError,
+     "pre map must land in a{a0,a1}, got b{b0,b1}"),
+    (lambda: OneComb(UNIT, identity(A2), identity(A2), A2, B2), CompositionError,
+     "post map must accept b{b0,b1}, got a{a0,a1}"),
+    (lambda: NComb((), (), (identity(A2),), ()), InputError, "a comb needs at least one hole"),
+    (lambda: NComb(((A2, B2),), (1,), (identity(A2), identity(B2)), (UNIT,)), InputError,
+     "order (1,) is not a permutation of 0..0"),
+    (lambda: NComb(((A2, B2),), (0,), (identity(A2),), (UNIT,)), InputError,
+     "need n+1 stages and n ancillas for n holes"),
+    (lambda: NComb(((A2, B2),), (0,), (identity(B2), identity(B2)), (UNIT,)), CompositionError,
+     "stage 0 must produce a{a0,a1}, got b{b0,b1}"),
+    (lambda: NComb(((A2, B2),), (0,), (identity(A2), identity(A2)), (UNIT,)), CompositionError,
+     "stage 1 must accept b{b0,b1}, got a{a0,a1}"),
+    (lambda: UCTransformation((1,), (ONE,)), InputError,
+     "input 0 allocated to unknown output 1"),
+    (lambda: UCTransformation((0, 0), (ONE,)), InputError,
+     "output 0 receives 2 inputs but its comb has 1 holes"),
+    (lambda: apply_ncomb(ONE, []), CompositionError, "comb has 1 holes, got 0 processes"),
+    (lambda: apply_ncomb(ONE, [identity(A2)]), CompositionError,
+     "hole 0 expects a{a0,a1} -> b{b0,b1}, got a{a0,a1} -> a{a0,a1}"),
+    (lambda: comb_equivalent(identity_comb(A2, B2), identity_comb(A2, C2)), CompositionError,
+     "combs have different hole types"),
+    (lambda: comb_equivalent(identity_comb(A2, B2),
+                             OneComb(UNIT, from_function(C2, A2, [0, 1]), identity(B2), A2, B2)),
+     CompositionError, "combs have different outer types"),
+    (lambda: compose_combs_seq(identity_comb(A2, B2), identity_comb(C2, B2)), CompositionError,
+     "outer type c{c0,c1} -> b{b0,b1} of the first comb does not match the hole "
+     "a{a0,a1} -> b{b0,b1} of the second"),
+], ids=["one-comb-pre", "one-comb-post", "ncomb-no-hole", "ncomb-order", "ncomb-stage-count",
+        "ncomb-stage-output", "ncomb-stage-input", "uc-unknown-output", "uc-arity",
+        "apply-ncomb-count", "apply-ncomb-type", "equivalent-hole-types",
+        "equivalent-outer-types", "compose-seq-types"])
+def test_comb_errors_name_the_mismatch(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resconv.core import (Decision, FiniteTheoryTable, InputError, TheoryOracle,
-                          Verdict, Violation, check_axioms, equivalent,
-                          finite_table_from_oracle, replicate)
+                          Verdict, Violation, check_axioms, equivalent, replicate)
 from resconv.instances import ProbVector, RandomnessTheory
 from resconv.presentation import MorphismGenerator, MultisetTheory, ms_make
 
@@ -246,19 +245,3 @@ def test_oracle_axiom_check_on_vector_theories(food, proficiency):
     sample = [(0, 0), (1, 0), (0, 1), (2, 1)]
     assert check_axioms(food, sample) == []
     assert check_axioms(proficiency, sample) == []
-
-
-def test_finite_table_from_oracle_roundtrip(proficiency):
-    import itertools
-    box = [tuple(v) for v in itertools.product(range(3), repeat=2)]
-    table, elems = finite_table_from_oracle(proficiency, box)
-    assert table.size == 9
-    assert check_axioms(table, range(table.size)) == []
-    i = elems.index((2, 1))
-    j = elems.index((1, 1))
-    assert table.order[i][j] and not table.order[j][i]
-
-
-def test_finite_table_from_oracle_requires_closure(food):
-    with pytest.raises(InputError):
-        finite_table_from_oracle(food, [(0, 0), (1, 0)])  # (1,0)+(1,0) escapes

@@ -1,7 +1,7 @@
 from fractions import Fraction
 from random import Random
 
-import resconv.linalg as linalg
+import resconv.stoch as stoch
 from resconv.linalg import feasible_nonneg_solution
 from resconv.stoch import StochMap, finset, search_exact_simulation
 
@@ -108,13 +108,13 @@ def channel(n, matrix):
 def simulation_lps(monkeypatch, cases):
     """The mixture LPs that `search_exact_simulation` hands the simplex."""
     lps = []
-    real = linalg.feasible_nonneg_solution
+    real = stoch.feasible_nonneg_solution
 
     def recording(equations, rhs):
         lps.append((equations, rhs))
         return real(equations, rhs)
 
-    monkeypatch.setattr(linalg, "feasible_nonneg_solution", recording)
+    monkeypatch.setattr(stoch, "feasible_nonneg_solution", recording)
     for p, target in cases:
         search_exact_simulation(p, target)
     return lps

@@ -218,6 +218,20 @@ def test_maps_are_reduced_and_equal_by_value_whatever_the_route():
     assert both == uniform_state(tensor(B2, B3)) and hash(both) == hash(uniform_state(tensor(B2, B3)))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: FinSet("x", ()), "finite set 'x' must have at least one element"),
+    (lambda: FinSet("x", ("a", "a")), "finite set 'x' has duplicate element names"),
+    (lambda: SharedRandomness(finset("x", 2), finset("y", 2), ((F(1),),)),
+     "joint distribution shape must be |sa| x |sb|"),
+    (lambda: SharedRandomness(finset("x", 1), finset("y", 2), ((F(3, 2), F(-1, 2)),)),
+     "joint probabilities must be non-negative"),
+], ids=["finset-empty", "finset-duplicate", "joint-shape", "joint-negative"])
+def test_alphabet_and_joint_errors_name_the_fault(build, message):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_joint_distribution_must_sum_to_one():
     x, y = finset("x", 2), finset("y", 1)
     assert SharedRandomness(x, y, ((F(1, 3),), (F(2, 3),))).joint[1] == (F(2, 3),)
@@ -418,7 +432,7 @@ def two_loop_exact_simulation(p, target, caps):
     return Decision.proven(S.SimulationWitness(
         S._map_from_functions(target.dom, sa, p.dom, used_enc),
         S._map_from_functions(p.cod, sb, target.cod, used_dec),
-        SharedRandomness(sa, sb, S._freeze(joint))))
+        SharedRandomness(sa, sb, tuple(map(tuple, joint)))))
 
 
 def simulation_kind(d):
