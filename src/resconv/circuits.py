@@ -102,7 +102,6 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
     finsets: dict[str, FinSet] = {}
     libraries: list[tuple[str, str]] = []
     lib_data: dict[str, object] = {}
-    lib_cache: dict[tuple[str, str], Box] = {}
     input_wires: tuple[str, ...] | None = None
     wires: tuple[str, ...] = ()
     layers: list[tuple[Item, ...]] = []
@@ -135,18 +134,16 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
         m = _ITEM_BOX.fullmatch(piece)
         if not m:
             raise ParseError(f"cannot parse item {piece!r}", lineno, col)
-        # Built on first reference: a library may declare maps over types
+        # Built where it is referenced: a library may declare maps over types
         # the circuit does not use.
         name, lib = m.groups()
         if lib not in lib_data:
             raise ParseError(f"unknown library {lib!r}", lineno, col)
-        if (lib, name) not in lib_cache:
-            try:
-                dom_w, cod_w, f, free = jsonio.load_library_map(lib_data[lib], lib, name, finsets)
-            except InputError as exc:
-                raise ParseError(str(exc), lineno, col) from None
-            lib_cache[lib, name] = Box(f"{name}[{lib}]", dom_w, cod_w, f, free)
-        return lib_cache[lib, name]
+        try:
+            dom_w, cod_w, f, free = jsonio.load_library_map(lib_data[lib], lib, name, finsets)
+        except InputError as exc:
+            raise ParseError(str(exc), lineno, col) from None
+        return Box(f"{name}[{lib}]", dom_w, cod_w, f, free)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -215,7 +212,7 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
             raise ParseError(f"unrecognized line {stripped!r}", lineno, indent)
 
     if input_wires is None:
-        raise ParseError("missing input declaration", max(1, text.count("\n") + 1))
+        raise ParseError("missing input declaration", max(1, len(text.splitlines())))
     return CircuitDiagram(tuple((name, len(f)) for name, f in finsets.items()),
                           tuple(libraries), input_wires, tuple(layers))
 

@@ -44,7 +44,7 @@ def _terms(args: argparse.Namespace, theory: TheoryOracle) -> list:
 
 
 def _emit(args: argparse.Namespace, payload: Any, human: list[str]) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in human:
@@ -125,7 +125,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     theory, data = _load_theory(args)
     monotones = jsonio.load_theory_monotones(data, theory)
     a, b = _terms(args, theory)
-    result = rate(theory, a, b, args.caps, monotones, minimal=args.minimal)
+    result = rate(theory, a, b, args.caps, monotones)
     payload = {"best": str(result.best), "witness": result.witness,
                "upper_bound": None if result.upper_bound is None else str(result.upper_bound),
                "exact": result.exact, "caps": result.caps,
@@ -313,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--caps", type=int, default=8)
-    p.add_argument("--minimal", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_rate)
 

@@ -14,7 +14,6 @@ transformations distribute a tuple of processes over several combs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import InputError
@@ -92,30 +91,25 @@ def apply_comb_in_context(k: OneComb, h: StochMap,
     return compose_seq(compose_par(k.post, identity(side_out)), stage)
 
 
-def _behavior(k: OneComb) -> StochMap:
-    """The kernel composition (id_A (x) (post . swap(Z,B))) . (pre (x) id_B),
-    a stochastic map A' (x) B -> A (x) B' that is kernel-built and not
-    checked again; comb_tensor is its matrix."""
+def comb_tensor(k: OneComb) -> StochMap:
+    """The behavior map (id_A (x) (post . swap(Z,B))) . (pre (x) id_B), a
+    stochastic map A' (x) B -> A (x) B' that is kernel-built and not checked
+    again.  Its `.matrix` is the four-index tensor
+    W[(a,b')][(a',b)] = sum over z of pre((a,z)|a') * post(b'|(b,z)); two
+    combs act identically on every plugged process iff these agree."""
     post = compose_seq(k.post, swap(k.ancilla, k.hole_cod))
     return compose_seq(compose_par(identity(k.hole_dom), post),
                        compose_par(k.pre, identity(k.hole_cod)))
 
 
-def comb_tensor(k: OneComb) -> tuple[tuple[Fraction, ...], ...]:
-    """Four-index behavior tensor W[(a,b')][(a',b)] = sum over z of
-    pre((a,z)|a') * post(b'|(b,z)).  Two combs act identically on every
-    plugged process iff their tensors agree entrywise."""
-    return _behavior(k).matrix
-
-
 def comb_equivalent(k1: OneComb, k2: OneComb) -> bool:
     """Same operational behavior on every plugged process: equal behavior
-    tensors, compared as maps."""
+    maps."""
     if (k1.hole_dom.elements, k1.hole_cod.elements) != (k2.hole_dom.elements, k2.hole_cod.elements):
         raise CompositionError("combs have different hole types")
     if (k1.outer_dom.elements, k1.outer_cod.elements) != (k2.outer_dom.elements, k2.outer_cod.elements):
         raise CompositionError("combs have different outer types")
-    return _behavior(k1) == _behavior(k2)
+    return comb_tensor(k1) == comb_tensor(k2)
 
 
 def compose_combs_seq(k2: OneComb, k1: OneComb) -> OneComb:

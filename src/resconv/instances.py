@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log2
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 from .core import Decision, InputError, TheoryOracle
 from .linalg import common_denominator
@@ -117,7 +117,7 @@ def shannon_entropy(p: ProbVector) -> float:
     return -sum(float(x) * log2(float(x)) for x in p.entries if x != 0)
 
 
-def majorizes(x: ProbVector | Sequence[Fraction], y: ProbVector | Sequence[Fraction]) -> bool:
+def majorizes(x: ProbVector, y: ProbVector) -> bool:
     """Do the sorted-descending partial sums of x dominate those of y?
 
     Vectors of different lengths are zero-padded to the longer one.
@@ -125,12 +125,11 @@ def majorizes(x: ProbVector | Sequence[Fraction], y: ProbVector | Sequence[Fract
     return _first_bad_prefix(x, y) is None
 
 
-def _first_bad_prefix(x: ProbVector | Sequence[Fraction], y: ProbVector | Sequence[Fraction],
-                      ) -> tuple[int, Fraction, Fraction] | None:
+def _first_bad_prefix(x: ProbVector, y: ProbVector) -> tuple[int, Fraction, Fraction] | None:
     """The first prefix length k, with the partial sums of x and y, at which
     x's sorted-descending partial sum falls below y's; None if none does."""
-    xs = list(x.entries if isinstance(x, ProbVector) else x)
-    ys = list(y.entries if isinstance(y, ProbVector) else y)
+    xs = list(x.entries)
+    ys = list(y.entries)
     n = max(len(xs), len(ys))
     xs += [Fraction(0)] * (n - len(xs))
     ys += [Fraction(0)] * (n - len(ys))

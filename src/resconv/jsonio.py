@@ -141,7 +141,7 @@ def _multiset_field(raw: Any) -> Multiset:
     raise InputError(f"multiset must be a list or object, got {raw!r}")
 
 
-def load_finset(raw: Any, label: str = "S") -> FinSet:
+def load_finset(raw: Any, label: str) -> FinSet:
     if not isinstance(raw, list) or not raw:
         raise InputError(f"finite set must be a non-empty list, got {raw!r}")
     return FinSet(label, tuple(str(x) for x in raw))

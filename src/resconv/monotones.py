@@ -126,7 +126,7 @@ def complete_family_violations(t: FiniteTheoryTable,
 class RateResult:
     """Best copy-exchange ratio found within caps.
 
-    `best` is the extremal m/n with n copies of the source yielding m
+    `best` is the largest m/n with n copies of the source yielding m
     copies of the target (0 when no pair converts); `upper_bound` the
     least additive-monotone bound when monotones were supplied; `exact`
     is set when the two coincide.
@@ -150,12 +150,10 @@ class RateResult:
 
 
 def rate(t: TheoryOracle, a: Any, b: Any, caps: int,
-         monotones: Sequence[Monotone] = (),
-         minimal: bool = False) -> RateResult:
+         monotones: Sequence[Monotone] = ()) -> RateResult:
     """Scan all copy counts n, m up to caps for conversions n*a -> m*b.
 
-    Reports the supremal (or, with minimal=True, infimal) ratio found;
-    results are monotone in caps.
+    Reports the largest ratio found; results are monotone in caps.
     """
     if caps < 1:
         raise InputError("caps must be at least 1")
@@ -173,8 +171,7 @@ def rate(t: TheoryOracle, a: Any, b: Any, caps: int,
                 continue
             if d.is_proven:
                 ratio = Fraction(m, n)
-                better = best is None or (ratio < best if minimal else ratio > best)
-                if better:
+                if best is None or ratio > best:
                     best, witness = ratio, (n, m)
     upper = None
     for mono in monotones:
@@ -184,8 +181,7 @@ def rate(t: TheoryOracle, a: Any, b: Any, caps: int,
         if upper is None or not _geq_values(bound, upper):
             upper = bound
     found = best if best is not None else Fraction(0)
-    exact = best is not None and upper is not None and not minimal \
-        and _eq_values(best, upper)
+    exact = best is not None and upper is not None and _eq_values(best, upper)
     return RateResult(found, witness, upper, exact, caps, inconclusive)
 
 
@@ -204,7 +200,7 @@ def rate_upper_bound(m: Monotone, a: Any, b: Any) -> Fraction | float:
 
 
 def entropy_monotone() -> Monotone:
-    return Monotone("entropy", lambda p: shannon_entropy(p), "additive")
+    return Monotone("entropy", shannon_entropy, "additive")
 
 
 def component_monotone(k: int, kind: MonotoneClass) -> Monotone:
@@ -241,7 +237,7 @@ def builtin_monotone(name: str, kind: str, t: TheoryOracle) -> Monotone:
     if name == "entropy":
         if not isinstance(t, (RandomnessTheory, EntanglementSpectrumTheory)):
             raise InputError("the entropy monotone needs a randomness or entanglement theory")
-        m = Monotone("entropy", lambda p: shannon_entropy(p), kind)
+        m = Monotone("entropy", shannon_entropy, kind)
     elif name.startswith("component:"):
         if not isinstance(t, VectorTheory):
             raise InputError("component monotones need a vector theory")

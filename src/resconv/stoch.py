@@ -354,8 +354,7 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
     """
     if e.cod.elements != p.dom.elements:
         raise CompositionError(f"encoder output {e.cod} does not match channel input {p.dom}")
-    b_check = _split_product_left(d.dom, r.sb)
-    if b_check.elements != p.cod.elements:
+    if d.dom.elements != tensor(p.cod, r.sb).elements:
         raise CompositionError(f"decoder input {d.dom} does not factor as {p.cod} tensor {r.sb}")
     a_new = _split_product_left(e.dom, r.sa)
     shared = state(tensor(r.sa, r.sb), [x for row in r.joint for x in row])

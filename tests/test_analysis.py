@@ -8,7 +8,7 @@ from resconv.analysis import (_property, check_catalysis_free, check_non_interac
                               check_quality_like, check_quantity_like, check_waste_free,
                               cross_check_theorems, find_catalyst, random_theory_table)
 from resconv.cli import run
-from resconv.core import (Decision, FiniteTheoryTable, QueryMemo, Verdict,
+from resconv.core import (Decision, FiniteTheoryTable, QueryMemo, TheoryOracle, Verdict,
                           check_axioms, equivalent)
 from resconv.instances import VectorTheory
 from resconv.jsonio import load_theory, read_json
@@ -237,6 +237,52 @@ def test_quantity_like_matches_the_quadruple_loop(food, proficiency):
         assert report == quadruple_quantity_like(t, sample, 6)
         verdicts[report.decision.verdict] += 1
     assert len(verdicts) == 3  # Proven, Refuted and Unknown all occur
+
+
+class LiftedUnknown(TheoryOracle):
+    """Integers under addition: 0 and 1 are incomparable, every other pair
+    of distinct terms is undecided.  No shipped theory refutes a -> b yet
+    leaves a+c -> b+c undecided, since a conserved functional that refutes
+    the one refutes the other."""
+
+    def combine(self, a, b):
+        return a + b
+
+    def zero(self):
+        return 0
+
+    def geq(self, a, b):
+        if a == b:
+            return Decision.proven(("equal", a))
+        if max(a, b) < 2:
+            return Decision.refuted(("incomparable", a, b))
+        return Decision.unknown(1)
+
+    def enumerate_up_to(self, bound):
+        return list(range(bound + 1))
+
+
+def test_catalyst_search_counts_inconclusive_candidates():
+    d = find_catalyst(LiftedUnknown(), 0, 1, [0, 2, 3], bound=1)
+    assert d.is_unknown and d.bound == 1
+    assert d.note == "2 candidate(s) inconclusive"
+
+
+def test_catalysis_free_unknown_when_only_a_lifted_query_is():
+    r = check_catalysis_free(LiftedUnknown(), [0, 1], bound=1)
+    assert r.decision.is_unknown
+    assert r.decision.note == "unrefuted on sample (2 inconclusive sub-queries)"
+
+
+def test_waste_free_unknown_when_a_disposal_is_undecided():
+    # B disposes of itself in one step, A needs two: past bound 1
+    t = MultisetTheory(("A", "B"),
+                       (MorphismGenerator("ab", ms_make(["A"]), ms_make(["B"])),
+                        MorphismGenerator("b0", ms_make(["B"]), ms_make([]))),
+                       bound=1)
+    r = check_waste_free(t, box(t, 1), bound=1)
+    assert str(r) == ("waste-free: Unknown (sample of 3) "
+                      "[unrefuted on sample (1 inconclusive sub-queries)]")
 
 
 def test_unknown_subanswers_never_prove_or_refute():

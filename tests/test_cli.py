@@ -111,6 +111,32 @@ def test_catalyst_absent_in_food(food_file, capsys):
     assert run(["catalyst", food_file, "[0,0]", "[1,0]", "--box", "2"]) == 1
 
 
+def test_catalyst_unknown_when_the_base_query_is(tmp_path, capsys):
+    # A -> C takes two steps, past bound 1
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"objects": ["A", "B", "C"], "morphisms": [
+        {"name": "ab", "from": {"A": 1}, "to": {"B": 1}},
+        {"name": "bc", "from": {"B": 1}, "to": {"C": 1}}]}))
+    assert run(["catalyst", str(path), '{"A": 1}', '{"C": 1}', "--box", "1",
+                "--bound", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "catalyst search over 4 candidates: Unknown\n"
+        "note: cannot establish that a does not convert to b\n")
+
+
+def test_randomness_witnesses_and_labels_print_their_terms(capsys):
+    # a ProbVector witness goes through Decision.to_json's str fallback
+    assert run(["properties", str(DEMO / "randomness.json"), "--sample-box", "2",
+                "--json"]) == 0
+    quality = json.loads(capsys.readouterr().out)[0]
+    assert quality["property"] == "quality-like"
+    assert quality["witness"] == ["not-idempotent", "(1/2,1/2)"]
+    assert run(["hasse", str(DEMO / "randomness.json"), "--box", "2"]) == 0
+    assert capsys.readouterr().out == ('digraph order {\n  node [shape=box];\n'
+                                       '  n0 [label="(0,1), (1), (1,0)"];\n'
+                                       '  n1 [label="(1/2,1/2)"];\n  n1 -> n0;\n}\n')
+
+
 def test_rate_human_output(food_file, capsys):
     assert run(["rate", food_file, "[2,3]", "[1,1]", "--caps", "8"]) == 0
     out = capsys.readouterr().out
@@ -456,6 +482,83 @@ def test_command_input_errors_exit_two(food_file, prof_file, tmp_path, capsys, a
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message.format(**fill)
+
+
+VECTOR = {"kind": "vector", "arity": 2, "mode": "additive"}
+TABLE = {"carrier": 2, "combine": [[0, 1], [1, 1]], "zero": 0, "geq": [[1, 0], [1, 1]]}
+SIMULATE = ["simulate-channel", "{demo}/t.json", "--randomness", "{demo}/r.json"]
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"in.json": dict(VECTOR, arity=0)}, ["convert", "{dir}/in.json", "[]", "[]"],
+     "arity must be positive"),
+    ({"in.json": dict(VECTOR, mode="sideways")}, ["convert", "{dir}/in.json", "[1,1]", "[0,0]"],
+     "unknown mode 'sideways'"),
+    ({"in.json": dict(TABLE, carrier=0)}, ["convert", "{dir}/in.json", "0", "0"],
+     "carrier must be non-empty, got size 0"),
+    ({"in.json": dict(TABLE, geq=[[1, 0]])}, ["convert", "{dir}/in.json", "0", "0"],
+     "preorder matrix must be 2x2"),
+    ({"in.json": dict(TABLE, zero=5)}, ["convert", "{dir}/in.json", "0", "0"],
+     "zero index 5 out of range"),
+    ({"in.json": dict(VECTOR, monotones=[{"name": "indicator:0", "class": "general"}])},
+     ["monotones", "{dir}/in.json"], "indicator monotones need a finite table theory"),
+    ({"in.json": dict(VECTOR, monotones=[{"name": "volume", "class": "general"}])},
+     ["monotones", "{dir}/in.json"], "unknown monotone 'volume'"),
+    ({"in.json": TABLE}, ["convert", "{dir}/in.json", "5", "0"],
+     "term index 5 out of range 0..1"),
+    ({"in.json": VECTOR}, ["convert", "{dir}/in.json", "3", "[0,0]"],
+     "vector term must be a list, got 3"),
+    ({"in.json": {"objects": ["A", "B"], "morphisms": []}},
+     ["convert", "{dir}/in.json", "3", '{{"A": 1}}'], "multiset must be a list or object, got 3"),
+    ({}, ["convert", "{demo}/randomness.json", '"1/2"', '["1"]'],
+     "probability vector must be a list, got '1/2'"),
+    ({}, ["convert", "{demo}/randomness.json", "[]", '["1"]'],
+     "probability vector must be non-empty"),
+    ({}, ["convert", "{demo}/randomness.json", '["-1/2","3/2"]', '["1"]'],
+     "probabilities must be non-negative"),
+    ({"in.json": {"dom": [], "cod": ["b"], "matrix": []}},
+     ["simulate-channel", "{dir}/in.json", "--target", "{demo}/t.json"],
+     "finite set must be a non-empty list, got []"),
+    ({"q.json": {"maps": {"f": {"dom": ["Q"], "cod": ["A"], "matrix": [["1"], ["0"]],
+                                "free": True}}},
+      "in.circ": "types: A=2\nlibrary: lib = q.json\ninput: A\nlayer: f[lib]\n"},
+     ["normalize-circuit", "{dir}/in.circ"],
+     "line 4, col 7: library map 'f' uses undeclared type 'Q'"),
+    ({}, ["simulate-channel", "{demo}/p.json", "--randomness", "{demo}/r.json",
+          "--encoder", "{demo}/e.json", "--decoder", "{demo}/d.json"],
+     "encoder output cod{{b0,b1}} does not match channel input dom{{q0,q1,q2,q3}}"),
+    ({"in.json": {"dom": ["a0", "a1", "a2"], "cod": ["b0", "b1"],
+                  "matrix": [["1", "1", "1"], ["0", "0", "0"]]}},
+     SIMULATE + ["--encoder", "{dir}/in.json", "--decoder", "{demo}/d.json"],
+     "dom{{a0,a1,a2}} does not factor through sa{{x0,x1}}: size mismatch"),
+    ({"in.json": {"dom": ["b0|z0", "b0|z1", "b1|z0", "b1|z1"], "cod": ["b0", "b1"],
+                  "matrix": [["1", "0", "0", "1"], ["0", "1", "1", "0"]]}},
+     SIMULATE + ["--encoder", "{dir}/in.json", "--decoder", "{demo}/d.json"],
+     "dom{{b0|z0,b0|z1,b1|z0,b1|z1}} does not factor as X tensor sa{{x0,x1}}"),
+    ({}, SIMULATE + ["--encoder", "{demo}/e.json", "--decoder", "{demo}/t.json"],
+     "decoder input dom{{b0,b1}} does not factor as cod{{b0,b1}} tensor sb{{y0,y1}}"),
+    ({}, ["properties", "--random-tables", "1", "--size", "0"],
+     "carrier must be non-empty, got size 0"),
+    ({}, ["rate", "{demo}/food.json", "[2,3]", "[1,1]", "--caps", "0"],
+     "caps must be at least 1"),
+    ({}, ["simulate-channel", "{demo}/t.json", "--target", "{demo}/t.json", "--caps", "0"],
+     "caps must be at least 1"),
+], ids=["vector-arity-zero", "vector-mode-unknown", "table-carrier-empty",
+        "table-preorder-shape", "table-zero-out-of-range", "indicator-on-vector",
+        "monotone-unknown", "table-term-out-of-range", "vector-term-not-list",
+        "multiset-term-not-collection", "prob-vector-not-list", "prob-vector-empty",
+        "prob-vector-negative", "map-dom-empty", "circuit-library-undeclared-type",
+        "encoder-output-mismatch", "encoder-input-size", "encoder-input-suffix",
+        "decoder-input-mismatch", "random-tables-size-zero", "rate-caps-zero",
+        "simulate-caps-zero"])
+def test_input_error_is_named_on_one_line(tmp_path, capsys, files, argv, message):
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    fill = dict(dir=tmp_path, demo=DEMO)
+    assert run([a.format(**fill) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(**fill)}\n"
 
 
 def test_non_integer_bound_is_a_usage_error(food_file, capsys):

@@ -10,6 +10,7 @@ from resconv.monotones import (Monotone, builtin_monotone, classify, complete_fa
                                complete_family_violations, component_monotone,
                                entropy_monotone, rate, rate_upper_bound,
                                verify_monotone)
+from resconv.presentation import MorphismGenerator, MultisetTheory, ms_make
 
 F = Fraction
 
@@ -45,12 +46,34 @@ def test_classification_of_component_monotones(food, proficiency):
     # the wrong law is refuted with the offending pair
     r = classify(component_monotone(0, "supremal"), food, food.enumerate_up_to(2))
     assert r.decision.is_refuted
+    # a general monotone declares no law, so there is nothing to test
+    r = classify(component_monotone(0, "general"), food, food.enumerate_up_to(1))
+    assert r.decision.is_proven and r.decision.witness == ("no-law-declared",)
 
 
 def test_entropy_is_additive_under_tensor():
     r = classify(entropy_monotone(), RandomnessTheory(),
                  enumerate_prob_vectors(max_len=2, max_den=3))
     assert r.decision.is_proven
+
+
+def chain_network():
+    """A -> B -> C, searched one step deep: A -> C is out of reach."""
+    return MultisetTheory(("A", "B", "C"),
+                          (MorphismGenerator("ab", ms_make(["A"]), ms_make(["B"])),
+                           MorphismGenerator("bc", ms_make(["B"]), ms_make(["C"]))),
+                          bound=1)
+
+
+def total_count(kind):
+    return Monotone("size", lambda a: F(sum(n for _, n in a)), kind)
+
+
+def test_verify_monotone_counts_inconclusive_pairs():
+    t = chain_network()
+    r = verify_monotone(total_count("general"), t, t.enumerate_up_to(2))
+    assert r.decision.is_unknown
+    assert r.decision.note == "unrefuted on sample (28 inconclusive pairs)"
 
 
 # complete families
@@ -73,6 +96,8 @@ def test_chain_family_separates_the_top():
     m1 = family[1]
     assert m1(1) == 1 and m1(0) == 0
     assert complete_family_violations(t, family) == []
+    # without the top's indicator, 0 -> 1 looks possible
+    assert complete_family_violations(t, family[:1]) == [(0, 1)]
 
 
 def test_antichain_family_detects_both_nonconversions():
@@ -128,9 +153,15 @@ def test_rate_zero_when_nothing_converts(food):
     assert result.best == 0 and result.witness is None
 
 
-def test_rate_with_minimal_takes_the_infimum(food):
-    result = rate(food, (2, 3), (1, 1), caps=8, minimal=True)
-    assert result.best == F(1, 8)
+def test_rate_counts_undecided_cells_and_bounds_only_by_additive_monotones():
+    # n A -> m C is refuted by conservation for n != m, undecided for n == m
+    t = chain_network()
+    a, c = ms_make(["A"]), ms_make(["C"])
+    result = rate(t, a, c, caps=3, monotones=[total_count("general")])
+    assert (result.best, result.witness, result.inconclusive) == (0, None, 3)
+    assert result.upper_bound is None and not result.exact
+    bounded = rate(t, a, c, caps=3, monotones=[total_count("general"), total_count("additive")])
+    assert bounded.upper_bound == 1 and not bounded.exact
 
 
 def test_rate_upper_bound_is_the_least_bound_exactly():
