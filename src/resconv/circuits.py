@@ -223,8 +223,7 @@ def _hole_map(c: CircuitDiagram, hole: HoleItem,
     if hole.name not in hole_maps:
         raise InputError(f"no process supplied for hole {hole.name!r}")
     f = hole_maps[hole.name]
-    if f.dom.elements != c.wires_finset(hole.dom_wires).elements \
-            or f.cod.elements != c.wires_finset(hole.cod_wires).elements:
+    if f.dom != c.wires_finset(hole.dom_wires) or f.cod != c.wires_finset(hole.cod_wires):
         raise InputError(f"process for hole {hole.name!r} has the wrong type")
     return f
 

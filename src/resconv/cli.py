@@ -25,7 +25,7 @@ from .combs import apply_comb, apply_uc, plug_ncombs
 from .core import FiniteTheoryTable, InputError, QueryMemo, TheoryOracle, check_axioms
 from .hasse import hasse_classes, hasse_dot
 from .monotones import classify, rate, verify_monotone
-from .stoch import all_deterministic_maps, search_exact_simulation, simulate_channel
+from .stoch import from_function, search_exact_simulation, simulate_channel
 
 
 def _load_theory(args: argparse.Namespace) -> tuple[TheoryOracle, dict]:
@@ -203,9 +203,14 @@ def cmd_normalize_circuit(args: argparse.Namespace) -> int:
     circuit = parse_circuit(path.read_text(), base_dir=path.parent)
     comb = normalize_to_comb(circuit)
     hole = circuit.hole_items()[0]
-    # Both sides are linear in the hole process, and every process is a
-    # mixture of deterministic ones, so agreeing on these is agreeing on all.
-    basis = all_deterministic_maps(comb.hole_dom, comb.hole_cod)
+    # Both sides are linear in the hole process M.  With E sending every input
+    # to output 0 and F_{a,c} sending input a to output c > 0 and every other
+    # input to 0, M = E + sum over a, c > 0 of M[c][a] * (F_{a,c} - E); so
+    # agreeing on these 1 + |dom|*(|cod| - 1) maps is agreeing on every M.
+    dom, cod = comb.hole_dom, comb.hole_cod
+    basis = [from_function(dom, cod, [0] * len(dom))] + [
+        from_function(dom, cod, [c if i == a else 0 for i in range(len(dom))])
+        for a in range(len(dom)) for c in range(1, len(cod))]
     for f in basis:
         if apply_comb(comb, f) != evaluate_circuit(circuit, {hole.name: f}):
             raise AssertionError("normal form disagrees with direct evaluation")
@@ -214,8 +219,8 @@ def cmd_normalize_circuit(args: argparse.Namespace) -> int:
         f"{comb.hole_cod.label}({len(comb.hole_cod)})",
         f"ancilla size {len(comb.ancilla)}",
         f"pre: {len(comb.pre.cod)}x{len(comb.pre.dom)}, post: {len(comb.post.cod)}x{len(comb.post.dom)}",
-        f"matches circuit on {len(basis)} basis processes (the deterministic ones: both "
-        "sides are linear in the process, and every process is a mixture of these)",
+        f"matches circuit on {len(basis)} basis processes (both sides are linear in the "
+        "process, and every process is an affine combination of these)",
     ]
     payload = jsonio.dump_one_comb(comb)
     if args.out:

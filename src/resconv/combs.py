@@ -37,11 +37,11 @@ class OneComb:
 
     def __post_init__(self) -> None:
         want_pre_cod = tensor(self.hole_dom, self.ancilla)
-        if self.pre.cod.elements != want_pre_cod.elements:
+        if self.pre.cod != want_pre_cod:
             raise CompositionError(
                 f"pre map must land in {want_pre_cod}, got {self.pre.cod}")
         want_post_dom = tensor(self.hole_cod, self.ancilla)
-        if self.post.dom.elements != want_post_dom.elements:
+        if self.post.dom != want_post_dom:
             raise CompositionError(
                 f"post map must accept {want_post_dom}, got {self.post.dom}")
 
@@ -68,7 +68,7 @@ def symmetry_comb(first: HoleType, second: HoleType) -> OneComb:
 
 
 def apply_comb(k: OneComb, f: StochMap) -> StochMap:
-    if f.dom.elements != k.hole_dom.elements or f.cod.elements != k.hole_cod.elements:
+    if f.dom != k.hole_dom or f.cod != k.hole_cod:
         raise CompositionError(
             f"hole expects {k.hole_dom} -> {k.hole_cod}, got {f.dom} -> {f.cod}")
     return compose_seq(k.post, compose_seq(compose_par(f, identity(k.ancilla)), k.pre))
@@ -79,9 +79,9 @@ def apply_comb_in_context(k: OneComb, h: StochMap,
     """Plug a process h: hole_dom*side_in -> hole_cod*side_out, with the comb
     acting only on the hole factors.  This is the defining behavior that
     comb equivalence quantifies over."""
-    if h.dom.elements != tensor(k.hole_dom, side_in).elements:
+    if h.dom != tensor(k.hole_dom, side_in):
         raise CompositionError(f"context process input {h.dom} does not match")
-    if h.cod.elements != tensor(k.hole_cod, side_out).elements:
+    if h.cod != tensor(k.hole_cod, side_out):
         raise CompositionError(f"context process output {h.cod} does not match")
     z = k.ancilla
     stage = compose_par(k.pre, identity(side_in))
@@ -105,16 +105,16 @@ def comb_tensor(k: OneComb) -> StochMap:
 def comb_equivalent(k1: OneComb, k2: OneComb) -> bool:
     """Same operational behavior on every plugged process: equal behavior
     maps."""
-    if (k1.hole_dom.elements, k1.hole_cod.elements) != (k2.hole_dom.elements, k2.hole_cod.elements):
+    if (k1.hole_dom, k1.hole_cod) != (k2.hole_dom, k2.hole_cod):
         raise CompositionError("combs have different hole types")
-    if (k1.outer_dom.elements, k1.outer_cod.elements) != (k2.outer_dom.elements, k2.outer_cod.elements):
+    if (k1.outer_dom, k1.outer_cod) != (k2.outer_dom, k2.outer_cod):
         raise CompositionError("combs have different outer types")
     return comb_tensor(k1) == comb_tensor(k2)
 
 
 def compose_combs_seq(k2: OneComb, k1: OneComb) -> OneComb:
     """First transform with k1, then feed the result into k2."""
-    if (k2.hole_dom.elements, k2.hole_cod.elements) != (k1.outer_dom.elements, k1.outer_cod.elements):
+    if (k2.hole_dom, k2.hole_cod) != (k1.outer_dom, k1.outer_cod):
         raise CompositionError(
             f"outer type {k1.outer_dom} -> {k1.outer_cod} of the first comb does not "
             f"match the hole {k2.hole_dom} -> {k2.hole_cod} of the second")
@@ -166,11 +166,11 @@ class NComb:
         for i in range(n):
             dom_i, cod_i = self.holes[self.order[i]]
             want_in = tensor(dom_i, self.ancillas[i])
-            if self.stages[i].cod.elements != want_in.elements:
+            if self.stages[i].cod != want_in:
                 raise CompositionError(
                     f"stage {i} must produce {want_in}, got {self.stages[i].cod}")
             want_out = tensor(cod_i, self.ancillas[i])
-            if self.stages[i + 1].dom.elements != want_out.elements:
+            if self.stages[i + 1].dom != want_out:
                 raise CompositionError(
                     f"stage {i + 1} must accept {want_out}, got {self.stages[i + 1].dom}")
 
@@ -196,7 +196,7 @@ def apply_ncomb(k: NComb, fs: Sequence[StochMap]) -> StochMap:
         raise CompositionError(f"comb has {k.arity} holes, got {len(fs)} processes")
     for j, f in enumerate(fs):
         dom_j, cod_j = k.holes[j]
-        if f.dom.elements != dom_j.elements or f.cod.elements != cod_j.elements:
+        if f.dom != dom_j or f.cod != cod_j:
             raise CompositionError(
                 f"hole {j} expects {dom_j} -> {cod_j}, got {f.dom} -> {f.cod}")
     cur = k.stages[0]
@@ -219,7 +219,7 @@ def plug_ncombs(outer: NComb, inner: Sequence[NComb]) -> NComb:
             f"outer comb has {outer.arity} holes, got {len(inner)} inner combs")
     for j, inn in enumerate(inner):
         dom_j, cod_j = outer.holes[j]
-        if inn.outer_dom.elements != dom_j.elements or inn.outer_cod.elements != cod_j.elements:
+        if inn.outer_dom != dom_j or inn.outer_cod != cod_j:
             raise CompositionError(
                 f"inner comb {j} yields {inn.outer_dom} -> {inn.outer_cod}, "
                 f"hole expects {dom_j} -> {cod_j}")

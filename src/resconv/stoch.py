@@ -12,7 +12,9 @@ Product sets use flat element names joined with '|'; the canonical unit
 strictly associative and unital on element lists.  Only this module
 indexes product alphabets: every other contraction, `simulate_channel`
 and `combs.comb_tensor` among them, is a composition of the kernels
-`compose_seq` and `compose_par`.
+`compose_seq` and `compose_par`.  Alphabets are compared as `FinSet`s;
+only the free-transformation closure keys its states by element tuples,
+for speed.
 
 One function checks a given map's shape, signs and column sums: the
 public `StochMap` constructor reads a `Fraction` matrix into it, and
@@ -75,9 +77,9 @@ def finset(label: str, size: int) -> FinSet:
 
 def tensor(a: FinSet, b: FinSet) -> FinSet:
     """Strict product: unit factors vanish, names join flat."""
-    if a.elements == UNIT.elements:
+    if a == UNIT:
         return b
-    if b.elements == UNIT.elements:
+    if b == UNIT:
         return a
     return FinSet(f"{a.label}*{b.label}",
                   tuple(f"{x}|{y}" for x in a.elements for y in b.elements))
@@ -212,7 +214,7 @@ def compose_seq(q: StochMap, p: StochMap) -> StochMap:
     skipped, so sparse maps (identities, swaps, deterministic maps and
     their tensor products) cost little.
     """
-    if p.cod.elements != q.dom.elements:
+    if p.cod != q.dom:
         raise CompositionError(
             f"cannot compose {q.dom} -> {q.cod} after {p.dom} -> {p.cod}: "
             f"middle types differ")
@@ -290,29 +292,18 @@ def random_stoch_map(rng: Random, dom: FinSet, cod: FinSet) -> StochMap:
     return StochMap(dom, cod, rows)
 
 
-def _split_product_left(product: FinSet, right: FinSet) -> FinSet:
-    """Recover X from a product alphabet equal to X tensor `right`."""
-    nr = len(right)
-    if right.elements == UNIT.elements:
+def _split_product_left(product: FinSet, right: FinSet) -> FinSet | None:
+    """The X with X tensor `right` equal to `product`, or None if there is none."""
+    if right == UNIT:
         return product
-    if product.elements == right.elements:
+    if product == right:
         return UNIT
-    if len(product) % nr != 0:
-        raise CompositionError(
-            f"{product} does not factor through {right}: size mismatch")
-    k = len(product) // nr
-    names = []
-    for i in range(k):
-        cell = product.elements[i * nr]
-        suffix = f"|{right.elements[0]}"
-        if not cell.endswith(suffix):
-            raise CompositionError(
-                f"{product} does not factor as X tensor {right}")
-        names.append(cell[: -len(suffix)])
-    left = FinSet(f"{product.label}/{right.label}", tuple(names))
-    if tensor(left, right).elements != product.elements:
-        raise CompositionError(f"{product} does not factor as X tensor {right}")
-    return left
+    nr, suffix = len(right), f"|{right.elements[0]}"
+    cells = product.elements[::nr]
+    if len(product) % nr or not all(c.endswith(suffix) for c in cells):
+        return None
+    left = FinSet(f"{product.label}/{right.label}", tuple(c[: -len(suffix)] for c in cells))
+    return left if tensor(left, right) == product else None
 
 
 @dataclass(frozen=True)
@@ -352,11 +343,13 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
     r when the other two are fixed.  Only the state r goes through the
     public check; the composites are kernel-built and not checked again.
     """
-    if e.cod.elements != p.dom.elements:
+    if e.cod != p.dom:
         raise CompositionError(f"encoder output {e.cod} does not match channel input {p.dom}")
-    if d.dom.elements != tensor(p.cod, r.sb).elements:
+    if d.dom != tensor(p.cod, r.sb):
         raise CompositionError(f"decoder input {d.dom} does not factor as {p.cod} tensor {r.sb}")
     a_new = _split_product_left(e.dom, r.sa)
+    if a_new is None:
+        raise CompositionError(f"encoder input {e.dom} does not factor as X tensor {r.sa}")
     shared = state(tensor(r.sa, r.sb), [x for row in r.joint for x in row])
     id_sb = identity(r.sb)
     q = compose_seq(compose_par(e, id_sb), compose_par(identity(a_new), shared))
@@ -531,12 +524,14 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
     """
     keys = []
     for t in targets:
-        if t.dom.elements != UNIT.elements:
+        if t.dom != UNIT:
             raise InputError("targets must be states")
         keys.append(_state_key(t))
-    if s.dom.elements != UNIT.elements:
+    if s.dom != UNIT:
         raise InputError("search starts from a state (singleton-domain map)")
 
+    # The closure keys its dicts and states by element tuples, not FinSets:
+    # a FinSet's dataclass __hash__ is a Python call on every lookup.
     by_dom: dict[tuple[str, ...], list[StochMap]] = {}
     idsets: dict[tuple[str, ...], FinSet] = {}
     for g in free_generators:

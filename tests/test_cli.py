@@ -530,11 +530,15 @@ SIMULATE = ["simulate-channel", "{demo}/t.json", "--randomness", "{demo}/r.json"
     ({"in.json": {"dom": ["a0", "a1", "a2"], "cod": ["b0", "b1"],
                   "matrix": [["1", "1", "1"], ["0", "0", "0"]]}},
      SIMULATE + ["--encoder", "{dir}/in.json", "--decoder", "{demo}/d.json"],
-     "dom{{a0,a1,a2}} does not factor through sa{{x0,x1}}: size mismatch"),
+     "encoder input dom{{a0,a1,a2}} does not factor as X tensor sa{{x0,x1}}"),
     ({"in.json": {"dom": ["b0|z0", "b0|z1", "b1|z0", "b1|z1"], "cod": ["b0", "b1"],
                   "matrix": [["1", "0", "0", "1"], ["0", "1", "1", "0"]]}},
      SIMULATE + ["--encoder", "{dir}/in.json", "--decoder", "{demo}/d.json"],
-     "dom{{b0|z0,b0|z1,b1|z0,b1|z1}} does not factor as X tensor sa{{x0,x1}}"),
+     "encoder input dom{{b0|z0,b0|z1,b1|z0,b1|z1}} does not factor as X tensor sa{{x0,x1}}"),
+    ({"in.json": {"dom": ["b0|x0", "c|x1", "b1|x0", "b1|x1"], "cod": ["b0", "b1"],
+                  "matrix": [["1", "0", "0", "1"], ["0", "1", "1", "0"]]}},
+     SIMULATE + ["--encoder", "{dir}/in.json", "--decoder", "{demo}/d.json"],
+     "encoder input dom{{b0|x0,c|x1,b1|x0,b1|x1}} does not factor as X tensor sa{{x0,x1}}"),
     ({}, SIMULATE + ["--encoder", "{demo}/e.json", "--decoder", "{demo}/t.json"],
      "decoder input dom{{b0,b1}} does not factor as cod{{b0,b1}} tensor sb{{y0,y1}}"),
     ({}, ["properties", "--random-tables", "1", "--size", "0"],
@@ -549,8 +553,8 @@ SIMULATE = ["simulate-channel", "{demo}/t.json", "--randomness", "{demo}/r.json"
         "multiset-term-not-collection", "prob-vector-not-list", "prob-vector-empty",
         "prob-vector-negative", "map-dom-empty", "circuit-library-undeclared-type",
         "encoder-output-mismatch", "encoder-input-size", "encoder-input-suffix",
-        "decoder-input-mismatch", "random-tables-size-zero", "rate-caps-zero",
-        "simulate-caps-zero"])
+        "encoder-input-order", "decoder-input-mismatch", "random-tables-size-zero",
+        "rate-caps-zero", "simulate-caps-zero"])
 def test_input_error_is_named_on_one_line(tmp_path, capsys, files, argv, message):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
@@ -675,7 +679,52 @@ def test_normalize_circuit_cli(tmp_path, capsys):
     circ = circuit_files(tmp_path)
     assert run(["normalize-circuit", str(circ)]) == 0
     out = capsys.readouterr().out
-    assert "matches circuit on 4 basis processes" in out  # all deterministic 2->2 maps
+    assert "matches circuit on 3 basis processes" in out  # E, F_{0,1} and F_{1,1}
+
+
+def test_normalize_circuit_checks_the_affine_basis_only(tmp_path, monkeypatch, capsys):
+    """A 3->3 hole is checked on 1 + 3*2 = 7 processes, not all 27
+    deterministic ones."""
+    import resconv.cli
+    circ = tmp_path / "hole.circ"
+    circ.write_text("types: A=3, B=3\ninput: A\nlayer: hole h(A -> B)\n")
+    calls = []
+    real = resconv.cli.evaluate_circuit
+
+    def counted(circuit, hole_maps):
+        calls.append(hole_maps)
+        return real(circuit, hole_maps)
+
+    monkeypatch.setattr(resconv.cli, "evaluate_circuit", counted)
+    assert run(["normalize-circuit", str(circ)]) == 0
+    assert len(calls) == 7
+    assert "matches circuit on 7 basis processes" in capsys.readouterr().out
+
+
+def test_normalize_circuit_refuses_a_comb_that_agrees_only_on_the_constant_map(
+        tmp_path, monkeypatch, capsys):
+    """A constant post agrees with a bare 2->2 hole on E, which sends every
+    input to 0, and on nothing else; the basis maps F_{a,c} catch it."""
+    import resconv.cli
+    from resconv.combs import OneComb, apply_comb
+    from resconv.stoch import from_function
+
+    circ = tmp_path / "hole.circ"
+    circ.write_text("types: A=2, B=2\ninput: A\nlayer: hole h(A -> B)\n")
+    real = resconv.cli.normalize_to_comb
+
+    def constant_post(circuit):
+        k = real(circuit)
+        post = from_function(k.post.dom, k.post.cod, [0] * len(k.post.dom))
+        altered = OneComb(k.ancilla, k.pre, post, k.hole_dom, k.hole_cod)
+        e = from_function(k.hole_dom, k.hole_cod, [0, 0])
+        assert apply_comb(altered, e) == apply_comb(k, e)
+        return altered
+
+    monkeypatch.setattr(resconv.cli, "normalize_to_comb", constant_post)
+    with pytest.raises(AssertionError, match="normal form disagrees with direct evaluation"):
+        run(["normalize-circuit", str(circ)])
+    assert capsys.readouterr().out == ""
 
 
 def test_normalize_circuit_ignores_an_unlisted_seed(capsys):
