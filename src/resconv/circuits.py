@@ -31,7 +31,7 @@ from .stoch import (UNIT, FinSet, StochMap, compose_par, compose_seq, finset,
                     identity, swap, tensor, tensor_all)
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, msg: str, line: int, col: int = 1):
         super().__init__(f"line {line}, col {col}: {msg}")
         self.line = line

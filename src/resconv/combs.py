@@ -1,14 +1,16 @@
 """Combs: circuit fragments with holes for resource processes.
 
-A one-hole comb is a sandwich (ancilla Z, pre, post) with pre: A' -> A*Z
-and post: B*Z -> B'; plugging a process f: A -> B yields
+A comb chains stages and ancillas around an ordered sequence of holes.
+A one-hole comb is the n = 1 case: a sandwich (ancilla Z, pre, post) with
+pre: A' -> A*Z and post: B*Z -> B'; plugging a process f: A -> B yields
 post . (f tensor id_Z) . pre.  Equality of the behavior on every plugged
 process is decided through the induced four-index tensor, which the
 plugged process is contracted against linearly.
 
-Multi-hole combs chain stages and ancillas around an ordered sequence of
-holes; they plug into each other like a multicategory, and allocation
-transformations distribute a tuple of processes over several combs.
+Combs plug into each other's holes like a multicategory, and that
+plugging is the one composition: sequential composition of one-hole
+combs is plugging one into the other's hole.  Allocation transformations
+distribute a tuple of processes over several combs.
 """
 
 from __future__ import annotations
@@ -24,125 +26,8 @@ HoleType = tuple[FinSet, FinSet]
 
 
 @dataclass(frozen=True)
-class OneComb:
-    """One-hole comb.  The pre/post maps are expected to come from the
-    free subtheory; constructors that build combs from circuits enforce
-    this, direct construction trusts the caller."""
-
-    ancilla: FinSet
-    pre: StochMap
-    post: StochMap
-    hole_dom: FinSet
-    hole_cod: FinSet
-
-    def __post_init__(self) -> None:
-        want_pre_cod = tensor(self.hole_dom, self.ancilla)
-        if self.pre.cod != want_pre_cod:
-            raise CompositionError(
-                f"pre map must land in {want_pre_cod}, got {self.pre.cod}")
-        want_post_dom = tensor(self.hole_cod, self.ancilla)
-        if self.post.dom != want_post_dom:
-            raise CompositionError(
-                f"post map must accept {want_post_dom}, got {self.post.dom}")
-
-    @property
-    def outer_dom(self) -> FinSet:
-        return self.pre.dom
-
-    @property
-    def outer_cod(self) -> FinSet:
-        return self.post.cod
-
-
-def identity_comb(a: FinSet, b: FinSet) -> OneComb:
-    return OneComb(UNIT, identity(a), identity(b), a, b)
-
-
-def symmetry_comb(first: HoleType, second: HoleType) -> OneComb:
-    """The comb turning a process on the joint type into the swapped one."""
-    (a1, b1), (a2, b2) = first, second
-    return OneComb(UNIT,
-                   swap(a2, a1),
-                   swap(b1, b2),
-                   tensor(a1, a2), tensor(b1, b2))
-
-
-def apply_comb(k: OneComb, f: StochMap) -> StochMap:
-    if f.dom != k.hole_dom or f.cod != k.hole_cod:
-        raise CompositionError(
-            f"hole expects {k.hole_dom} -> {k.hole_cod}, got {f.dom} -> {f.cod}")
-    return compose_seq(k.post, compose_seq(compose_par(f, identity(k.ancilla)), k.pre))
-
-
-def apply_comb_in_context(k: OneComb, h: StochMap,
-                          side_in: FinSet, side_out: FinSet) -> StochMap:
-    """Plug a process h: hole_dom*side_in -> hole_cod*side_out, with the comb
-    acting only on the hole factors.  This is the defining behavior that
-    comb equivalence quantifies over."""
-    if h.dom != tensor(k.hole_dom, side_in):
-        raise CompositionError(f"context process input {h.dom} does not match")
-    if h.cod != tensor(k.hole_cod, side_out):
-        raise CompositionError(f"context process output {h.cod} does not match")
-    z = k.ancilla
-    stage = compose_par(k.pre, identity(side_in))
-    stage = compose_seq(compose_par(identity(k.hole_dom), swap(z, side_in)), stage)
-    stage = compose_seq(compose_par(h, identity(z)), stage)
-    stage = compose_seq(compose_par(identity(k.hole_cod), swap(side_out, z)), stage)
-    return compose_seq(compose_par(k.post, identity(side_out)), stage)
-
-
-def comb_tensor(k: OneComb) -> StochMap:
-    """The behavior map (id_A (x) (post . swap(Z,B))) . (pre (x) id_B), a
-    stochastic map A' (x) B -> A (x) B' that is kernel-built and not checked
-    again.  Its `.matrix` is the four-index tensor
-    W[(a,b')][(a',b)] = sum over z of pre((a,z)|a') * post(b'|(b,z)); two
-    combs act identically on every plugged process iff these agree."""
-    post = compose_seq(k.post, swap(k.ancilla, k.hole_cod))
-    return compose_seq(compose_par(identity(k.hole_dom), post),
-                       compose_par(k.pre, identity(k.hole_cod)))
-
-
-def comb_equivalent(k1: OneComb, k2: OneComb) -> bool:
-    """Same operational behavior on every plugged process: equal behavior
-    maps."""
-    if (k1.hole_dom, k1.hole_cod) != (k2.hole_dom, k2.hole_cod):
-        raise CompositionError("combs have different hole types")
-    if (k1.outer_dom, k1.outer_cod) != (k2.outer_dom, k2.outer_cod):
-        raise CompositionError("combs have different outer types")
-    return comb_tensor(k1) == comb_tensor(k2)
-
-
-def compose_combs_seq(k2: OneComb, k1: OneComb) -> OneComb:
-    """First transform with k1, then feed the result into k2."""
-    if (k2.hole_dom, k2.hole_cod) != (k1.outer_dom, k1.outer_cod):
-        raise CompositionError(
-            f"outer type {k1.outer_dom} -> {k1.outer_cod} of the first comb does not "
-            f"match the hole {k2.hole_dom} -> {k2.hole_cod} of the second")
-    z2 = k2.ancilla
-    pre = compose_seq(compose_par(k1.pre, identity(z2)), k2.pre)
-    post = compose_seq(k2.post, compose_par(k1.post, identity(z2)))
-    return OneComb(tensor(k1.ancilla, z2), pre, post, k1.hole_dom, k1.hole_cod)
-
-
-def compose_combs_par(k1: OneComb, k2: OneComb) -> OneComb:
-    """Side-by-side comb acting on a process of the joint hole type."""
-    a1, b1, z1 = k1.hole_dom, k1.hole_cod, k1.ancilla
-    a2, b2, z2 = k2.hole_dom, k2.hole_cod, k2.ancilla
-    pre = compose_par(k1.pre, k2.pre)  # -> A1*Z1*A2*Z2
-    pre = compose_seq(_mid_shuffle(a1, z1, a2, z2), pre)  # -> A1*A2*Z1*Z2
-    post = compose_seq(compose_par(k1.post, k2.post),
-                       _mid_shuffle(b1, b2, z1, z2))  # B1*B2*Z1*Z2 -> B1'*B2'
-    return OneComb(tensor(z1, z2), pre, post, tensor(a1, a2), tensor(b1, b2))
-
-
-def _mid_shuffle(w: FinSet, x: FinSet, y: FinSet, z: FinSet) -> StochMap:
-    # W*X*Y*Z -> W*Y*X*Z by swapping the middle blocks.
-    return compose_par(compose_par(identity(w), swap(x, y)), identity(z))
-
-
-@dataclass(frozen=True)
 class NComb:
-    """Comb with several holes, filled in the order given by `order`.
+    """Comb with one or more holes, filled in the order given by `order`.
 
     stages[0] feeds the first hole and its ancilla, stages[i] routes hole
     output i-1 to hole input i, stages[n] emits the overall output.
@@ -187,8 +72,113 @@ class NComb:
         return self.stages[-1].cod
 
 
-def one_comb_as_ncomb(k: OneComb) -> NComb:
-    return NComb(((k.hole_dom, k.hole_cod),), (0,), (k.pre, k.post), (k.ancilla,))
+class OneComb(NComb):
+    """One-hole comb: the n = 1 comb, named by its one-hole parts.  The
+    pre/post maps are expected to come from the free subtheory;
+    constructors that build combs from circuits enforce this, direct
+    construction trusts the caller."""
+
+    def __init__(self, ancilla: FinSet, pre: StochMap, post: StochMap,
+                 hole_dom: FinSet, hole_cod: FinSet) -> None:
+        NComb.__init__(self, ((hole_dom, hole_cod),), (0,), (pre, post), (ancilla,))
+
+    @property
+    def ancilla(self) -> FinSet:
+        return self.ancillas[0]
+
+    @property
+    def pre(self) -> StochMap:
+        return self.stages[0]
+
+    @property
+    def post(self) -> StochMap:
+        return self.stages[1]
+
+    @property
+    def hole_dom(self) -> FinSet:
+        return self.holes[0][0]
+
+    @property
+    def hole_cod(self) -> FinSet:
+        return self.holes[0][1]
+
+
+def identity_comb(a: FinSet, b: FinSet) -> OneComb:
+    return OneComb(UNIT, identity(a), identity(b), a, b)
+
+
+def symmetry_comb(first: HoleType, second: HoleType) -> OneComb:
+    """The comb turning a process on the joint type into the swapped one."""
+    (a1, b1), (a2, b2) = first, second
+    return OneComb(UNIT,
+                   swap(a2, a1),
+                   swap(b1, b2),
+                   tensor(a1, a2), tensor(b1, b2))
+
+
+def apply_comb(k: OneComb, f: StochMap) -> StochMap:
+    return apply_ncomb(k, [f])
+
+
+def apply_comb_in_context(k: OneComb, h: StochMap,
+                          side_in: FinSet, side_out: FinSet) -> StochMap:
+    """Plug a process h: hole_dom*side_in -> hole_cod*side_out, with the comb
+    acting only on the hole factors.  This is the defining behavior that
+    comb equivalence quantifies over."""
+    if h.dom != tensor(k.hole_dom, side_in):
+        raise CompositionError(f"context process input {h.dom} does not match")
+    if h.cod != tensor(k.hole_cod, side_out):
+        raise CompositionError(f"context process output {h.cod} does not match")
+    z = k.ancilla
+    stage = compose_par(k.pre, identity(side_in))
+    stage = compose_seq(compose_par(identity(k.hole_dom), swap(z, side_in)), stage)
+    stage = compose_seq(compose_par(h, identity(z)), stage)
+    stage = compose_seq(compose_par(identity(k.hole_cod), swap(side_out, z)), stage)
+    return compose_seq(compose_par(k.post, identity(side_out)), stage)
+
+
+def comb_tensor(k: OneComb) -> StochMap:
+    """The behavior map (id_A (x) (post . swap(Z,B))) . (pre (x) id_B), a
+    stochastic map A' (x) B -> A (x) B' that is kernel-built and not checked
+    again.  Its `.matrix` is the four-index tensor
+    W[(a,b')][(a',b)] = sum over z of pre((a,z)|a') * post(b'|(b,z)); two
+    combs act identically on every plugged process iff these agree."""
+    post = compose_seq(k.post, swap(k.ancilla, k.hole_cod))
+    return compose_seq(compose_par(identity(k.hole_dom), post),
+                       compose_par(k.pre, identity(k.hole_cod)))
+
+
+def comb_equivalent(k1: OneComb, k2: OneComb) -> bool:
+    """Same operational behavior on every plugged process: equal behavior
+    maps."""
+    if (k1.hole_dom, k1.hole_cod) != (k2.hole_dom, k2.hole_cod):
+        raise CompositionError("combs have different hole types")
+    if (k1.outer_dom, k1.outer_cod) != (k2.outer_dom, k2.outer_cod):
+        raise CompositionError("combs have different outer types")
+    return comb_tensor(k1) == comb_tensor(k2)
+
+
+def compose_combs_seq(k2: OneComb, k1: OneComb) -> OneComb:
+    """First transform with k1, then feed the result into k2: k1 plugged
+    into k2's hole, seen as a one-hole comb."""
+    k = plug_ncombs(k2, [k1])
+    return OneComb(k.ancillas[0], k.stages[0], k.stages[1], *k.holes[0])
+
+
+def compose_combs_par(k1: OneComb, k2: OneComb) -> OneComb:
+    """Side-by-side comb acting on a process of the joint hole type."""
+    a1, b1, z1 = k1.hole_dom, k1.hole_cod, k1.ancilla
+    a2, b2, z2 = k2.hole_dom, k2.hole_cod, k2.ancilla
+    pre = compose_par(k1.pre, k2.pre)  # -> A1*Z1*A2*Z2
+    pre = compose_seq(_mid_shuffle(a1, z1, a2, z2), pre)  # -> A1*A2*Z1*Z2
+    post = compose_seq(compose_par(k1.post, k2.post),
+                       _mid_shuffle(b1, b2, z1, z2))  # B1*B2*Z1*Z2 -> B1'*B2'
+    return OneComb(tensor(z1, z2), pre, post, tensor(a1, a2), tensor(b1, b2))
+
+
+def _mid_shuffle(w: FinSet, x: FinSet, y: FinSet, z: FinSet) -> StochMap:
+    # W*X*Y*Z -> W*Y*X*Z by swapping the middle blocks.
+    return compose_par(compose_par(identity(w), swap(x, y)), identity(z))
 
 
 def apply_ncomb(k: NComb, fs: Sequence[StochMap]) -> StochMap:

@@ -131,12 +131,12 @@ def feasible_nonneg_solution(equations: Sequence[Sequence[Fraction]],
             cden //= g
         basis[leave] = enter
 
+    # cost[total] is -cden times the sum of the artificials' values, so at
+    # zero every artificial still in the basis sits at zero as well.
     if cost[total] != 0:
         return None
     x = [F0] * n
     for i, bv in enumerate(basis):
         if bv < n:
             x[bv] = Fraction(tab[i][total], tab[i][bv])
-        elif tab[i][total] != 0:
-            return None  # artificial stuck at a nonzero level
     return x

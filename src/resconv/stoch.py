@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from random import Random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import Decision, InputError, shortest_traces
 from .linalg import common_denominator, feasible_nonneg_solution
@@ -41,7 +41,7 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-class CompositionError(ValueError):
+class CompositionError(InputError):
     """Domain/codomain mismatch; the message names both types."""
 
 
@@ -175,9 +175,9 @@ def identity(a: FinSet) -> StochMap:
     return from_function(a, a, range(len(a)))
 
 
-def from_function(dom: FinSet, cod: FinSet, f: Callable[[int], int] | Sequence[int]) -> StochMap:
-    """Deterministic map from an index function or index table."""
-    table = [f(i) for i in range(len(dom))] if callable(f) else list(f)
+def from_function(dom: FinSet, cod: FinSet, f: Sequence[int]) -> StochMap:
+    """Deterministic map from an index table: input i goes to output f[i]."""
+    table = list(f)
     if len(table) != len(dom) or any(not 0 <= j < len(cod) for j in table):
         raise InputError("function table does not match the domain/codomain")
     rows = [[0] * len(dom) for _ in range(len(cod))]

@@ -6,7 +6,7 @@ import pytest
 
 from resconv.circuits import (ParseError, evaluate_circuit, normalize_to_comb,
                               parse_circuit, render_circuit, to_dot)
-from resconv.combs import apply_comb
+from resconv.combs import NComb, apply_comb
 from resconv.stoch import all_deterministic_maps, finset, identity, random_stoch_map
 
 F = Fraction
@@ -58,6 +58,10 @@ def test_three_layer_circuit_records_the_hole():
     assert len(holes) == 1
     assert holes[0].name == "h"
     assert holes[0].dom_wires == ("A",) and holes[0].cod_wires == ("B",)
+
+
+def test_empty_type_entries_are_skipped():
+    assert parse_circuit("types: A=2, , B=3,\ninput: A\n").types == (("A", 2), ("B", 3))
 
 
 def test_round_trip_through_renderer():
@@ -165,6 +169,14 @@ def test_already_comb_shaped_circuit_is_a_fixed_point():
     comb = assert_normal_form_sound(c)
     # the ancilla is exactly the side wire type
     assert len(comb.ancilla) == 2
+
+
+def test_normal_form_is_an_n_comb_with_one_hole_names():
+    comb = normalize_to_comb(parse_sandwich())
+    assert isinstance(comb, NComb) and comb.arity == 1
+    assert comb.ancilla == comb.ancillas[0]
+    assert (comb.pre, comb.post) == comb.stages
+    assert ((comb.hole_dom, comb.hole_cod),) == comb.holes
 
 
 def test_hole_with_parallel_identity_wire():

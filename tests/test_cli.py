@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from resconv.cli import run
-from resconv.combs import identity_comb, one_comb_as_ncomb
+from resconv.combs import identity_comb
 from resconv.core import InputError
 from resconv.jsonio import (dump_ncomb, dump_one_comb, dump_stoch_map,
                             load_finite_table, load_one_comb, load_prob_vector,
@@ -319,7 +319,7 @@ def test_simulate_channel_search_refuted(tmp_path, capsys):
      ["hasse", "{path}", "--box", "1", "--out", "{dir}/missing/x.dot"]),
     ("c.circ", "types: A=2\ninput: A\nlayer: hole h(A -> A)\n",
      ["normalize-circuit", "{path}", "--out", "{dir}/missing/x.json"]),
-    ("outer.json", dump_ncomb(one_comb_as_ncomb(identity_comb(finset("b", 2), finset("b", 2)))),
+    ("outer.json", dump_ncomb(identity_comb(finset("b", 2), finset("b", 2))),
      ["plug", "{path}", "{path}", "--out", "{dir}/missing/x.json"]),
     ("maps.json", demo_library(dom=None), ["normalize-circuit", "{circuit}"]),
     ("maps.json", demo_library(matrix=[["1/0", "0"], ["0", "0"], ["0", "0"], ["0", "1"]]),
@@ -784,9 +784,9 @@ def test_normalize_circuit_writes_comb_json(tmp_path, capsys):
 def test_plug_and_uc_apply_cli(tmp_path, capsys):
     b2 = finset("b", 2)
     outer = tmp_path / "outer.json"
-    outer.write_text(json.dumps(dump_ncomb(one_comb_as_ncomb(identity_comb(b2, b2)))))
+    outer.write_text(json.dumps(dump_ncomb(identity_comb(b2, b2))))
     inner = tmp_path / "inner.json"
-    inner.write_text(json.dumps(dump_ncomb(one_comb_as_ncomb(identity_comb(b2, b2)))))
+    inner.write_text(json.dumps(dump_ncomb(identity_comb(b2, b2))))
     assert run(["plug", str(outer), str(inner), "--json"]) == 0
     composite = json.loads(capsys.readouterr().out)
     assert len(composite["holes"]) == 1
@@ -794,7 +794,7 @@ def test_plug_and_uc_apply_cli(tmp_path, capsys):
     uc = tmp_path / "uc.json"
     uc.write_text(json.dumps({
         "allocation": [0],
-        "combs": [dump_ncomb(one_comb_as_ncomb(identity_comb(b2, b2)))]}))
+        "combs": [dump_ncomb(identity_comb(b2, b2))]}))
     f = tmp_path / "f.json"
     f.write_text(json.dumps({"dom": ["b0", "b1"], "cod": ["b0", "b1"],
                              "matrix": [["1/3", "1/2"], ["2/3", "1/2"]]}))

@@ -7,7 +7,7 @@ import pytest
 from resconv.combs import (NComb, OneComb, UCTransformation, apply_comb,
                            apply_comb_in_context, apply_ncomb, apply_uc,
                            comb_equivalent, comb_tensor, compose_combs_par, compose_combs_seq,
-                           identity_comb, one_comb_as_ncomb, plug_ncombs, symmetry_comb)
+                           identity_comb, plug_ncombs, symmetry_comb)
 from resconv.core import InputError
 from resconv.stoch import (UNIT, CompositionError, all_deterministic_maps, compose_par,
                            compose_seq, discard, finset, from_function, identity, point_state,
@@ -276,8 +276,7 @@ def test_ncomb_respects_its_hole_order():
 def test_plugging_identity_combs_is_neutral():
     rng = Random(24)
     outer = two_comb(rng)
-    composite = plug_ncombs(outer, [one_comb_as_ncomb(identity_comb(A2, B2)),
-                                    one_comb_as_ncomb(identity_comb(B2, C2))])
+    composite = plug_ncombs(outer, [identity_comb(A2, B2), identity_comb(B2, C2)])
     f0 = random_stoch_map(rng, A2, B2)
     f1 = random_stoch_map(rng, B2, C2)
     assert apply_ncomb(composite, [f0, f1]).matrix == \
@@ -287,8 +286,8 @@ def test_plugging_identity_combs_is_neutral():
 def test_plugging_matches_nested_evaluation():
     rng = Random(25)
     outer = two_comb(rng)
-    inner0 = one_comb_as_ncomb(random_comb(rng, C2, D2, A2, B2))
-    inner1 = one_comb_as_ncomb(random_comb(rng, D2, A2, B2, C2))
+    inner0 = random_comb(rng, C2, D2, A2, B2)
+    inner1 = random_comb(rng, D2, A2, B2, C2)
     composite = plug_ncombs(outer, [inner0, inner1])
     g0 = random_stoch_map(rng, C2, D2)
     g1 = random_stoch_map(rng, D2, A2)
@@ -306,8 +305,8 @@ def test_plugging_respects_a_permuted_outer_comb():
     stage1 = random_stoch_map(rng, tensor(C2, Z2), tensor(A2, z1))
     stage2 = random_stoch_map(rng, tensor(B2, z1), D2)
     outer = NComb(((A2, B2), (B2, C2)), (1, 0), (stage0, stage1, stage2), (Z2, z1))
-    inner0 = one_comb_as_ncomb(random_comb(rng, C2, D2, A2, B2))
-    inner1 = one_comb_as_ncomb(random_comb(rng, D2, A2, B2, C2))
+    inner0 = random_comb(rng, C2, D2, A2, B2)
+    inner1 = random_comb(rng, D2, A2, B2, C2)
     composite = plug_ncombs(outer, [inner0, inner1])
     g0 = random_stoch_map(rng, C2, D2)
     g1 = random_stoch_map(rng, D2, A2)
@@ -324,7 +323,7 @@ def test_plugging_a_two_hole_comb_into_a_one_hole_outer():
     stage1 = random_stoch_map(rng, tensor(B2, Z2), tensor(B2, z1))
     stage2 = random_stoch_map(rng, tensor(C2, z1), D2)
     inner = NComb(((A2, B2), (B2, C2)), (0, 1), (stage0, stage1, stage2), (Z2, z1))
-    outer = one_comb_as_ncomb(random_comb(rng, A2, D2, C2, B2))
+    outer = random_comb(rng, A2, D2, C2, B2)
     composite = plug_ncombs(outer, [inner])
     assert composite.arity == 2
     f0 = random_stoch_map(rng, A2, B2)
@@ -333,10 +332,30 @@ def test_plugging_a_two_hole_comb_into_a_one_hole_outer():
     assert apply_ncomb(composite, [f0, f1]).matrix == nested.matrix
 
 
+def test_one_hole_combs_plug_and_allocate_as_n_combs():
+    rng = Random(57)
+    k1 = random_comb(rng, A2, B2, C2, D2)
+    k2 = random_comb(rng, C2, D2, A2, B2)
+    f = random_stoch_map(rng, A2, B2)
+    composite = plug_ncombs(k2, [k1])
+    assert apply_ncomb(composite, [f]) == apply_comb(k2, apply_comb(k1, f))
+    assert composite.stages == compose_combs_seq(k2, k1).stages
+    assert apply_uc(UCTransformation((0,), (k1,)), [f]) == [apply_comb(k1, f)]
+
+
+def test_a_plugged_composite_is_a_plain_n_comb():
+    # Only one-hole combs carry the `pre`/`post` names; a plug result keeps
+    # the n-comb shape even with one hole.
+    rng = Random(58)
+    composite = plug_ncombs(random_comb(rng, C2, D2, A2, B2), [random_comb(rng, A2, B2, C2, D2)])
+    assert composite.arity == 1
+    assert not hasattr(composite, "pre")
+
+
 def test_plugging_type_mismatch_names_the_hole():
     rng = Random(26)
     outer = two_comb(rng)
-    wrong = one_comb_as_ncomb(identity_comb(A2, B2))
+    wrong = identity_comb(A2, B2)
     with pytest.raises(CompositionError) as exc:
         plug_ncombs(outer, [wrong, wrong])
     assert "inner comb 1" in str(exc.value)
@@ -345,7 +364,7 @@ def test_plugging_type_mismatch_names_the_hole():
 # allocation transformations
 
 def test_single_identity_allocation():
-    t = UCTransformation((0,), (one_comb_as_ncomb(identity_comb(A2, B2)),))
+    t = UCTransformation((0,), (identity_comb(A2, B2),))
     rng = Random(27)
     f = random_stoch_map(rng, A2, B2)
     assert apply_uc(t, [f])[0].matrix == f.matrix
@@ -362,8 +381,8 @@ def test_two_inputs_consumed_sequentially_into_one_output():
 
 def test_disjoint_allocation_computes_outputs_independently():
     rng = Random(29)
-    k0 = one_comb_as_ncomb(random_comb(rng, A2, B2, C2, D2))
-    k1 = one_comb_as_ncomb(random_comb(rng, B2, C2, D2, A2))
+    k0 = random_comb(rng, A2, B2, C2, D2)
+    k1 = random_comb(rng, B2, C2, D2, A2)
     t = UCTransformation((0, 1), (k0, k1))
     f0 = random_stoch_map(rng, A2, B2)
     f1 = random_stoch_map(rng, B2, C2)
@@ -374,19 +393,19 @@ def test_disjoint_allocation_computes_outputs_independently():
 
 def test_allocation_arity_mismatch_rejected():
     with pytest.raises(InputError):
-        UCTransformation((0, 0), (one_comb_as_ncomb(identity_comb(A2, B2)),))
+        UCTransformation((0, 0), (identity_comb(A2, B2),))
 
 
 # constructor and type errors name what is wrong
 
-ONE = one_comb_as_ncomb(identity_comb(A2, B2))
+ONE = identity_comb(A2, B2)
 
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: OneComb(UNIT, identity(B2), identity(B2), A2, B2), CompositionError,
-     "pre map must land in a{a0,a1}, got b{b0,b1}"),
+     "stage 0 must produce a{a0,a1}, got b{b0,b1}"),
     (lambda: OneComb(UNIT, identity(A2), identity(A2), A2, B2), CompositionError,
-     "post map must accept b{b0,b1}, got a{a0,a1}"),
+     "stage 1 must accept b{b0,b1}, got a{a0,a1}"),
     (lambda: NComb((), (), (identity(A2),), ()), InputError, "a comb needs at least one hole"),
     (lambda: NComb(((A2, B2),), (1,), (identity(A2), identity(B2)), (UNIT,)), InputError,
      "order (1,) is not a permutation of 0..0"),
@@ -409,8 +428,7 @@ ONE = one_comb_as_ncomb(identity_comb(A2, B2))
                              OneComb(UNIT, from_function(C2, A2, [0, 1]), identity(B2), A2, B2)),
      CompositionError, "combs have different outer types"),
     (lambda: compose_combs_seq(identity_comb(A2, B2), identity_comb(C2, B2)), CompositionError,
-     "outer type c{c0,c1} -> b{b0,b1} of the first comb does not match the hole "
-     "a{a0,a1} -> b{b0,b1} of the second"),
+     "inner comb 0 yields c{c0,c1} -> b{b0,b1}, hole expects a{a0,a1} -> b{b0,b1}"),
 ], ids=["one-comb-pre", "one-comb-post", "ncomb-no-hole", "ncomb-order", "ncomb-stage-count",
         "ncomb-stage-output", "ncomb-stage-input", "uc-unknown-output", "uc-arity",
         "apply-ncomb-count", "apply-ncomb-type", "equivalent-hole-types",

@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -18,6 +19,10 @@ def test_decision_invariants():
         Decision(Verdict.UNKNOWN)
     d = Decision.unknown(5)
     assert d.bound == 5 and d.is_unknown
+
+
+def test_decision_json_writes_fraction_witnesses_as_strings():
+    assert Decision.proven({"k": Fraction(1, 2)}).to_json()["witness"] == {"k": "1/2"}
 
 
 # check_axioms

@@ -6,14 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from resconv.circuits import CircuitDiagram
+from resconv.circuits import CircuitDiagram, ParseError, parse_circuit
+from resconv.combs import apply_comb_in_context, identity_comb
 from resconv.core import InputError, replicate
 from resconv.instances import ProbVector, VectorTheory, deterministic_convertible
 from resconv.monotones import Monotone, rate_upper_bound
+from resconv.jsonio import load_ncomb
 from resconv.presentation import ms_make
-from resconv.stoch import finset, from_function, identity, search_free_transformation_batch, state
+from resconv.stoch import (CompositionError, finset, from_function, identity,
+                           search_free_transformation_batch, state, tensor)
 
-A2, B2 = finset("a", 2), finset("b", 2)
+A2, B2, C2 = finset("a", 2), finset("b", 2), finset("c", 2)
 COIN = state(A2, [Fraction(1, 2), Fraction(1, 2)])
 FOOD = VectorTheory(2, "additive")
 
@@ -34,10 +37,31 @@ FOOD = VectorTheory(2, "additive")
     (lambda: ms_make({"A": -1}), InputError, "negative multiplicity for 'A'"),
     (lambda: CircuitDiagram((("A", 2),), (), ("A",), ()).finset_of("Q"), InputError,
      "undeclared wire type 'Q'"),
+    (lambda: apply_comb_in_context(identity_comb(A2, B2), identity(A2), C2, C2), CompositionError,
+     "context process input a{a0,a1} does not match"),
+    (lambda: apply_comb_in_context(identity_comb(A2, B2), identity(tensor(A2, C2)), C2, C2),
+     CompositionError, "context process output a*c{a0|c0,a0|c1,a1|c0,a1|c1} does not match"),
 ], ids=["closure-target-not-state", "closure-start-not-state", "function-table-range",
         "deterministic-not-prob-vectors", "replicate-negative", "rate-bound-not-additive",
-        "multiset-negative", "circuit-undeclared-wire"])
+        "multiset-negative", "circuit-undeclared-wire", "context-input", "context-output"])
 def test_guard_errors_name_the_fault(build, error, message):
     with pytest.raises(error) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_bad_comb_files_and_circuit_texts_raise_input_errors():
+    # A type mismatch read from a file and a circuit parse error are bad
+    # input like any other: callers catch both as `InputError`.
+    wrong_stage = {"holes": [{"dom": ["a0", "a1"], "cod": ["b0", "b1"]}], "order": [0],
+                   "stages": [{"dom": ["x0"], "cod": ["b0", "b1"], "matrix": [["1"], ["0"]]},
+                              {"dom": ["b0", "b1"], "cod": ["y0"], "matrix": [["1", "1"]]}],
+                   "ancillas": [["*"]]}
+    with pytest.raises(InputError) as exc:
+        load_ncomb(wrong_stage)
+    assert isinstance(exc.value, CompositionError)
+    assert str(exc.value) == "stage 0 must produce A{a0,a1}, got cod{b0,b1}"
+    with pytest.raises(InputError) as exc:
+        parse_circuit("types: A=2\nbogus\n")
+    assert isinstance(exc.value, ParseError) and (exc.value.line, exc.value.col) == (2, 1)
+    assert str(exc.value) == "line 2, col 1: unrecognized line 'bogus'"

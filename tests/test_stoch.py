@@ -45,6 +45,10 @@ def test_identity_is_a_unit():
     assert compose_seq(p, identity(B2)).matrix == p.matrix
 
 
+def test_a_map_prints_its_labels_and_shape():
+    assert str(identity(finset("a", 2))) == "StochMap a -> a (2x2)"
+
+
 def test_two_flips_cancel():
     assert compose_seq(FLIP, FLIP).matrix == identity(B2).matrix
 
