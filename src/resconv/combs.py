@@ -161,8 +161,11 @@ def comb_equivalent(k1: OneComb, k2: OneComb) -> bool:
 def compose_combs_seq(k2: OneComb, k1: OneComb) -> OneComb:
     """First transform with k1, then feed the result into k2: k1 plugged
     into k2's hole, seen as a one-hole comb."""
-    k = plug_ncombs(k2, [k1])
-    return OneComb(k.ancillas[0], k.stages[0], k.stages[1], *k.holes[0])
+    # plug_ncombs has checked the stage types; the view takes its fields as
+    # they are
+    k = object.__new__(OneComb)
+    k.__dict__.update(plug_ncombs(k2, [k1]).__dict__)
+    return k
 
 
 def compose_combs_par(k1: OneComb, k2: OneComb) -> OneComb:

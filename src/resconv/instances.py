@@ -2,7 +2,10 @@
 spectra.  Multiset rewrite systems are `presentation.MultisetTheory`.
 
 All decision procedures are exact over rationals; nothing here compares
-floats.
+floats.  A probability vector is integer weights over one positive
+denominator, kept reduced, and the product distribution, the partition
+search and the majorization test compute on those integers; `Fraction`s
+appear only in the `entries` view and in witnesses.
 """
 
 from __future__ import annotations
@@ -10,11 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log2
-from typing import Iterable, Literal
+from functools import cached_property
+from math import gcd, lcm, log2
+from typing import Iterable, Literal, Sequence
 
 from .core import Decision, InputError, TheoryOracle
-from .linalg import common_denominator
 
 Vector = tuple[int, ...]
 
@@ -78,19 +81,30 @@ class VectorTheory(TheoryOracle):
         return "(" + ",".join(map(str, a)) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProbVector:
-    """Probability distribution on a finite set, exact rational entries."""
+    """Probability distribution on a finite set, held as integer weights
+    over one positive total: entry i is weights[i] / total.
 
-    entries: tuple[Fraction, ...]
+    The form is reduced, gcd(total, *weights) == 1, so equality and
+    hashing, which compare (total, weights), are rational equality.
+    `entries` is the same distribution as `Fraction`s, built on first read
+    and cached.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise InputError("probability vector must be non-empty")
-        if any(p < 0 for p in self.entries):
-            raise InputError("probabilities must be non-negative")
-        if sum(self.entries) != 1:
-            raise InputError(f"probabilities must sum to 1, got {sum(self.entries)}")
+    total: int
+    weights: tuple[int, ...]
+
+    def __init__(self, entries: Iterable[Fraction | int]) -> None:
+        """The distribution with the given exact entries, each an int or a
+        `Fraction`, checked by `_checked_form`."""
+        total, weights = _checked_form([_entry_ratio(x) for x in entries])
+        self.__dict__.update(total=total, weights=weights)
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        total = self.total
+        return tuple(Fraction(x, total) for x in self.weights)
 
     @staticmethod
     def of(*values) -> "ProbVector":
@@ -101,20 +115,66 @@ class ProbVector:
         return ProbVector((Fraction(1, n),) * n)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.weights)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.entries[i]
 
     def tensor(self, other: "ProbVector") -> "ProbVector":
-        return ProbVector(tuple(p * q for p in self.entries for q in other.entries))
+        # Reduced already: the weights of each side are coprime to their
+        # total and sum to it, so for each prime each side has a weight the
+        # prime does not divide, and so does their product.
+        return _kernel_vector(self.total * other.total,
+                              tuple(x * y for x in self.weights for y in other.weights))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.entries) + ")"
 
 
+def _entry_ratio(x: Fraction | int) -> tuple[int, int]:
+    # bool is a subclass of int, and a float has no exact entry to keep
+    if type(x) is bool or not isinstance(x, (int, Fraction)):
+        raise InputError(f"probability {x!r} is not an int or a Fraction")
+    return x.numerator, x.denominator
+
+
+def _checked_form(ratios: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """The one check of a distribution given as reduced (numerator,
+    denominator) pairs: non-empty, then signs, then the sum.  Returns the
+    weights over total, the lcm of the denominators.  That form is already
+    reduced: for each prime, the entry whose denominator holds its highest
+    power keeps a weight the prime does not divide."""
+    if not ratios:
+        raise InputError("probability vector must be non-empty")
+    if any(n < 0 for n, _ in ratios):
+        raise InputError("probabilities must be non-negative")
+    total = lcm(*(d for _, d in ratios))
+    weights = tuple(n * (total // d) for n, d in ratios)
+    if sum(weights) != total:
+        raise InputError(f"probabilities must sum to 1, got {Fraction(sum(weights), total)}")
+    return total, weights
+
+
+def prob_vector_from_ratios(ratios: Sequence[tuple[int, int]]) -> ProbVector:
+    """The distribution with entries n/d for the reduced pairs `ratios`,
+    checked as the public constructor checks its entries, but without
+    building a `Fraction`."""
+    return _kernel_vector(*_checked_form(ratios))
+
+
+def _kernel_vector(total: int, weights: tuple[int, ...]) -> ProbVector:
+    """A distribution from weights over total, already reduced and
+    summing to total, without a check."""
+    v = object.__new__(ProbVector)
+    v.__dict__.update(total=total, weights=weights)
+    return v
+
+
 def shannon_entropy(p: ProbVector) -> float:
-    return -sum(float(x) * log2(float(x)) for x in p.entries if x != 0)
+    # int / int is correctly rounded, as float(Fraction) is, so each term
+    # is the float of the exact entry
+    t = p.total
+    return -sum(x / t * log2(x / t) for x in p.weights if x)
 
 
 def majorizes(x: ProbVector, y: ProbVector) -> bool:
@@ -125,22 +185,28 @@ def majorizes(x: ProbVector, y: ProbVector) -> bool:
     return _first_bad_prefix(x, y) is None
 
 
+def _over(p: ProbVector, den: int) -> list[int]:
+    """p's weights over den, a multiple of p.total."""
+    scale = den // p.total
+    return [x * scale for x in p.weights]
+
+
 def _first_bad_prefix(x: ProbVector, y: ProbVector) -> tuple[int, Fraction, Fraction] | None:
     """The first prefix length k, with the partial sums of x and y, at which
     x's sorted-descending partial sum falls below y's; None if none does."""
-    xs = list(x.entries)
-    ys = list(y.entries)
+    den = lcm(x.total, y.total)
+    xs, ys = _over(x, den), _over(y, den)
     n = max(len(xs), len(ys))
-    xs += [Fraction(0)] * (n - len(xs))
-    ys += [Fraction(0)] * (n - len(ys))
+    xs += [0] * (n - len(xs))
+    ys += [0] * (n - len(ys))
     xs.sort(reverse=True)
     ys.sort(reverse=True)
-    sx = sy = Fraction(0)
+    sx = sy = 0
     for k, (a, b) in enumerate(zip(xs, ys), start=1):
         sx += a
         sy += b
         if sx < sy:
-            return (k, sx, sy)
+            return (k, Fraction(sx, den), Fraction(sy, den))
     return None
 
 
@@ -162,26 +228,27 @@ def deterministic_convertible(p: ProbVector, q: ProbVector) -> Decision:
     if not isinstance(p, ProbVector) or not isinstance(q, ProbVector):
         raise InputError("both arguments must be probability vectors")
     refuted = Decision.refuted(("exhausted-partition-search", len(p), len(q)))
-    if max(p.entries) > max(q.entries) or \
-            sum(1 for x in p.entries if x) < sum(1 for y in q.entries if y):
+    # Both over one denominator, so the search runs on integer weights.
+    den = lcm(p.total, q.total)
+    ps, targets = _over(p, den), _over(q, den)
+    if max(ps) > max(targets) or \
+            sum(1 for x in ps if x) < sum(1 for y in targets if y):
         return refuted
-    # Every block sum is a multiple of g/den, the gcd of p's entries.
-    nums, den = common_denominator(p.entries)
-    g = gcd(*nums)
-    if any(y.numerator * den % (y.denominator * g) for y in q.entries):
+    # Every block sum is a multiple of the gcd of p's weights.
+    g = gcd(*ps)
+    if any(y % g for y in targets):
         return refuted
-    order = sorted(range(len(p)), key=lambda i: p[i], reverse=True)
-    targets = q.entries
-    sums = [Fraction(0)] * len(q)
-    block_of = [0] * len(p)
+    order = sorted(range(len(ps)), key=ps.__getitem__, reverse=True)
+    sums = [0] * len(targets)
+    block_of = [0] * len(ps)
 
     def choices(k: int):
         """Put the k-th largest entry in each block it fits, from the block
         of an equal predecessor on, one block per distinct (block sum,
         target) state, undoing each placement on resume."""
         i = order[k]
-        x, seen = p[i], set()
-        first = block_of[order[k - 1]] if k and p[order[k - 1]] == x else 0
+        x, seen = ps[i], set()
+        first = block_of[order[k - 1]] if k and ps[order[k - 1]] == x else 0
         for j in range(first, len(targets)):
             state = (sums[j], targets[j])
             if state not in seen and sums[j] + x <= targets[j]:
@@ -200,7 +267,7 @@ def deterministic_convertible(p: ProbVector, q: ProbVector) -> Decision:
             stack.pop()
         elif len(stack) == len(order):
             blocks: list[list[int]] = [[] for _ in targets]
-            for i in range(len(p)):
+            for i in range(len(ps)):
                 blocks[block_of[i]].append(i)
             return Decision.proven(("partition", tuple(map(tuple, blocks))))
         else:
@@ -237,17 +304,18 @@ class RandomnessTheory(_DistributionTheory):
 def enumerate_prob_vectors(max_len: int, max_den: int) -> list[ProbVector]:
     """All rational distributions with length <= max_len and a common
     denominator <= max_den, deduplicated, in a deterministic order."""
-    seen: set[tuple[Fraction, ...]] = set()
-    out: list[ProbVector] = []
+    # Keyed by the weights over one scale, so the key order is the
+    # lexicographic order of the entries.
+    scale = lcm(*range(1, max_den + 1))
+    found: dict[tuple[int, ...], ProbVector] = {}
     for length in range(1, max_len + 1):
         for den in range(1, max_den + 1):
             for comp in _compositions(den, length):
-                entries = tuple(Fraction(k, den) for k in comp)
-                if entries not in seen:
-                    seen.add(entries)
-                    out.append(ProbVector(entries))
-    out.sort(key=lambda v: (len(v), v.entries))
-    return out
+                key = tuple(k * (scale // den) for k in comp)
+                if key not in found:
+                    g = gcd(den, *comp)
+                    found[key] = _kernel_vector(den // g, tuple(k // g for k in comp))
+    return [found[key] for key in sorted(found, key=lambda key: (len(key), key))]
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:

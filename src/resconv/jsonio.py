@@ -18,9 +18,9 @@ Field names are part of the package contract:
                    "matrix": [..], "free": bool}}}  ("maps" envelope optional)
 
 A rational literal is a string Fraction accepts ("1/2", "0.25", "1e-3")
-or a JSON number.  A map entry written "p" or "p/q" in ASCII digits is
-read straight to the integers p and q with int(); any other entry goes
-through Fraction, with the same values and messages.
+or a JSON number.  A map or probability entry written "p" or "p/q" in
+ASCII digits is read straight to the integers p and q with int(); any
+other entry goes through Fraction, with the same values and messages.
 
 Vector/randomness/spectrum theories use a {"kind": ...} envelope; finite
 tables and presentations are recognized by shape.  A theory file may
@@ -40,7 +40,7 @@ from typing import Any, Callable, Mapping
 from .combs import NComb, OneComb, UCTransformation
 from .core import FiniteTheoryTable, InputError, TheoryOracle
 from .instances import (EntanglementSpectrumTheory, ProbVector,
-                        RandomnessTheory, VectorTheory)
+                        RandomnessTheory, VectorTheory, prob_vector_from_ratios)
 from .monotones import Monotone, builtin_monotone
 from .presentation import MorphismGenerator, Multiset, MultisetTheory, ms_make
 from .stoch import FinSet, SharedRandomness, StochMap, from_ratios, tensor_all
@@ -175,7 +175,7 @@ def dump_stoch_map(p: StochMap, what: str = "a stochastic map") -> dict:
 def load_prob_vector(raw: Any) -> ProbVector:
     if not isinstance(raw, list):
         raise InputError(f"probability vector must be a list, got {raw!r}")
-    return ProbVector(tuple(_frac(x) for x in raw))
+    return prob_vector_from_ratios([_ratio(x) for x in raw])
 
 
 def load_shared_randomness(data: Mapping) -> SharedRandomness:

@@ -1,6 +1,6 @@
 from collections import Counter, deque
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, log2
 from random import Random
 
 import pytest
@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resconv.core import InputError, replicate
-from resconv.instances import (ProbVector, RandomnessTheory, VectorTheory,
-                               deterministic_convertible, entanglement_convertible,
+from resconv.instances import (EntanglementSpectrumTheory, ProbVector, RandomnessTheory,
+                               VectorTheory, deterministic_convertible, entanglement_convertible,
                                enumerate_prob_vectors, majorizes, shannon_entropy)
 from resconv.presentation import MorphismGenerator, MultisetTheory, ms_add, ms_make
 import resconv.presentation
@@ -252,6 +252,39 @@ def test_randomness_combine_is_product():
     t = RandomnessTheory()
     p = t.combine(ProbVector.of("1/2", "1/2"), ProbVector.of("1/3", "2/3"))
     assert p.entries == (F(1, 6), F(1, 3), F(1, 6), F(1, 3))
+
+
+# integer weights against Fraction arithmetic
+
+def test_integer_weights_agree_with_fraction_arithmetic():
+    vectors = enumerate_prob_vectors(max_len=4, max_den=6)
+    spectra = EntanglementSpectrumTheory()
+    # sorted-descending partial sums on the Fraction entries, zero-padded to
+    # the longest length; past both lengths the sums are equal
+    partial = {}
+    for a in vectors:
+        sums = [F(0)]
+        for x in sorted(list(a.entries) + [F(0)] * (4 - len(a)), reverse=True):
+            sums.append(sums[-1] + x)
+        partial[a] = sums
+    for a in vectors:
+        assert gcd(a.total, *a.weights) == 1
+        assert shannon_entropy(a) == -sum(float(x) * log2(float(x)) for x in a.entries if x != 0)
+        for b in vectors:
+            products = tuple(x * y for x in a.entries for y in b.entries)
+            t = a.tensor(b)
+            assert t.entries == products and gcd(t.total, *t.weights) == 1
+            rebuilt = ProbVector(products)
+            assert rebuilt == t and hash(rebuilt) == hash(t)
+            assert (a == b) == (a.entries == b.entries)
+            bad = next(((k, partial[b][k], partial[a][k]) for k in range(1, 5)
+                        if partial[b][k] < partial[a][k]), None)
+            d = spectra.geq(a, b)
+            if bad is None:
+                assert d.witness == ("majorization", a.entries, b.entries)
+            else:
+                assert d.witness == ("majorization-fails", bad)
+                assert all(type(s) is F for s in d.witness[1][1:])
 
 
 # reactions
