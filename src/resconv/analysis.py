@@ -12,6 +12,11 @@ one `core.QueryMemo` and asks it instead.  The memo lives for that one call:
 `cross_check_theorems` hands its memo to the checks it runs, and the CLI's
 `properties` command shares one across its five checks, but nothing is
 kept between calls and no state is global.
+
+The sum-law checks (quantity-like, non-interacting, catalysis-free) build
+the sample's sum table once per call, n^2 `combine`s with the positions of
+each distinct sum, and ask every later question per distinct sum rather
+than per sample tuple.
 """
 
 from __future__ import annotations
@@ -73,19 +78,37 @@ def find_catalyst(t: TheoryOracle, a: Any, b: Any, candidates: Sequence[Any],
     return Decision.refuted(("no-catalyst-in-candidates", len(candidates)))
 
 
+def _sum_table(t: TheoryOracle, sample: Sequence[Any]) -> tuple[list[Any], dict[Any, list[int]]]:
+    """The sample's sums and where each distinct sum occurs.
+
+    Position k = i*n + j holds `t.combine(sample[i], sample[j])`, in the
+    order of `itertools.product(sample, repeat=2)`; the dict lists, per
+    distinct sum in order of first occurrence, its positions in increasing
+    order.
+    """
+    sums = [t.combine(x, y) for x, y in itertools.product(sample, repeat=2)]
+    where: dict[Any, list[int]] = {}
+    for k, s in enumerate(sums):
+        where.setdefault(s, []).append(k)
+    return sums, where
+
+
 def check_catalysis_free(t: TheoryOracle, sample: Sequence[Any],
                          bound: int = 0) -> PropertyReport:
     """Catalysis-free: a+c converts to b+c only when a converts to b."""
     t = QueryMemo.of(t)
     def outcomes():
-        for a, b in itertools.product(sample, repeat=2):
+        n = len(sample)
+        sums, _ = _sum_table(t, sample)
+        plus = [sums[i * n:(i + 1) * n] for i in range(n)]
+        for (a, a_plus), (b, b_plus) in itertools.product(zip(sample, plus), repeat=2):
             base = t.geq(a, b)
             if base.is_unknown:
                 yield Verdict.UNKNOWN
             if not base.is_refuted:
                 continue
-            for c in sample:
-                lifted = t.geq(t.combine(a, c), t.combine(b, c))
+            for c, ac, bc in zip(sample, a_plus, b_plus):
+                lifted = t.geq(ac, bc)
                 if lifted.is_proven:
                     yield Decision.refuted(("catalyst-triple", a, b, c))
                 if lifted.is_unknown:
@@ -103,20 +126,25 @@ def check_non_interacting(t: TheoryOracle, sample: Sequence[Any],
     """
     t = QueryMemo.of(t)
     def outcomes():
+        pairs = list(itertools.product(sample, repeat=2))
+        _, where = _sum_table(t, sample)
         for a in sample:
-            decomps = None
-            for b1, b2 in itertools.product(sample, repeat=2):
-                top = t.geq(a, t.combine(b1, b2))
+            onto = []
+            for s, ks in where.items():
+                top = t.geq(a, s)
                 if top.is_unknown:
-                    yield Verdict.UNKNOWN
-                if not top.is_proven:
-                    continue
-                if decomps is None:
-                    decomps = t.decompositions(a)
-                    complete = decomps is not None
-                    if decomps is None:
-                        decomps = [(x, y) for x in sample for y in sample
-                                   if t.equivalent(t.combine(x, y), a).is_proven]
+                    yield from itertools.repeat(Verdict.UNKNOWN, len(ks))
+                if top.is_proven:
+                    onto += ks
+            if not onto:
+                continue
+            decomps = t.decompositions(a)
+            complete = decomps is not None
+            if decomps is None:
+                decomps = [pairs[k] for k in sorted(
+                    k for s, ks in where.items() if t.equivalent(s, a).is_proven for k in ks)]
+            for k in sorted(onto):
+                b1, b2 = pairs[k]
                 saw_unknown = False
                 for a1, a2 in decomps:
                     d1 = t.geq(a1, b1)
@@ -133,27 +161,69 @@ def check_non_interacting(t: TheoryOracle, sample: Sequence[Any],
 def check_quantity_like(t: TheoryOracle, sample: Sequence[Any],
                         bound: int = 0) -> PropertyReport:
     """Conservation of value: equal combinations with one side dominating
-    force the complementary domination."""
+    force the complementary domination.
+
+    The instances are the pairs (a1+a2, b1+b2) of sample sums, row by row
+    in sum-table order.  Each unordered pair of distinct sums is compared
+    once (the verdict of `equivalent` is symmetric).  A row's proven
+    partners, in table order, fall into runs of equal b1, so a1 -> b1 is
+    asked once per run, and a run's scan of b2 -> a2 serves every row
+    with the same sum and the same a2.
+    """
     t = QueryMemo.of(t)
     def outcomes():
-        sums = [(x, y, t.combine(x, y)) for x, y in itertools.product(sample, repeat=2)]
-        for (a1, a2, a), (b1, b2, b) in itertools.product(sums, repeat=2):
-            eq = t.equivalent(a, b)
-            if eq.is_unknown:
-                yield Verdict.UNKNOWN
-            if not eq.is_proven:
-                continue
-            d = t.geq(a1, b1)
-            if d.is_unknown:
-                yield Verdict.UNKNOWN
-            if not d.is_proven:
-                continue
-            back = t.geq(b2, a2)
-            if back.is_refuted:
-                yield Decision.refuted(("quadruple", a1, a2, b1, b2))
-            if back.is_unknown:
-                yield Verdict.UNKNOWN
+        n = len(sample)
+        sums, where = _sum_table(t, sample)
+        verdicts: dict[tuple[Any, Any], Verdict] = {}
+        rows: dict[Any, tuple[int, list[tuple[int, list[Any]]]]] = {}
+        scans: dict[tuple[Any, int, int], tuple[int, Any]] = {}
+        for k, a in enumerate(sums):
+            row = rows.get(a)
+            if row is None:
+                unknown, partners = 0, []
+                for b, ks in where.items():
+                    eq = verdicts.get((b, a))
+                    if eq is None:
+                        eq = verdicts[a, b] = t.equivalent(a, b).verdict
+                    if eq is Verdict.UNKNOWN:
+                        unknown += len(ks)
+                    if eq is Verdict.PROVEN:
+                        partners += ks
+                runs = [(b1, [sample[q % n] for q in run])
+                        for b1, run in itertools.groupby(sorted(partners), lambda q: q // n)]
+                row = rows[a] = unknown, runs
+            unknown, runs = row
+            yield from itertools.repeat(Verdict.UNKNOWN, unknown)
+            i, j = divmod(k, n)
+            a1, a2 = sample[i], sample[j]
+            for r, (b1, b2s) in enumerate(runs):
+                d = t.geq(a1, sample[b1])
+                if d.is_unknown:
+                    yield from itertools.repeat(Verdict.UNKNOWN, len(b2s))
+                if not d.is_proven:
+                    continue
+                scan = scans.get((a, r, j))
+                if scan is None:
+                    scan = scans[a, r, j] = _scan_to_first_refuted(t, b2s, a2)
+                unknown, refuting = scan
+                yield from itertools.repeat(Verdict.UNKNOWN, unknown)
+                if refuting is not None:
+                    yield Decision.refuted(("quadruple", a1, a2, sample[b1], refuting))
     return _property("quantity-like", t, sample, bound, outcomes())
+
+
+def _scan_to_first_refuted(t: TheoryOracle, sources: Sequence[Any],
+                           target: Any) -> tuple[int, Any]:
+    """Ask `source -> target` in order up to the first Refuted answer: the
+    number of Unknown answers before it, and its source (None if none)."""
+    unknown = 0
+    for source in sources:
+        back = t.geq(source, target)
+        if back.is_refuted:
+            return unknown, source
+        if back.is_unknown:
+            unknown += 1
+    return unknown, None
 
 
 def check_quality_like(t: TheoryOracle, sample: Sequence[Any],

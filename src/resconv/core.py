@@ -132,13 +132,14 @@ class TheoryOracle(ABC):
 
 
 def equivalent(t: TheoryOracle, a: Any, b: Any) -> Decision:
-    """Mutual convertibility: Proven iff both directions hold."""
+    """Mutual convertibility: Proven iff both directions hold.  The verdict
+    is symmetric in a and b; b -> a is not asked once a -> b is refuted."""
     fwd = t.geq(a, b)
+    if fwd.is_refuted:
+        return Decision.refuted(("forward", fwd.witness))
     bwd = t.geq(b, a)
     if fwd.is_proven and bwd.is_proven:
         return Decision.proven((fwd.witness, bwd.witness))
-    if fwd.is_refuted:
-        return Decision.refuted(("forward", fwd.witness))
     if bwd.is_refuted:
         return Decision.refuted(("backward", bwd.witness))
     bound = max(d.bound or 0 for d in (fwd, bwd) if d.is_unknown)

@@ -112,7 +112,8 @@ class ProbVector:
 
     @staticmethod
     def uniform(n: int) -> "ProbVector":
-        return ProbVector((Fraction(1, n),) * n)
+        """n entries of 1/n; for n <= 0 the empty vector is rejected."""
+        return prob_vector_from_ratios([(1, n)] * n)
 
     def __len__(self) -> int:
         return len(self.weights)

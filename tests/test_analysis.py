@@ -130,16 +130,16 @@ def test_non_interacting_refuted_with_replayable_witness():
         assert not (t.geq(a1, b1).is_proven and t.geq(a2, b2).is_proven)
 
 
-def count_geq(monkeypatch, cls):
-    """Count, per pair of terms, the questions that reach `cls.geq`."""
+def count_calls(monkeypatch, cls, name):
+    """Count, per pair of terms, the calls that reach `cls.<name>`."""
     asked = Counter()
-    geq = cls.geq
+    method = getattr(cls, name)
 
     def counted(self, a, b):
         asked[a, b] += 1
-        return geq(self, a, b)
+        return method(self, a, b)
 
-    monkeypatch.setattr(cls, "geq", counted)
+    monkeypatch.setattr(cls, name, counted)
     return asked
 
 
@@ -148,7 +148,7 @@ def test_non_interacting_lists_the_splits_of_each_term_once(monkeypatch):
     # from a sample-squared equivalence sweep, at most once per a; with
     # each pair asked once the theory answers at most 10^3 questions.
     t = load_theory(read_json(DEMO / "haber.json"), bound=6)
-    asked = count_geq(monkeypatch, type(t))
+    asked = count_calls(monkeypatch, type(t), "geq")
     report = check_non_interacting(t, box(t, 2), 6)
     assert sum(asked.values()) <= 1000
     assert str(report) == ("non-interacting: Unknown (sample of 10) "
@@ -156,7 +156,7 @@ def test_non_interacting_lists_the_splits_of_each_term_once(monkeypatch):
 
 
 def test_each_cross_check_run_asks_the_theory_each_pair_once(monkeypatch, capsys):
-    asked = count_geq(monkeypatch, FiniteTheoryTable)
+    asked = count_calls(monkeypatch, FiniteTheoryTable, "geq")
     most = []
 
     def counted_run(*args):
@@ -173,18 +173,18 @@ def test_each_cross_check_run_asks_the_theory_each_pair_once(monkeypatch, capsys
 
 
 def test_a_properties_run_asks_the_theory_each_pair_once(monkeypatch, capsys):
-    asked = count_geq(monkeypatch, VectorTheory)
+    asked = count_calls(monkeypatch, VectorTheory, "geq")
     assert run(["properties", str(DEMO / "prof.json"), "--sample-box", "3", "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "properties-prof.stdout").read_text()
     assert max(asked.values()) == 1
 
 
 def test_check_axioms_and_hasse_ask_the_theory_each_pair_once(monkeypatch, capsys):
-    asked = count_geq(monkeypatch, FiniteTheoryTable)
+    asked = count_calls(monkeypatch, FiniteTheoryTable, "geq")
     assert run(["check-axioms", str(DEMO / "table.json"), "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "check-axioms.stdout").read_text()
     assert max(asked.values()) == 1
-    asked = count_geq(monkeypatch, VectorTheory)
+    asked = count_calls(monkeypatch, VectorTheory, "geq")
     assert run(["hasse", str(DEMO / "prof.json"), "--box", "2"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "hasse-prof.prof.dot").read_text()
     assert max(asked.values()) == 1
@@ -215,7 +215,66 @@ def quadruple_quantity_like(t, sample, bound=0):
     return _property("quantity-like", t, sample, bound, outcomes())
 
 
-def test_quantity_like_matches_the_quadruple_loop(food, proficiency):
+def triple_non_interacting(t, sample, bound=0):
+    """Reference: the non-interacting check that combines every top pair
+    afresh and sweeps the sample squared for the splits of a term."""
+    t = QueryMemo.of(t)
+
+    def outcomes():
+        for a in sample:
+            decomps = None
+            for b1, b2 in itertools.product(sample, repeat=2):
+                top = t.geq(a, t.combine(b1, b2))
+                if top.is_unknown:
+                    yield Verdict.UNKNOWN
+                if not top.is_proven:
+                    continue
+                if decomps is None:
+                    decomps = t.decompositions(a)
+                    complete = decomps is not None
+                    if decomps is None:
+                        decomps = [(x, y) for x in sample for y in sample
+                                   if t.equivalent(t.combine(x, y), a).is_proven]
+                saw_unknown = False
+                for a1, a2 in decomps:
+                    d1 = t.geq(a1, b1)
+                    d2 = t.geq(a2, b2)
+                    if d1.is_proven and d2.is_proven:
+                        break
+                    saw_unknown = saw_unknown or d1.is_unknown or d2.is_unknown
+                else:
+                    yield (Decision.refuted(("no-split", a, b1, b2))
+                           if complete and not saw_unknown else Verdict.UNKNOWN)
+    return _property("non-interacting", t, sample, bound, outcomes())
+
+
+def triple_catalysis_free(t, sample, bound=0):
+    """Reference: the catalysis-free check that combines both sides of
+    every lifted pair afresh."""
+    t = QueryMemo.of(t)
+
+    def outcomes():
+        for a, b in itertools.product(sample, repeat=2):
+            base = t.geq(a, b)
+            if base.is_unknown:
+                yield Verdict.UNKNOWN
+            if not base.is_refuted:
+                continue
+            for c in sample:
+                lifted = t.geq(t.combine(a, c), t.combine(b, c))
+                if lifted.is_proven:
+                    yield Decision.refuted(("catalyst-triple", a, b, c))
+                if lifted.is_unknown:
+                    yield Verdict.UNKNOWN
+    return _property("catalysis-free", t, sample, bound, outcomes())
+
+
+def reference_cases(food, proficiency):
+    """Theories with samples for the reference comparisons: random theory
+    tables on their carriers, random tables that break the axioms on
+    random sub-samples, boxes of the demo theories in two orders, and
+    samples of `LiftedUnknown` and `SPANNING`, whose undecided questions
+    reach the inconclusive branches."""
     rng = Random(31)
     cases = []
     for _ in range(60):
@@ -231,12 +290,57 @@ def test_quantity_like_matches_the_quadruple_loop(food, proficiency):
     for t, size in ((food, 2), (food, 3), (proficiency, 1), (proficiency, 2), (haber, 2)):
         sample = box(t, size)
         cases += [(t, sample), (t, rng.sample(sample, len(sample)))]
+    for sample in ([], [0, 1], [1, 0, 2], [0, 1, 2, 3], [3, 0, 2, 1, 4]):
+        cases.append((LiftedUnknown(), sample))
+    cases.append((SPANNING, SPANNING.enumerate_up_to(2)))
+    return cases
+
+
+def assert_matches_reference(check, reference, cases):
+    """Each case's report equals the reference loop's, and the cases give
+    all three verdicts and an Unknown with inconclusive sub-queries."""
     verdicts = Counter()
     for t, sample in cases:
-        report = check_quantity_like(t, sample, 6)
-        assert report == quadruple_quantity_like(t, sample, 6)
+        report = check(t, sample, 6)
+        assert report == reference(t, sample, 6), (t, sample)
         verdicts[report.decision.verdict] += 1
-    assert len(verdicts) == 3  # Proven, Refuted and Unknown all occur
+        verdicts["inconclusive"] += "inconclusive" in (report.decision.note or "")
+    assert all(verdicts[v] for v in Verdict)
+    assert verdicts["inconclusive"]
+
+
+def test_quantity_like_matches_the_quadruple_loop(food, proficiency):
+    assert_matches_reference(check_quantity_like, quadruple_quantity_like,
+                             reference_cases(food, proficiency))
+
+
+def test_non_interacting_matches_the_reference_loop(food, proficiency):
+    assert_matches_reference(check_non_interacting, triple_non_interacting,
+                             reference_cases(food, proficiency))
+
+
+def test_catalysis_free_matches_the_reference_loop(food, proficiency):
+    assert_matches_reference(check_catalysis_free, triple_catalysis_free,
+                             reference_cases(food, proficiency))
+
+
+def test_checks_combine_each_sample_pair_once_and_compare_distinct_sums(monkeypatch):
+    # Size-6 carriers: at most 6^2 = 36 combines per check, and in
+    # quantity-like at most one equivalence question per unordered pair of
+    # the D distinct sums.
+    rng = Random(6)
+    for _ in range(10):
+        t = random_theory_table(rng, 6)
+        carrier = list(range(t.size))
+        distinct = len({s for row in t.table for s in row})
+        for check in (check_quantity_like, check_non_interacting, check_catalysis_free):
+            combined = count_calls(monkeypatch, FiniteTheoryTable, "combine")
+            compared = count_calls(monkeypatch, QueryMemo, "equivalent")
+            check(t, carrier)
+            monkeypatch.undo()
+            assert sum(combined.values()) <= len(carrier) ** 2, check.__name__
+            if check is check_quantity_like:
+                assert sum(compared.values()) <= distinct * (distinct + 1) // 2
 
 
 class LiftedUnknown(TheoryOracle):
@@ -285,12 +389,16 @@ def test_waste_free_unknown_when_a_disposal_is_undecided():
                       "[unrefuted on sample (1 inconclusive sub-queries)]")
 
 
+# The rule deltas span both species, so conservation refutes nothing and
+# the one-step search leaves many questions undecided.
+SPANNING = MultisetTheory(("a", "b"),
+                          (MorphismGenerator("r", ms_make(["a", "a"]), ms_make(["b"])),
+                           MorphismGenerator("s", ms_make(["b"]), ms_make(["b", "b"]))),
+                          bound=1)
+
+
 def test_unknown_subanswers_never_prove_or_refute():
-    # The rule deltas span both species, so conservation refutes nothing.
-    t = MultisetTheory(("a", "b"),
-                       (MorphismGenerator("r", ms_make(["a", "a"]), ms_make(["b"])),
-                        MorphismGenerator("s", ms_make(["b"]), ms_make(["b", "b"]))),
-                       bound=1)
+    t = SPANNING
     sample = t.enumerate_up_to(2)
     for report in (check_quality_like(t, sample),
                    check_quantity_like(t, sample),

@@ -32,6 +32,7 @@ FOOD = VectorTheory(2, "additive")
      "both arguments must be probability vectors"),
     (lambda: ProbVector((0.5, 0.5)), InputError, "probability 0.5 is not an int or a Fraction"),
     (lambda: ProbVector((True,)), InputError, "probability True is not an int or a Fraction"),
+    (lambda: ProbVector.uniform(0), InputError, "probability vector must be non-empty"),
     (lambda: replicate(FOOD, -1, (1, 1)), InputError,
      "replicate count must be non-negative, got -1"),
     (lambda: rate_upper_bound(Monotone("first", lambda a: Fraction(a[0])), (1, 0), (1, 0)),
@@ -45,6 +46,7 @@ FOOD = VectorTheory(2, "additive")
      CompositionError, "context process output a*c{a0|c0,a0|c1,a1|c0,a1|c1} does not match"),
 ], ids=["closure-target-not-state", "closure-start-not-state", "function-table-range",
         "deterministic-not-prob-vectors", "prob-vector-float-entry", "prob-vector-bool-entry",
+        "prob-vector-uniform-empty",
         "replicate-negative", "rate-bound-not-additive",
         "multiset-negative", "circuit-undeclared-wire", "context-input", "context-output"])
 def test_guard_errors_name_the_fault(build, error, message):
