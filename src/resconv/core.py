@@ -146,14 +146,19 @@ def equivalent(t: TheoryOracle, a: Any, b: Any) -> Decision:
     return Decision.unknown(bound)
 
 
-class QueryMemo(TheoryOracle):
-    """A theory that asks the wrapped theory each `geq` and `equivalent`
-    question once, keyed by the pair of terms, and hands everything else
-    to it unchanged.  Theories answer deterministically, so the answers
-    are those of the wrapped theory."""
+class QueryMemo:
+    """Answers as the wrapped theory without being one: it asks the theory
+    each `geq` and `equivalent` question once, keyed by the pair of terms,
+    and binds the theory's own other five methods, so no interface default
+    can answer for them.  Theories answer deterministically."""
 
     def __init__(self, theory: TheoryOracle):
         self.theory = theory
+        self.combine = theory.combine
+        self.zero = theory.zero
+        self.enumerate_up_to = theory.enumerate_up_to
+        self.decompositions = theory.decompositions
+        self.format_term = theory.format_term
         self._geq: dict[tuple[Any, Any], Decision] = {}
         self._equivalent: dict[tuple[Any, Any], Decision] = {}
 
@@ -173,21 +178,6 @@ class QueryMemo(TheoryOracle):
         if d is None:
             d = self._equivalent[a, b] = equivalent(self, a, b)
         return d
-
-    def combine(self, a: Any, b: Any) -> Any:
-        return self.theory.combine(a, b)
-
-    def zero(self) -> Any:
-        return self.theory.zero()
-
-    def enumerate_up_to(self, bound: int) -> list[Any]:
-        return self.theory.enumerate_up_to(bound)
-
-    def decompositions(self, a: Any) -> list[tuple[Any, Any]] | None:
-        return self.theory.decompositions(a)
-
-    def format_term(self, a: Any) -> str:
-        return self.theory.format_term(a)
 
 
 def shortest_traces(start: Hashable, moves: Callable[[Any], Iterable[tuple[Hashable, Any]]],

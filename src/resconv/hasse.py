@@ -19,17 +19,14 @@ def hasse_classes(t: TheoryOracle, terms: Sequence[Any]) -> tuple[list[list[Any]
     elems = list(dict.fromkeys(terms))
     ge = order_matrix(t, elems)
 
-    class_of: dict[int, int] = {}
     classes: list[list[Any]] = []
     reps: list[int] = []
     for i in range(len(elems)):
         for c, r in enumerate(reps):
             if ge[i][r] and ge[r][i]:
-                class_of[i] = c
                 classes[c].append(elems[i])
                 break
         else:
-            class_of[i] = len(classes)
             classes.append([elems[i]])
             reps.append(i)
 

@@ -21,6 +21,9 @@ from .core import Decision, InputError, TheoryOracle
 
 Vector = tuple[int, ...]
 
+# The most entries, terms times arity, that `VectorTheory.enumerate_up_to` builds.
+MAX_ENUMERATED_ENTRIES = 10**6
+
 
 @dataclass(frozen=True)
 class VectorTheory(TheoryOracle):
@@ -63,6 +66,13 @@ class VectorTheory(TheoryOracle):
         return Decision.proven(("componentwise", a, b))
 
     def enumerate_up_to(self, bound: int) -> list[Vector]:
+        # arity * (bound+1)^arity entries, multiplied out only until past the limit
+        entries, factors = self.arity, self.arity if bound > 0 else 0
+        while factors and entries <= MAX_ENUMERATED_ENTRIES:
+            entries, factors = entries * (bound + 1), factors - 1
+        if entries > MAX_ENUMERATED_ENTRIES:
+            raise InputError(f"box {bound}: {bound + 1}^{self.arity} vectors of {self.arity} "
+                             f"entries exceed the limit of {MAX_ENUMERATED_ENTRIES} entries")
         return [tuple(v) for v in itertools.product(range(bound + 1), repeat=self.arity)]
 
     def decompositions(self, a: Vector) -> list[tuple[Vector, Vector]]:

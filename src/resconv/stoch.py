@@ -340,8 +340,9 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
 
     the kernel composition d . (p (x) id_sb) . (e (x) id_sb) . (id_a' (x) r)
     with r read as a state on sa (x) sb.  Q is linear in each of e, d and
-    r when the other two are fixed.  Only the state r goes through the
-    public check; the composites are kernel-built and not checked again.
+    r when the other two are fixed.  r was checked when it was built, so
+    its state over the lcm of the joint's denominators (reduced, as
+    `_checked_form` explains) and the composites are kernel-built.
     """
     if e.cod != p.dom:
         raise CompositionError(f"encoder output {e.cod} does not match channel input {p.dom}")
@@ -350,7 +351,8 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
     a_new = _split_product_left(e.dom, r.sa)
     if a_new is None:
         raise CompositionError(f"encoder input {e.dom} does not factor as X tensor {r.sa}")
-    shared = state(tensor(r.sa, r.sb), [x for row in r.joint for x in row])
+    nums, den = common_denominator(x for row in r.joint for x in row)
+    shared = _kernel_map(UNIT, tensor(r.sa, r.sb), den, tuple((n,) for n in nums))
     id_sb = identity(r.sb)
     q = compose_seq(compose_par(e, id_sb), compose_par(identity(a_new), shared))
     return compose_seq(d, compose_seq(compose_par(p, id_sb), q))

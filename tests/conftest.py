@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -10,6 +11,9 @@ from resconv.linalg import feasible_nonneg_solution
 from resconv.stoch import FinSet, StochMap, finset, random_stoch_map, tensor
 
 F = Fraction
+
+# The package modules, for the tests that check a rule on every source file.
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "resconv").glob("*.py"))
 
 
 @pytest.fixture

@@ -273,8 +273,8 @@ def reference_cases(food, proficiency):
     """Theories with samples for the reference comparisons: random theory
     tables on their carriers, random tables that break the axioms on
     random sub-samples, boxes of the demo theories in two orders, and
-    samples of `LiftedUnknown` and `SPANNING`, whose undecided questions
-    reach the inconclusive branches."""
+    samples of `LiftedUnknown`, `SplitUnknown` and `SPANNING`, whose
+    undecided questions reach the inconclusive branches."""
     rng = Random(31)
     cases = []
     for _ in range(60):
@@ -292,6 +292,8 @@ def reference_cases(food, proficiency):
         cases += [(t, sample), (t, rng.sample(sample, len(sample)))]
     for sample in ([], [0, 1], [1, 0, 2], [0, 1, 2, 3], [3, 0, 2, 1, 4]):
         cases.append((LiftedUnknown(), sample))
+    for sample in ([1, 3], [3, 2, 1, 0]):
+        cases.append((SplitUnknown(), sample))
     cases.append((SPANNING, SPANNING.enumerate_up_to(2)))
     return cases
 
@@ -364,6 +366,32 @@ class LiftedUnknown(TheoryOracle):
 
     def enumerate_up_to(self, bound):
         return list(range(bound + 1))
+
+
+class SplitUnknown(TheoryOracle):
+    """Naturals under addition with every split listed: a -> b is Proven
+    when a = b or when a is odd and b = a - 1, Refuted when a < b, and
+    undecided otherwise.  So 3 -> 1+1 holds, yet each split of 3 leaves
+    a part's conversion undecided."""
+
+    def combine(self, a, b):
+        return a + b
+
+    def zero(self):
+        return 0
+
+    def geq(self, a, b):
+        if a == b or (a % 2 and b == a - 1):
+            return Decision.proven(("step", a, b))
+        if a < b:
+            return Decision.refuted(("smaller", a, b))
+        return Decision.unknown(1)
+
+    def enumerate_up_to(self, bound):
+        return list(range(bound + 1))
+
+    def decompositions(self, a):
+        return [(x, a - x) for x in range(a + 1)]
 
 
 def test_catalyst_search_counts_inconclusive_candidates():

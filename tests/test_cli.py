@@ -404,6 +404,18 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, capsys, name, con
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["hasse", "properties", "monotones"])
+@pytest.mark.parametrize("arity", [1e308, 2**62], ids=["float-max", "two-to-62"])
+def test_vector_enumeration_over_the_limit_exits_two(tmp_path, capsys, command, arity):
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps({"kind": "vector", "arity": arity, "mode": "supremal",
+                                "monotones": [{"name": "component:0"}]}))
+    assert run([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: box 4: 5^{int(arity)} vectors of {int(arity)} entries "
+                   "exceed the limit of 1000000 entries\n")
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
 def test_result_too_long_to_print_is_named(tmp_path, capsys, flags):
     """A valid composite whose denominator has 6001 digits cannot be printed

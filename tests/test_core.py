@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resconv.core import (Decision, FiniteTheoryTable, InputError, TheoryOracle,
+from resconv.core import (Decision, FiniteTheoryTable, InputError, QueryMemo, TheoryOracle,
                           Verdict, Violation, check_axioms, equivalent, replicate)
 from resconv.instances import ProbVector, RandomnessTheory
 from resconv.presentation import MorphismGenerator, MultisetTheory, ms_make
@@ -157,6 +157,17 @@ def test_only_definite_answers_are_violations():
     assert {v.law for v in violations} == {"commutativity"}
     assert violations[0] == Violation("commutativity", ("a", "b"),
                                       "<a>+<b> = <ab> != <ba> = <b>+<a>")
+
+
+def test_memo_answers_with_the_theory_s_own_methods(food):
+    memo = QueryMemo.of(food)
+    assert not isinstance(memo, TheoryOracle) and QueryMemo.of(memo) is memo
+    assert memo.format_term((1, 2)) == "(1,2)"
+    assert memo.decompositions((1, 0)) == [((0, 0), (1, 0)), ((1, 0), (0, 0))]
+    assert (memo.combine((1, 0), (0, 1)), memo.zero()) == ((1, 1), (0, 0))
+    assert memo.enumerate_up_to(1) == food.enumerate_up_to(1)
+    with pytest.raises(AttributeError):
+        memo.validate_term  # only the five theory methods are bound
 
 
 def test_malformed_table_rejected():

@@ -8,11 +8,11 @@ keeps it reduced.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "resconv").glob("*.py"))
+from conftest import SOURCES
+
 OUTSIDE_INSTANCES = [p for p in SOURCES if p.name != "instances.py"]
 
 

@@ -9,7 +9,8 @@ import pytest
 from resconv.circuits import CircuitDiagram, ParseError, parse_circuit
 from resconv.combs import apply_comb_in_context, identity_comb
 from resconv.core import InputError, replicate
-from resconv.instances import ProbVector, VectorTheory, deterministic_convertible
+from resconv.instances import (MAX_ENUMERATED_ENTRIES, ProbVector, VectorTheory,
+                               deterministic_convertible)
 from resconv.monotones import Monotone, rate_upper_bound
 from resconv.jsonio import load_ncomb
 from resconv.presentation import ms_make
@@ -33,6 +34,10 @@ FOOD = VectorTheory(2, "additive")
     (lambda: ProbVector((0.5, 0.5)), InputError, "probability 0.5 is not an int or a Fraction"),
     (lambda: ProbVector((True,)), InputError, "probability True is not an int or a Fraction"),
     (lambda: ProbVector.uniform(0), InputError, "probability vector must be non-empty"),
+    (lambda: VectorTheory(MAX_ENUMERATED_ENTRIES + 1, "additive").enumerate_up_to(0), InputError,
+     "box 0: 1^1000001 vectors of 1000001 entries exceed the limit of 1000000 entries"),
+    (lambda: VectorTheory(17, "supremal").enumerate_up_to(1), InputError,
+     "box 1: 2^17 vectors of 17 entries exceed the limit of 1000000 entries"),
     (lambda: replicate(FOOD, -1, (1, 1)), InputError,
      "replicate count must be non-negative, got -1"),
     (lambda: rate_upper_bound(Monotone("first", lambda a: Fraction(a[0])), (1, 0), (1, 0)),
@@ -46,7 +51,7 @@ FOOD = VectorTheory(2, "additive")
      CompositionError, "context process output a*c{a0|c0,a0|c1,a1|c0,a1|c1} does not match"),
 ], ids=["closure-target-not-state", "closure-start-not-state", "function-table-range",
         "deterministic-not-prob-vectors", "prob-vector-float-entry", "prob-vector-bool-entry",
-        "prob-vector-uniform-empty",
+        "prob-vector-uniform-empty", "vector-enumeration-arity", "vector-enumeration-box",
         "replicate-negative", "rate-bound-not-additive",
         "multiset-negative", "circuit-undeclared-wire", "context-input", "context-output"])
 def test_guard_errors_name_the_fault(build, error, message):

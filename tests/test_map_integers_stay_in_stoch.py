@@ -8,11 +8,11 @@ reduced.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "resconv").glob("*.py"))
+from conftest import SOURCES
+
 OUTSIDE_STOCH = [p for p in SOURCES if p.name != "stoch.py"]
 
 

@@ -5,11 +5,10 @@ disappears; every check in `src/resconv/` raises explicitly instead.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "resconv").glob("*.py"))
+from conftest import SOURCES
 
 
 def test_package_sources_are_found():
