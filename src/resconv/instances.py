@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd, lcm, log2
 from typing import Iterable, Literal, Sequence
 
-from .core import Decision, InputError, TheoryOracle
+from .core import Decision, InputError, TheoryOracle, entry_ratio
 
 Vector = tuple[int, ...]
 
@@ -108,7 +108,7 @@ class ProbVector:
     def __init__(self, entries: Iterable[Fraction | int]) -> None:
         """The distribution with the given exact entries, each an int or a
         `Fraction`, checked by `_checked_form`."""
-        total, weights = _checked_form([_entry_ratio(x) for x in entries])
+        total, weights = _checked_form([entry_ratio(x) for x in entries])
         self.__dict__.update(total=total, weights=weights)
 
     @cached_property
@@ -118,7 +118,9 @@ class ProbVector:
 
     @staticmethod
     def of(*values) -> "ProbVector":
-        return ProbVector(tuple(Fraction(v) for v in values))
+        """The distribution with the given entries; a string is read as a
+        rational (such as "1/2"), any other value goes to the constructor."""
+        return ProbVector(Fraction(v) if isinstance(v, str) else v for v in values)
 
     @staticmethod
     def uniform(n: int) -> "ProbVector":
@@ -140,13 +142,6 @@ class ProbVector:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.entries) + ")"
-
-
-def _entry_ratio(x: Fraction | int) -> tuple[int, int]:
-    # bool is a subclass of int, and a float has no exact entry to keep
-    if type(x) is bool or not isinstance(x, (int, Fraction)):
-        raise InputError(f"probability {x!r} is not an int or a Fraction")
-    return x.numerator, x.denominator
 
 
 def _checked_form(ratios: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:

@@ -12,12 +12,12 @@ Product sets use flat element names joined with '|'; the canonical unit
 strictly associative and unital on element lists.  Only this module
 indexes product alphabets: every other contraction, `simulate_channel`
 and `combs.comb_tensor` among them, is a composition of the kernels
-`compose_seq` and `compose_par`.  Alphabets are compared as `FinSet`s;
-only the free-transformation closure keys its states by element tuples,
-for speed.
+`compose_seq` and `compose_par`.  An alphabet is a `FinSet`, the tuple
+of its element names, so alphabets compare and hash as those tuples.
 
 One function checks a given map's shape, signs and column sums: the
-public `StochMap` constructor reads a `Fraction` matrix into it, and
+public `StochMap` constructor reads an int or `Fraction` matrix into it
+(`core.entry_ratio` refuses any other entry), and
 `from_ratios`, which the file reader uses, hands it (numerator,
 denominator) pairs directly.  Maps the kernels build (`from_function`,
 `compose_seq`, `compose_par` and what is built from them) are
@@ -27,14 +27,14 @@ stochastic by construction and are not checked again.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from random import Random
 from typing import Sequence
 
-from .core import Decision, InputError, shortest_traces
+from .core import Decision, InputError, entry_ratio, shortest_traces
 from .linalg import common_denominator, feasible_nonneg_solution
 
 F0 = Fraction(0)
@@ -45,27 +45,30 @@ class CompositionError(InputError):
     """Domain/codomain mismatch; the message names both types."""
 
 
-@dataclass(frozen=True)
-class FinSet:
-    """Finite alphabet.  The label is cosmetic; equality compares elements."""
+class FinSet(tuple):
+    """Finite alphabet: the tuple of its element names, so equality and
+    hashing compare the elements.  The label is cosmetic."""
 
-    label: str = field(compare=False)
-    elements: tuple[str, ...]
+    label: str
 
-    def __post_init__(self) -> None:
-        if not self.elements:
-            raise InputError(f"finite set {self.label!r} must have at least one element")
-        if len(set(self.elements)) != len(self.elements):
-            raise InputError(f"finite set {self.label!r} has duplicate element names")
+    def __new__(cls, label: str, elements: Sequence[str]) -> FinSet:
+        self = super().__new__(cls, elements)
+        if not self:
+            raise InputError(f"finite set {label!r} must have at least one element")
+        if len(set(self)) != len(self):
+            raise InputError(f"finite set {label!r} has duplicate element names")
+        self.label = label
+        return self
 
-    def __len__(self) -> int:
-        return len(self.elements)
+    def __getnewargs__(self) -> tuple[str, tuple[str, ...]]:
+        return self.label, tuple(self)
 
-    def index(self, name: str) -> int:
-        return self.elements.index(name)
+    @property
+    def elements(self) -> FinSet:
+        return self
 
     def __str__(self) -> str:
-        return f"{self.label}{{{','.join(self.elements)}}}"
+        return f"{self.label}{{{','.join(self)}}}"
 
 
 UNIT = FinSet("I", ("*",))
@@ -81,8 +84,7 @@ def tensor(a: FinSet, b: FinSet) -> FinSet:
         return b
     if b == UNIT:
         return a
-    return FinSet(f"{a.label}*{b.label}",
-                  tuple(f"{x}|{y}" for x in a.elements for y in b.elements))
+    return FinSet(f"{a.label}*{b.label}", [f"{x}|{y}" for x in a for y in b])
 
 
 def tensor_all(sets: Sequence[FinSet]) -> FinSet:
@@ -109,10 +111,9 @@ class StochMap:
     nums: tuple[tuple[int, ...], ...]
 
     def __init__(self, dom: FinSet, cod: FinSet,
-                 matrix: Sequence[Sequence[Fraction]]) -> None:
-        """The rational matrix[output][input], checked by `_checked_form`."""
-        den, nums = _checked_form(dom, cod, [[(x.numerator, x.denominator) for x in r]
-                                             for r in matrix])
+                 matrix: Sequence[Sequence[Fraction | int]]) -> None:
+        """The exact matrix[output][input], checked by `_checked_form`."""
+        den, nums = _checked_form(dom, cod, [[entry_ratio(x) for x in r] for r in matrix])
         self.__dict__.update(dom=dom, cod=cod, den=den, nums=nums)
 
     @cached_property
@@ -148,7 +149,7 @@ def _checked_form(dom: FinSet, cod: FinSet, ratios: Sequence[Sequence[tuple[int,
     nums = tuple(tuple(n * (den // d) for n, d in r) for r in ratios)
     for i, total in enumerate(map(sum, zip(*nums))):
         if total != den:
-            raise InputError(f"column {i} ({dom.elements[i]!r}) sums to "
+            raise InputError(f"column {i} ({dom[i]!r}) sums to "
                              f"{Fraction(total, den)}, not 1")
     return den, nums
 
@@ -187,9 +188,10 @@ def from_function(dom: FinSet, cod: FinSet, f: Sequence[int]) -> StochMap:
 
 
 def state(cod: FinSet, probs: Sequence[Fraction | int | str]) -> StochMap:
-    """Distribution on `cod` as a map out of the unit object."""
-    col = [Fraction(p) for p in probs]
-    return StochMap(UNIT, cod, tuple((p,) for p in col))
+    """Distribution on `cod` as a map out of the unit object.  A string is
+    read as a rational (such as "1/2"); any other entry goes to the
+    `StochMap` constructor."""
+    return StochMap(UNIT, cod, [(Fraction(p) if isinstance(p, str) else p,) for p in probs])
 
 
 def point_state(cod: FinSet, name: str) -> StochMap:
@@ -298,17 +300,18 @@ def _split_product_left(product: FinSet, right: FinSet) -> FinSet | None:
         return product
     if product == right:
         return UNIT
-    nr, suffix = len(right), f"|{right.elements[0]}"
-    cells = product.elements[::nr]
+    nr, suffix = len(right), f"|{right[0]}"
+    cells = product[::nr]
     if len(product) % nr or not all(c.endswith(suffix) for c in cells):
         return None
-    left = FinSet(f"{product.label}/{right.label}", tuple(c[: -len(suffix)] for c in cells))
+    left = FinSet(f"{product.label}/{right.label}", [c[: -len(suffix)] for c in cells])
     return left if tensor(left, right) == product else None
 
 
 @dataclass(frozen=True)
 class SharedRandomness:
-    """Joint distribution over a pair of correlated alphabets."""
+    """Joint distribution over a pair of correlated alphabets, each entry
+    an int or a `Fraction` (`core.entry_ratio`)."""
 
     sa: FinSet
     sb: FinSet
@@ -317,10 +320,11 @@ class SharedRandomness:
     def __post_init__(self) -> None:
         if len(self.joint) != len(self.sa) or any(len(r) != len(self.sb) for r in self.joint):
             raise InputError("joint distribution shape must be |sa| x |sb|")
-        if any(x < 0 for row in self.joint for x in row):
+        ratios = [entry_ratio(x) for row in self.joint for x in row]
+        if any(n < 0 for n, _ in ratios):
             raise InputError("joint probabilities must be non-negative")
-        nums, den = common_denominator(x for row in self.joint for x in row)
-        if sum(nums) != den:
+        den = lcm(*(d for _, d in ratios))
+        if sum(n * (den // d) for n, d in ratios) != den:
             raise InputError("joint distribution must sum to 1")
 
 
@@ -472,13 +476,13 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
     return Decision.unknown(caps, note="no deterministic-given-randomness strategy matches")
 
 
-_StateKey = tuple[tuple[str, ...], int, tuple[int, ...]]
+_StateKey = tuple[FinSet, int, tuple[int, ...]]
 # a one-step map g and its nonzero entries as (domain symbol, codomain
 # symbol, weight) triples, integer weights over g.den
 _Step = tuple[StochMap, list[tuple[int, int, int]]]
 
 
-def _reduced_key(cod: tuple[str, ...], den: int, nums: Sequence[int]) -> _StateKey:
+def _reduced_key(cod: FinSet, den: int, nums: Sequence[int]) -> _StateKey:
     """The closure's key for the distribution nums / den on cod, reduced
     so that gcd(den, *nums) = 1 and each distribution has one key."""
     g = gcd(den, *nums)
@@ -486,9 +490,9 @@ def _reduced_key(cod: tuple[str, ...], den: int, nums: Sequence[int]) -> _StateK
 
 
 def _state_key(m: StochMap) -> _StateKey:
-    """A state's identity in the closure: (codomain elements, d, numerators).
-    A state's map is one column, reduced, so this is the reduced key."""
-    return m.cod.elements, m.den, tuple(row[0] for row in m.nums)
+    """A state's identity in the closure: (codomain, d, numerators).  A
+    state's map is one column, reduced, so this is the reduced key."""
+    return m.cod, m.den, tuple(row[0] for row in m.nums)
 
 
 def _step(g: StochMap) -> _Step:
@@ -505,7 +509,7 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
 
     All targets are answered from one breadth-first closure of s, which
     stops once every target is found.  A state of the closure is its key
-    (codomain elements, d, numerators): the distribution as integer
+    (codomain, d, numerators): the distribution as integer
     numerators over a denominator d, with gcd(d, *numerators) = 1 so that
     one distribution has one key however it was reached.
 
@@ -532,44 +536,39 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
     if s.dom != UNIT:
         raise InputError("search starts from a state (singleton-domain map)")
 
-    # The closure keys its dicts and states by element tuples, not FinSets:
-    # a FinSet's dataclass __hash__ is a Python call on every lookup.
-    by_dom: dict[tuple[str, ...], list[StochMap]] = {}
-    idsets: dict[tuple[str, ...], FinSet] = {}
+    by_dom: dict[FinSet, list[StochMap]] = {}
     for g in free_generators:
-        by_dom.setdefault(g.dom.elements, []).append(g)
-        for fs in (g.dom, g.cod):
-            idsets.setdefault(fs.elements, fs)
+        by_dom.setdefault(g.dom, []).append(g)
+    alphabets = list(dict.fromkeys(fs for g in free_generators for fs in (g.dom, g.cod)))
 
-    # idsets holds every pool domain.  Left factors run by size class, then in
-    # pool order: the first trace found for a state depends on this order.
-    pool = list(free_generators) + [identity(fs) for fs in idsets.values()]
+    # The alphabets hold every pool domain.  Left factors run by size class, then
+    # in pool order: the first trace found for a state depends on this order.
+    pool = list(free_generators) + [identity(fs) for fs in alphabets]
     pool_by_size: dict[int, list[StochMap]] = {}
-    pool_by_dom: dict[tuple[str, ...], list[StochMap]] = {}
+    pool_by_dom: dict[FinSet, list[StochMap]] = {}
     for g in pool:
         pool_by_size.setdefault(len(g.dom), []).append(g)
-        pool_by_dom.setdefault(g.dom.elements, []).append(g)
+        pool_by_dom.setdefault(g.dom, []).append(g)
     lefts = [g for gs in pool_by_size.values() for g in gs]
 
-    def one_step_maps(cod: tuple[str, ...]) -> list[_Step]:
-        right = {d: r for d in idsets for r in idsets if len(d) * len(r) == len(cod)
-                 and tensor(idsets[d], idsets[r]).elements == cod}
-        pairs = [compose_par(g1, g2) for g1 in lefts if g1.dom.elements in right
-                 for g2 in pool_by_dom[right[g1.dom.elements]]]
+    def one_step_maps(cod: FinSet) -> list[_Step]:
+        right = {d: r for d in alphabets for r in alphabets if len(d) * len(r) == len(cod)
+                 and tensor(d, r) == cod}
+        pairs = [compose_par(g1, g2) for g1 in lefts if g1.dom in right
+                 for g2 in pool_by_dom[right[g1.dom]]]
         return [_step(g) for g in by_dom.get(cod, []) + pairs]
 
-    step_cache: dict[tuple[str, ...], list[_Step]] = {}
+    step_cache: dict[FinSet, list[_Step]] = {}
 
     def moves(key: _StateKey):
         cod, den, nums = key
         if cod not in step_cache:
             step_cache[cod] = one_step_maps(cod)
         for g, table in step_cache[cod]:
-            out = g.cod.elements
-            col = [0] * len(out)
+            col = [0] * len(g.cod)
             for i, j, w in table:
                 col[j] += w * nums[i]
-            yield _reduced_key(out, den * g.den, col), g
+            yield _reduced_key(g.cod, den * g.den, col), g
 
     found = shortest_traces(_state_key(s), moves, depth, keys)
     return [Decision.proven(("circuit", found[k])) if k in found else Decision.unknown(depth)

@@ -416,6 +416,15 @@ def test_vector_enumeration_over_the_limit_exits_two(tmp_path, capsys, command, 
                    "exceed the limit of 1000000 entries\n")
 
 
+def test_hasse_over_the_order_table_limit_exits_two(tmp_path, capsys):
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps({"kind": "vector", "arity": 7, "mode": "additive"}))
+    assert run(["hasse", str(path), "--box", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: 2187 terms need 4782969 order entries, beyond the limit of 1000000 entries\n")
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
 def test_result_too_long_to_print_is_named(tmp_path, capsys, flags):
     """A valid composite whose denominator has 6001 digits cannot be printed

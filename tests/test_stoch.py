@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -234,6 +236,36 @@ def test_alphabet_and_joint_errors_name_the_fault(build, message):
     with pytest.raises(InputError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_a_finset_is_the_tuple_of_its_elements():
+    a, b = finset("a", 2), FinSet("b", ("a0", "a1"))
+    assert a == b == ("a0", "a1")
+    assert hash(a) == hash(b) == hash(("a0", "a1"))
+    assert (str(a), str(b)) == ("a{a0,a1}", "b{a0,a1}")
+    assert a.elements is a and a.index("a1") == 1
+
+
+def _labels(v) -> list[str]:
+    """The labels of every FinSet reachable through v's fields, in order."""
+    if isinstance(v, FinSet):
+        return [v.label]
+    if isinstance(v, tuple):
+        return [x for item in v for x in _labels(item)]
+    return [x for item in getattr(v, "__dict__", {}).values() for x in _labels(item)]
+
+
+@pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)),
+                                        copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_values_round_trip_with_their_labels(round_trip):
+    x, y = finset("x", 2), finset("y", 1)
+    values = [B3, compose_par(FLIP, uniform_state(B3)), ProbVector.of(F(1, 3), F(2, 3)),
+              random_comb(Random(5), B2, B3, B2, B3),
+              SharedRandomness(x, y, ((F(1, 3),), (F(2, 3),)))]
+    assert all(_labels(v) for v in values if not isinstance(v, ProbVector))
+    for v in values:
+        back = round_trip(v)
+        assert type(back) is type(v) and back == v and _labels(back) == _labels(v)
 
 
 def test_joint_distribution_must_sum_to_one():
