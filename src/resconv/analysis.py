@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any, Iterable, Sequence
 
-from .core import (Decision, FiniteTheoryTable, QueryMemo, TheoryOracle, Verdict,
-                   check_axioms)
+from .core import (MAX_ENTRIES, Decision, FiniteTheoryTable, InputError, QueryMemo,
+                   TheoryOracle, Verdict, check_axioms)
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,7 @@ def check_quantity_like(t: TheoryOracle, sample: Sequence[Any],
     in sum-table order.  Each unordered pair of distinct sums is compared
     once (the verdict of `equivalent` is symmetric).  A row's proven
     partners, in table order, fall into runs of equal b1, so a1 -> b1 is
-    asked once per run, and a run's scan of b2 -> a2 serves every row
-    with the same sum and the same a2.
+    asked once per run.
     """
     t = QueryMemo.of(t)
     def outcomes():
@@ -176,7 +175,6 @@ def check_quantity_like(t: TheoryOracle, sample: Sequence[Any],
         sums, where = _sum_table(t, sample)
         verdicts: dict[tuple[Any, Any], Verdict] = {}
         rows: dict[Any, tuple[int, list[tuple[int, list[Any]]]]] = {}
-        scans: dict[tuple[Any, int, int], tuple[int, Any]] = {}
         for k, a in enumerate(sums):
             row = rows.get(a)
             if row is None:
@@ -196,16 +194,13 @@ def check_quantity_like(t: TheoryOracle, sample: Sequence[Any],
             yield from itertools.repeat(Verdict.UNKNOWN, unknown)
             i, j = divmod(k, n)
             a1, a2 = sample[i], sample[j]
-            for r, (b1, b2s) in enumerate(runs):
+            for b1, b2s in runs:
                 d = t.geq(a1, sample[b1])
                 if d.is_unknown:
                     yield from itertools.repeat(Verdict.UNKNOWN, len(b2s))
                 if not d.is_proven:
                     continue
-                scan = scans.get((a, r, j))
-                if scan is None:
-                    scan = scans[a, r, j] = _scan_to_first_refuted(t, b2s, a2)
-                unknown, refuting = scan
+                unknown, refuting = _scan_to_first_refuted(t, b2s, a2)
                 yield from itertools.repeat(Verdict.UNKNOWN, unknown)
                 if refuting is not None:
                     yield Decision.refuted(("quadruple", a1, a2, sample[b1], refuting))
@@ -217,11 +212,12 @@ def _scan_to_first_refuted(t: TheoryOracle, sources: Sequence[Any],
     """Ask `source -> target` in order up to the first Refuted answer: the
     number of Unknown answers before it, and its source (None if none)."""
     unknown = 0
+    geq = t.geq
     for source in sources:
-        back = t.geq(source, target)
-        if back.is_refuted:
+        verdict = geq(source, target).verdict
+        if verdict is Verdict.REFUTED:
             return unknown, source
-        if back.is_unknown:
+        if verdict is Verdict.UNKNOWN:
             unknown += 1
     return unknown, None
 
@@ -388,8 +384,13 @@ def random_theory_table(rng: Random, size: int, density: float | None = None) ->
     (cyclic, truncated addition, max chains, and products of these); a
     raw rejection sample over all tables has no realistic chance of
     associativity at this size.  The order starts from random pairs and
-    closes under reflexivity, transitivity and compatibility.
+    closes under reflexivity, transitivity and compatibility.  Both that
+    closure and the axiom check take about size^4 steps, so a size whose
+    fourth power passes `MAX_ENTRIES` (32 and up) is refused before drawing.
     """
+    if size ** 4 > MAX_ENTRIES:
+        raise InputError(f"random table size {size}: {size ** 4} compatibility entries "
+                         f"(size^4), beyond the limit of {MAX_ENTRIES} entries")
     choices = _base_monoids(size)
     prod = _product_monoid(size, rng)
     if prod is not None:

@@ -26,9 +26,9 @@ from typing import Mapping, Sequence
 
 from . import jsonio
 from .combs import OneComb
-from .core import InputError
-from .stoch import (UNIT, FinSet, StochMap, compose_par, compose_seq, finset,
-                    identity, swap, tensor, tensor_all)
+from .core import MAX_ENTRIES, InputError
+from .stoch import (TOO_MANY_SYMBOLS, UNIT, FinSet, StochMap, compose_par, compose_seq,
+                    finset, identity, product_fits, swap, tensor, tensor_all)
 
 
 class ParseError(InputError):
@@ -112,6 +112,8 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
         for w in names:
             if w not in finsets:
                 raise ParseError(f"undeclared wire type {w!r}", lineno, col)
+        if not product_fits(names, finsets):
+            raise ParseError(f"wire list {names} {TOO_MANY_SYMBOLS}", lineno, col)
         return names
 
     def item(piece: str, lineno: int, col: int) -> Item:
@@ -164,6 +166,8 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
                     raise ParseError(f"duplicate type {name!r}", lineno, indent)
                 if size < 1:
                     raise ParseError(f"type {name!r} must have size >= 1", lineno, indent)
+                if size * size > MAX_ENTRIES:
+                    raise ParseError(f"type {name!r} {TOO_MANY_SYMBOLS}", lineno, indent)
                 finsets[name] = finset(name, size)
         elif stripped.startswith("library:"):
             m = re.fullmatch(r"library:\s*(\w+)\s*=\s*(\S+)", stripped)
@@ -208,6 +212,9 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
                     f"first mismatch at wire {bad}", lineno, indent)
             layers.append(tuple(items))
             wires = sum((it.cod_wires for it in items), ())
+            if not product_fits(wires, finsets):
+                raise ParseError(f"wire list {wires} of layer {len(layers)} {TOO_MANY_SYMBOLS}",
+                                 lineno, indent)
         else:
             raise ParseError(f"unrecognized line {stripped!r}", lineno, indent)
 

@@ -22,7 +22,8 @@ from .analysis import (PropertyReport, check_catalysis_free,
                        random_theory_table)
 from .circuits import evaluate_circuit, normalize_to_comb, parse_circuit
 from .combs import apply_comb, apply_uc, plug_ncombs
-from .core import FiniteTheoryTable, InputError, QueryMemo, TheoryOracle, check_axioms
+from .core import (MAX_ENTRIES, FiniteTheoryTable, InputError, QueryMemo, TheoryOracle,
+                   check_axioms)
 from .hasse import hasse_classes, hasse_dot
 from .monotones import classify, rate, verify_monotone
 from .stoch import from_function, search_exact_simulation, simulate_channel
@@ -208,6 +209,11 @@ def cmd_normalize_circuit(args: argparse.Namespace) -> int:
     # input to 0, M = E + sum over a, c > 0 of M[c][a] * (F_{a,c} - E); so
     # agreeing on these 1 + |dom|*(|cod| - 1) maps is agreeing on every M.
     dom, cod = comb.hole_dom, comb.hole_cod
+    maps, entries = 1 + len(dom) * (len(cod) - 1), len(dom) * len(cod)
+    if maps * entries > MAX_ENTRIES:
+        raise InputError(f"hole {hole.name}: {maps} basis processes of {entries} entries "
+                         f"need {maps * entries} entries, beyond the limit of "
+                         f"{MAX_ENTRIES} entries")
     basis = [from_function(dom, cod, [0] * len(dom))] + [
         from_function(dom, cod, [c if i == a else 0 for i in range(len(dom))])
         for a in range(len(dom)) for c in range(1, len(cod))]

@@ -7,9 +7,10 @@ because some preorders (e.g. rewrite reachability) are only semidecidable
 under a search bound.  `shortest_traces` is the bounded breadth-first
 search behind the reachability orders.  `QueryMemo` asks a theory each
 `geq` and `equivalent` pair once, for `check_axioms` and the analyzers.
-`order_matrix` is the order table behind the Hasse diagram, refused
-beyond `MAX_ORDER_ENTRIES` entries.  `entry_ratio` is the one rule for an
-exact probability entry given in code.
+`order_matrix` is the order table behind the Hasse diagram.
+`MAX_ENTRIES` is the one limit on the entries of a table a command builds
+or fills; every size guard refuses input beyond it with an InputError.
+`entry_ratio` is the one rule for an exact probability entry given in code.
 `check_axioms` checks the axioms for any theory, on the given terms;
 Unknown is never a violation.
 """
@@ -25,6 +26,10 @@ from typing import Any, Callable, Hashable, Iterable, Sequence
 
 class InputError(ValueError):
     """Malformed table, term, or file content."""
+
+
+# The most entries of one table a command builds or fills.
+MAX_ENTRIES = 10**6
 
 
 def entry_ratio(x: Fraction | int) -> tuple[int, int]:
@@ -344,20 +349,16 @@ def check_axioms(t: TheoryOracle, terms: Iterable[Any]) -> list[Violation]:
     return out
 
 
-# The most entries, terms squared, that `order_matrix` asks for: 1000 terms.
-MAX_ORDER_ENTRIES = 10**6
-
-
 def order_matrix(t: TheoryOracle, terms: Sequence[Any]) -> tuple[tuple[bool, ...], ...]:
     """Row i, column j: whether terms[i] converts to terms[j].
 
     Asks `t` once per entry.  Raises InputError before asking anything when
-    the table would pass `MAX_ORDER_ENTRIES` entries, and otherwise names
+    the table of terms squared would pass `MAX_ENTRIES`, and otherwise names
     the first undecided pair, since the Hasse diagram needs definite answers.
     """
-    if len(terms) ** 2 > MAX_ORDER_ENTRIES:
+    if len(terms) ** 2 > MAX_ENTRIES:
         raise InputError(f"{len(terms)} terms need {len(terms) ** 2} order entries, beyond "
-                         f"the limit of {MAX_ORDER_ENTRIES} entries")
+                         f"the limit of {MAX_ENTRIES} entries")
 
     def entry(a: Any, b: Any) -> bool:
         d = t.geq(a, b)

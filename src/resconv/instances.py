@@ -17,12 +17,9 @@ from functools import cached_property
 from math import gcd, lcm, log2
 from typing import Iterable, Literal, Sequence
 
-from .core import Decision, InputError, TheoryOracle, entry_ratio
+from .core import MAX_ENTRIES, Decision, InputError, TheoryOracle, entry_ratio
 
 Vector = tuple[int, ...]
-
-# The most entries, terms times arity, that `VectorTheory.enumerate_up_to` builds.
-MAX_ENUMERATED_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -68,11 +65,11 @@ class VectorTheory(TheoryOracle):
     def enumerate_up_to(self, bound: int) -> list[Vector]:
         # arity * (bound+1)^arity entries, multiplied out only until past the limit
         entries, factors = self.arity, self.arity if bound > 0 else 0
-        while factors and entries <= MAX_ENUMERATED_ENTRIES:
+        while factors and entries <= MAX_ENTRIES:
             entries, factors = entries * (bound + 1), factors - 1
-        if entries > MAX_ENUMERATED_ENTRIES:
+        if entries > MAX_ENTRIES:
             raise InputError(f"box {bound}: {bound + 1}^{self.arity} vectors of {self.arity} "
-                             f"entries exceed the limit of {MAX_ENUMERATED_ENTRIES} entries")
+                             f"entries exceed the limit of {MAX_ENTRIES} entries")
         return [tuple(v) for v in itertools.product(range(bound + 1), repeat=self.arity)]
 
     def decompositions(self, a: Vector) -> list[tuple[Vector, Vector]]:
@@ -134,6 +131,10 @@ class ProbVector:
         return self.entries[i]
 
     def tensor(self, other: "ProbVector") -> "ProbVector":
+        m, n = len(self.weights), len(other.weights)
+        if m * n > MAX_ENTRIES:
+            raise InputError(f"the product of distributions of {m} and {n} entries has "
+                             f"{m * n} entries, beyond the limit of {MAX_ENTRIES} entries")
         # Reduced already: the weights of each side are coprime to their
         # total and sum to it, so for each prime each side has a weight the
         # prime does not divide, and so does their product.

@@ -43,7 +43,8 @@ from .instances import (EntanglementSpectrumTheory, ProbVector,
                         RandomnessTheory, VectorTheory, prob_vector_from_ratios)
 from .monotones import Monotone, builtin_monotone
 from .presentation import MorphismGenerator, Multiset, MultisetTheory, ms_make
-from .stoch import FinSet, SharedRandomness, StochMap, from_ratios, tensor_all
+from .stoch import (TOO_MANY_SYMBOLS, FinSet, SharedRandomness, StochMap, from_ratios,
+                    product_fits, tensor_all)
 
 
 def _fields(data: Any, what: str, *names: str) -> list:
@@ -169,7 +170,7 @@ def dump_stoch_map(p: StochMap, what: str = "a stochastic map") -> dict:
         raise InputError(f"cannot print {what}: an entry has more than "
                          f"{sys.get_int_max_str_digits()} digits, the limit for "
                          "integer string conversion") from None
-    return {"dom": list(p.dom.elements), "cod": list(p.cod.elements), "matrix": matrix}
+    return {"dom": list(p.dom), "cod": list(p.cod), "matrix": matrix}
 
 
 def load_prob_vector(raw: Any) -> ProbVector:
@@ -185,7 +186,7 @@ def load_shared_randomness(data: Mapping) -> SharedRandomness:
 
 
 def dump_shared_randomness(r: SharedRandomness) -> dict:
-    return {"sa": list(r.sa.elements), "sb": list(r.sb.elements),
+    return {"sa": list(r.sa), "sb": list(r.sb),
             "joint": [[str(x) for x in row] for row in r.joint]}
 
 
@@ -197,9 +198,9 @@ def load_one_comb(data: Mapping) -> OneComb:
 
 
 def dump_one_comb(k: OneComb) -> dict:
-    return {"ancilla": list(k.ancilla.elements),
-            "hole_dom": list(k.hole_dom.elements),
-            "hole_cod": list(k.hole_cod.elements),
+    return {"ancilla": list(k.ancilla),
+            "hole_dom": list(k.hole_dom),
+            "hole_cod": list(k.hole_cod),
             "pre": dump_stoch_map(k.pre, "the comb's pre map"),
             "post": dump_stoch_map(k.post, "the comb's post map")}
 
@@ -218,11 +219,11 @@ def load_ncomb(data: Mapping) -> NComb:
 
 
 def dump_ncomb(k: NComb) -> dict:
-    return {"holes": [{"dom": list(d.elements), "cod": list(c.elements)}
+    return {"holes": [{"dom": list(d), "cod": list(c)}
                       for d, c in k.holes],
             "order": list(k.order),
             "stages": [dump_stoch_map(s, f"comb stage {i}") for i, s in enumerate(k.stages)],
-            "ancillas": [list(z.elements) for z in k.ancillas]}
+            "ancillas": [list(z) for z in k.ancillas]}
 
 
 def load_uc(data: Mapping) -> UCTransformation:
@@ -248,6 +249,9 @@ def load_library_map(data: Any, libname: str, name: str, types: Mapping[str, Fin
     for w in dom_w + cod_w:
         if w not in types:
             raise InputError(f"{what} uses undeclared type {w!r}")
+    for side, wires in (("dom", dom_w), ("cod", cod_w)):
+        if not product_fits(wires, types):
+            raise InputError(f"{what} {side} {TOO_MANY_SYMBOLS}")
     m = from_ratios(tensor_all([types[w] for w in dom_w]), tensor_all([types[w] for w in cod_w]),
                     _matrix(matrix, f"{what} matrix", _ratio))
     return dom_w, cod_w, m, _bool(spec.get("free", True), f"{what} free flag")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any, Callable, Literal, Sequence, get_args
 
 from .analysis import PropertyReport, sample_scope
-from .core import Decision, FiniteTheoryTable, InputError, TheoryOracle
+from .core import MAX_ENTRIES, Decision, FiniteTheoryTable, InputError, TheoryOracle
 from .instances import (EntanglementSpectrumTheory, RandomnessTheory, VectorTheory,
                         shannon_entropy)
 
@@ -157,6 +157,9 @@ def rate(t: TheoryOracle, a: Any, b: Any, caps: int,
     """
     if caps < 1:
         raise InputError("caps must be at least 1")
+    if caps * caps > MAX_ENTRIES:
+        raise InputError(f"caps {caps}: the scan asks {caps * caps} questions, beyond the "
+                         f"limit of {MAX_ENTRIES} entries")
     best: Fraction | None = None
     witness = None
     inconclusive = 0

@@ -30,11 +30,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from random import Random
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .core import Decision, InputError, entry_ratio, shortest_traces
+from .core import MAX_ENTRIES, Decision, InputError, entry_ratio, shortest_traces
 from .linalg import common_denominator, feasible_nonneg_solution
 
 F0 = Fraction(0)
@@ -63,10 +63,6 @@ class FinSet(tuple):
     def __getnewargs__(self) -> tuple[str, tuple[str, ...]]:
         return self.label, tuple(self)
 
-    @property
-    def elements(self) -> FinSet:
-        return self
-
     def __str__(self) -> str:
         return f"{self.label}{{{','.join(self)}}}"
 
@@ -92,6 +88,23 @@ def tensor_all(sets: Sequence[FinSet]) -> FinSet:
     for s in sets:
         out = tensor(out, s)
     return out
+
+
+# Why an alphabet past the limit is refused; messages put it after the alphabet's name.
+TOO_MANY_SYMBOLS = (f"has more than {isqrt(MAX_ENTRIES)} symbols, so its identity would pass "
+                    f"the limit of {MAX_ENTRIES} entries")
+
+
+def product_fits(names: Sequence[str], alphabets: Mapping[str, FinSet]) -> bool:
+    """Whether the product of the alphabets `names` pick out has an
+    identity, n x n entries, within `MAX_ENTRIES`; asked before the product
+    is built."""
+    n = 1
+    for name in names:
+        n *= len(alphabets[name])
+        if n * n > MAX_ENTRIES:
+            return False
+    return True
 
 
 @dataclass(frozen=True, init=False)

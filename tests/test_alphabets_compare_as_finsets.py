@@ -48,7 +48,7 @@ def test_alphabets_compare_as_finsets(path):
 
 
 def test_stoch_reads_alphabets_as_tuples():
-    # `elements` is the FinSet itself, kept for callers outside `stoch`
+    # a FinSet has no `elements`: it is the tuple of its element names
     path = next(p for p in SOURCES if p.name == "stoch.py")
     reads = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "elements"]

@@ -191,7 +191,7 @@ layer: g[lib]
 """
     c = parse_circuit(text, library_files={"maps.json": lib_json()})
     comb = assert_normal_form_sound(c)
-    assert comb.ancilla.elements == finset("Z", 2).elements
+    assert comb.ancilla == finset("Z", 2)
 
 
 def test_post_only_circuit_gives_identity_pre():

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from resconv import cli as cli_module
 from resconv.cli import run
 from resconv.combs import identity_comb
 from resconv.core import InputError
@@ -423,6 +424,70 @@ def test_hasse_over_the_order_table_limit_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
         "error: 2187 terms need 4782969 order entries, beyond the limit of 1000000 entries\n")
+
+
+SYMBOLS_OVER_THE_LIMIT = ("has more than 1000 symbols, so its identity would pass the limit "
+                          "of 1000000 entries")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("types: A=999999999\ninput: A\nlayer: hole h(A -> A)\n",
+     f"line 1, col 1: type 'A' {SYMBOLS_OVER_THE_LIMIT}"),
+    ("types: A=1000\ninput: A, A\nlayer: hole h(A, A -> A)\n",
+     f"line 2, col 1: wire list ('A', 'A') {SYMBOLS_OVER_THE_LIMIT}"),
+    ("types: A=1000, B=2\ninput: A\nlayer: swap[A,B]\n",
+     f"line 3, col 7: wire list ('A', 'B') {SYMBOLS_OVER_THE_LIMIT}"),
+    ("types: A=30, B=30\ninput: A, B\nlayer: hole h(A -> A, B) ; id[B]\n",
+     f"line 3, col 1: wire list ('A', 'B', 'B') of layer 1 {SYMBOLS_OVER_THE_LIMIT}"),
+    # refused before the matrix, whose entry is no number, is read
+    ("types: A=6\nlibrary: lib = maps.json\ninput: A\nlayer: g[lib]\n",
+     f"line 4, col 7: library map 'g' dom {SYMBOLS_OVER_THE_LIMIT}"),
+], ids=["type", "input", "swap", "layer-output", "library-dom"])
+def test_circuit_alphabets_over_the_limit_exit_two(tmp_path, capsys, text, error):
+    (tmp_path / "maps.json").write_text(json.dumps(
+        {"maps": {"g": {"dom": ["A", "A", "A", "A"], "cod": ["A"], "matrix": [["x"]]}}}))
+    (tmp_path / "c.circ").write_text(text)
+    assert run(["normalize-circuit", str(tmp_path / "c.circ")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("size, code", [(31, 0), (32, 2)])
+def test_normal_form_basis_over_the_limit_is_refused_before_evaluating(
+        tmp_path, capsys, monkeypatch, size, code):
+    calls = []
+    real = cli_module.evaluate_circuit
+    monkeypatch.setattr(cli_module, "evaluate_circuit",
+                        lambda *args: calls.append(args) or real(*args))
+    (tmp_path / "c.circ").write_text(f"types: A={size}\ninput: A\nlayer: hole h(A -> A)\n")
+    assert run(["normalize-circuit", str(tmp_path / "c.circ")]) == code
+    captured = capsys.readouterr()
+    if code == 0:  # 931 maps of 961 entries: 894,691 entries, inside the limit
+        assert "matches circuit on 931 basis processes" in captured.out
+        assert len(calls) == 931
+    else:
+        assert captured.out == "" and not calls
+        assert captured.err == ("error: hole h: 993 basis processes of 1024 entries need "
+                                "1016832 entries, beyond the limit of 1000000 entries\n")
+
+
+@pytest.mark.parametrize("theory, argv, error", [
+    ({"kind": "randomness"}, ["rate", "{path}", '["1/2","1/2"]', '["1/2","1/2"]', "--caps", "21"],
+     "the product of distributions of 524288 and 2 entries has 1048576 entries, "
+     "beyond the limit of 1000000 entries"),
+    ({"kind": "vector", "arity": 2, "mode": "additive"},
+     ["rate", "{path}", "[1,0]", "[0,1]", "--caps", "1001"],
+     "caps 1001: the scan asks 1002001 questions, beyond the limit of 1000000 entries"),
+    (None, ["properties", "--random-tables", "1", "--size", "32"],
+     "random table size 32: 1048576 compatibility entries (size^4), beyond the limit of "
+     "1000000 entries"),
+], ids=["rate-tensor-power", "rate-scan", "random-table"])
+def test_commands_over_the_limit_exit_two(tmp_path, capsys, theory, argv, error):
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps(theory))
+    assert run([arg.format(path=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])

@@ -226,8 +226,8 @@ def test_waste_free_plugging_yields_the_trivial_process():
     for _ in range(5):
         f = random_stoch_map(rng, A2, B2)
         out = apply_comb(k, f)
-        assert out.dom.elements == UNIT.elements
-        assert out.cod.elements == UNIT.elements
+        assert out.dom == UNIT
+        assert out.cod == UNIT
         assert out.matrix == ((F(1),),)
 
 

@@ -3,15 +3,16 @@ that says what is wrong.  Each row below is a guard that no other test
 reaches."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from resconv.analysis import random_theory_table
 from resconv.circuits import CircuitDiagram, ParseError, parse_circuit
 from resconv.combs import apply_comb_in_context, identity_comb
-from resconv.core import MAX_ORDER_ENTRIES, InputError, order_matrix, replicate
-from resconv.instances import (MAX_ENUMERATED_ENTRIES, ProbVector, VectorTheory,
-                               deterministic_convertible)
-from resconv.monotones import Monotone, rate_upper_bound
+from resconv.core import MAX_ENTRIES, InputError, order_matrix, replicate
+from resconv.instances import ProbVector, VectorTheory, deterministic_convertible
+from resconv.monotones import Monotone, rate, rate_upper_bound
 from resconv.jsonio import load_ncomb
 from resconv.presentation import ms_make
 from resconv.stoch import (UNIT, CompositionError, SharedRandomness, StochMap, finset,
@@ -50,13 +51,13 @@ FOOD = VectorTheory(2, "additive")
     (lambda: SharedRandomness(UNIT, UNIT, (("1",),)), InputError,
      "probability '1' is not an int or a Fraction"),
     (lambda: ProbVector.uniform(0), InputError, "probability vector must be non-empty"),
-    (lambda: VectorTheory(MAX_ENUMERATED_ENTRIES + 1, "additive").enumerate_up_to(0), InputError,
+    (lambda: VectorTheory(MAX_ENTRIES + 1, "additive").enumerate_up_to(0), InputError,
      "box 0: 1^1000001 vectors of 1000001 entries exceed the limit of 1000000 entries"),
     (lambda: VectorTheory(17, "supremal").enumerate_up_to(1), InputError,
      "box 1: 2^17 vectors of 17 entries exceed the limit of 1000000 entries"),
     # refused before the theory is asked: None is no term of FOOD
     (lambda: order_matrix(FOOD, [None] * 1001), InputError,
-     f"1001 terms need 1002001 order entries, beyond the limit of {MAX_ORDER_ENTRIES} entries"),
+     f"1001 terms need 1002001 order entries, beyond the limit of {MAX_ENTRIES} entries"),
     (lambda: replicate(FOOD, -1, (1, 1)), InputError,
      "replicate count must be non-negative, got -1"),
     (lambda: rate_upper_bound(Monotone("first", lambda a: Fraction(a[0])), (1, 0), (1, 0)),
@@ -68,6 +69,14 @@ FOOD = VectorTheory(2, "additive")
      "context process input a{a0,a1} does not match"),
     (lambda: apply_comb_in_context(identity_comb(A2, B2), identity(tensor(A2, C2)), C2, C2),
      CompositionError, "context process output a*c{a0|c0,a0|c1,a1|c0,a1|c1} does not match"),
+    (lambda: ProbVector.uniform(1000).tensor(ProbVector.uniform(1001)), InputError,
+     "the product of distributions of 1000 and 1001 entries has 1001000 entries, beyond the "
+     "limit of 1000000 entries"),
+    (lambda: rate(FOOD, (1, 0), (0, 1), 1001), InputError,
+     "caps 1001: the scan asks 1002001 questions, beyond the limit of 1000000 entries"),
+    (lambda: random_theory_table(Random(0), 32), InputError,
+     "random table size 32: 1048576 compatibility entries (size^4), beyond the limit of "
+     "1000000 entries"),
 ], ids=["closure-target-not-state", "closure-start-not-state", "function-table-range",
         "deterministic-not-prob-vectors", "prob-vector-float-entry", "prob-vector-bool-entry",
         "prob-vector-of-float", "prob-vector-of-bool", "stoch-map-float-entry",
@@ -75,7 +84,8 @@ FOOD = VectorTheory(2, "additive")
         "joint-float-entry", "joint-bool-entry", "joint-str-entry",
         "prob-vector-uniform-empty", "vector-enumeration-arity", "vector-enumeration-box",
         "order-table-size", "replicate-negative", "rate-bound-not-additive",
-        "multiset-negative", "circuit-undeclared-wire", "context-input", "context-output"])
+        "multiset-negative", "circuit-undeclared-wire", "context-input", "context-output",
+        "tensor-product-size", "rate-scan-size", "random-table-size"])
 def test_guard_errors_name_the_fault(build, error, message):
     with pytest.raises(error) as exc:
         build()
