@@ -8,7 +8,9 @@ inconclusive, never as evidence either way.
 
 Each analyzer asks many `geq` questions twice or more, so each public
 entry (the five `check_*` and `cross_check_theorems`) wraps its theory in
-one `core.QueryMemo` and asks it instead.  The memo lives for that one call:
+one `core.QueryMemo` and asks it instead.  The memo answers with verdicts:
+every witness an analyzer reports is built from terms, never from a
+theory's witness.  The memo lives for that one call:
 `cross_check_theorems` hands its memo to the checks it runs, and the CLI's
 `properties` command shares one across its five checks, but nothing is
 kept between calls and no state is global.
@@ -16,7 +18,10 @@ kept between calls and no state is global.
 The sum-law checks (quantity-like, non-interacting, catalysis-free) build
 the sample's sum table once per call, n^2 `combine`s with the positions of
 each distinct sum, and ask every later question per distinct sum rather
-than per sample tuple.
+than per sample tuple.  They decide each instance from verdicts already
+asked where they can: quantity-like from a table of verdicts between
+sample positions, non-interacting from per-position columns of split
+verdicts, extended only as far as a split-by-split scan would ask.
 """
 
 from __future__ import annotations
@@ -103,15 +108,15 @@ def check_catalysis_free(t: TheoryOracle, sample: Sequence[Any],
         plus = [sums[i * n:(i + 1) * n] for i in range(n)]
         for (a, a_plus), (b, b_plus) in itertools.product(zip(sample, plus), repeat=2):
             base = t.geq(a, b)
-            if base.is_unknown:
+            if base is Verdict.UNKNOWN:
                 yield Verdict.UNKNOWN
-            if not base.is_refuted:
+            if base is not Verdict.REFUTED:
                 continue
             for c, ac, bc in zip(sample, a_plus, b_plus):
                 lifted = t.geq(ac, bc)
-                if lifted.is_proven:
+                if lifted is Verdict.PROVEN:
                     yield Decision.refuted(("catalyst-triple", a, b, c))
-                if lifted.is_unknown:
+                if lifted is Verdict.UNKNOWN:
                     yield Verdict.UNKNOWN
     return _property("catalysis-free", t, sample, bound, outcomes())
 
@@ -123,38 +128,63 @@ def check_non_interacting(t: TheoryOracle, sample: Sequence[Any],
     Refuted requires a complete decomposition enumeration from the
     theory; with only a sampled search a missing split stays Unknown.
     The splits of each a are listed once, on its first Proven top query.
+    For each sample position b, the verdicts of a1 -> b and of a2 -> b
+    down the split list are kept as a column: proven and unknown bits up
+    to a frontier.  A triple (a, b1, b2) fits when its two columns share
+    a proven bit; otherwise both are extended one split at a time until
+    one fits or the list ends, so the theory is asked exactly the splits
+    a scan from the first split to the first fitting one asks.
     """
     t = QueryMemo.of(t)
+
+    def fits(column: list[int], parts: list[Any], b: Any, i: int) -> int:
+        """Bit i of the column's proven bits, asking part i -> b when i is
+        the column's frontier."""
+        if column[2] == i:
+            v = t.geq(parts[i], b)
+            if v is Verdict.PROVEN:
+                column[0] |= 1 << i
+            elif v is Verdict.UNKNOWN:
+                column[1] |= 1 << i
+            column[2] = i + 1
+        return column[0] >> i & 1
+
     def outcomes():
-        pairs = list(itertools.product(sample, repeat=2))
+        n = len(sample)
         _, where = _sum_table(t, sample)
         for a in sample:
             onto = []
             for s, ks in where.items():
                 top = t.geq(a, s)
-                if top.is_unknown:
+                if top is Verdict.UNKNOWN:
                     yield from itertools.repeat(Verdict.UNKNOWN, len(ks))
-                if top.is_proven:
+                if top is Verdict.PROVEN:
                     onto += ks
             if not onto:
                 continue
             decomps = t.decompositions(a)
             complete = decomps is not None
             if decomps is None:
-                decomps = [pairs[k] for k in sorted(
-                    k for s, ks in where.items() if t.equivalent(s, a).is_proven for k in ks)]
+                decomps = [(sample[k // n], sample[k % n]) for k in sorted(
+                    k for s, ks in where.items()
+                    if t.equivalent(s, a) is Verdict.PROVEN for k in ks)]
+            firsts = [a1 for a1, _ in decomps]
+            seconds = [a2 for _, a2 in decomps]
+            # [proven bits, unknown bits, frontier] of a1 -> b and of a2 -> b
+            lefts = [[0, 0, 0] for _ in sample]
+            rights = [[0, 0, 0] for _ in sample]
             for k in sorted(onto):
-                b1, b2 = pairs[k]
-                saw_unknown = False
-                for a1, a2 in decomps:
-                    d1 = t.geq(a1, b1)
-                    d2 = t.geq(a2, b2)
-                    if d1.is_proven and d2.is_proven:
+                j1, j2 = divmod(k, n)
+                left, right = lefts[j1], rights[j2]
+                if left[0] & right[0]:
+                    continue
+                b1, b2 = sample[j1], sample[j2]
+                for i in range(min(left[2], right[2]), len(decomps)):
+                    if fits(left, firsts, b1, i) & fits(right, seconds, b2, i):
                         break
-                    saw_unknown = saw_unknown or d1.is_unknown or d2.is_unknown
                 else:
                     yield (Decision.refuted(("no-split", a, b1, b2))
-                           if complete and not saw_unknown else Verdict.UNKNOWN)
+                           if complete and not left[1] | right[1] else Verdict.UNKNOWN)
     return _property("non-interacting", t, sample, bound, outcomes())
 
 
@@ -167,14 +197,18 @@ def check_quantity_like(t: TheoryOracle, sample: Sequence[Any],
     in sum-table order.  Each unordered pair of distinct sums is compared
     once (the verdict of `equivalent` is symmetric).  A row's proven
     partners, in table order, fall into runs of equal b1, so a1 -> b1 is
-    asked once per run.
+    asked once per run.  Every `geq` asked here is between sample terms,
+    so its verdict is kept in an n x n table by position, read first and
+    filled through the memo.
     """
     t = QueryMemo.of(t)
     def outcomes():
         n = len(sample)
         sums, where = _sum_table(t, sample)
+        # into[j][q]: the verdict of sample[q] -> sample[j], asked on first read
+        into: list[list[Verdict | None]] = [[None] * n for _ in sample]
         verdicts: dict[tuple[Any, Any], Verdict] = {}
-        rows: dict[Any, tuple[int, list[tuple[int, list[Any]]]]] = {}
+        rows: dict[Any, tuple[int, list[tuple[int, list[int]]]]] = {}
         for k, a in enumerate(sums):
             row = rows.get(a)
             if row is None:
@@ -182,44 +216,35 @@ def check_quantity_like(t: TheoryOracle, sample: Sequence[Any],
                 for b, ks in where.items():
                     eq = verdicts.get((b, a))
                     if eq is None:
-                        eq = verdicts[a, b] = t.equivalent(a, b).verdict
+                        eq = verdicts[a, b] = t.equivalent(a, b)
                     if eq is Verdict.UNKNOWN:
                         unknown += len(ks)
                     if eq is Verdict.PROVEN:
                         partners += ks
-                runs = [(b1, [sample[q % n] for q in run])
+                runs = [(b1, [q % n for q in run])
                         for b1, run in itertools.groupby(sorted(partners), lambda q: q // n)]
                 row = rows[a] = unknown, runs
             unknown, runs = row
             yield from itertools.repeat(Verdict.UNKNOWN, unknown)
             i, j = divmod(k, n)
-            a1, a2 = sample[i], sample[j]
+            a1, a2, to_a2 = sample[i], sample[j], into[j]
             for b1, b2s in runs:
-                d = t.geq(a1, sample[b1])
-                if d.is_unknown:
+                d = into[b1][i]
+                if d is None:
+                    d = into[b1][i] = t.geq(a1, sample[b1])
+                if d is Verdict.UNKNOWN:
                     yield from itertools.repeat(Verdict.UNKNOWN, len(b2s))
-                if not d.is_proven:
+                if d is not Verdict.PROVEN:
                     continue
-                unknown, refuting = _scan_to_first_refuted(t, b2s, a2)
-                yield from itertools.repeat(Verdict.UNKNOWN, unknown)
-                if refuting is not None:
-                    yield Decision.refuted(("quadruple", a1, a2, sample[b1], refuting))
+                for b2 in b2s:
+                    back = to_a2[b2]
+                    if back is None:
+                        back = to_a2[b2] = t.geq(sample[b2], a2)
+                    if back is Verdict.REFUTED:
+                        yield Decision.refuted(("quadruple", a1, a2, sample[b1], sample[b2]))
+                    if back is Verdict.UNKNOWN:
+                        yield Verdict.UNKNOWN
     return _property("quantity-like", t, sample, bound, outcomes())
-
-
-def _scan_to_first_refuted(t: TheoryOracle, sources: Sequence[Any],
-                           target: Any) -> tuple[int, Any]:
-    """Ask `source -> target` in order up to the first Refuted answer: the
-    number of Unknown answers before it, and its source (None if none)."""
-    unknown = 0
-    geq = t.geq
-    for source in sources:
-        verdict = geq(source, target).verdict
-        if verdict is Verdict.REFUTED:
-            return unknown, source
-        if verdict is Verdict.UNKNOWN:
-            unknown += 1
-    return unknown, None
 
 
 def check_quality_like(t: TheoryOracle, sample: Sequence[Any],
@@ -229,9 +254,9 @@ def check_quality_like(t: TheoryOracle, sample: Sequence[Any],
     def outcomes():
         for a in sample:
             eq = t.equivalent(t.combine(a, a), a)
-            if eq.is_refuted:
+            if eq is Verdict.REFUTED:
                 yield Decision.refuted(("not-idempotent", a))
-            if eq.is_unknown:
+            if eq is Verdict.UNKNOWN:
                 yield Verdict.UNKNOWN
     return _property("quality-like", t, sample, bound, outcomes())
 
@@ -250,14 +275,14 @@ def check_waste_free(t: TheoryOracle, sample: Sequence[Any],
         disposable = True
         for a in sample:
             d = t.geq(a, z)
-            if d.is_refuted:
+            if d is Verdict.REFUTED:
                 yield Decision.refuted(("not-disposable", a))
-            if d.is_unknown:
+            if d is Verdict.UNKNOWN:
                 disposable = False
                 yield Verdict.UNKNOWN
         if disposable:
             for a, b in itertools.product(sample, repeat=2):
-                if t.geq(t.combine(a, b), a).is_refuted:
+                if t.geq(t.combine(a, b), a) is Verdict.REFUTED:
                     yield Decision.refuted(("whole-covers-part-fails", a, b),
                                            note="theorem violation: disposability held")
     return _property("waste-free", t, sample, bound, outcomes())
@@ -317,10 +342,9 @@ def cross_check_theorems(t: TheoryOracle, sample: Sequence[Any],
                         ("prop:doubling-irrelevant", doubling))]
 
 
-def _disagree(*decisions: Decision) -> bool:
+def _disagree(*verdicts: Verdict) -> bool:
     """Definite answers that differ; an Unknown among them settles nothing."""
-    return (not any(d.is_unknown for d in decisions)
-            and len({d.is_proven for d in decisions}) != 1)
+    return Verdict.UNKNOWN not in verdicts and verdicts.count(verdicts[0]) != len(verdicts)
 
 
 def sample_scope(t: TheoryOracle, sample: Sequence[Any]) -> str:

@@ -6,7 +6,8 @@ operation (up to interconvertibility), a neutral element, and a preorder
 because some preorders (e.g. rewrite reachability) are only semidecidable
 under a search bound.  `shortest_traces` is the bounded breadth-first
 search behind the reachability orders.  `QueryMemo` asks a theory each
-`geq` and `equivalent` pair once, for `check_axioms` and the analyzers.
+`geq` pair once and answers with its `Verdict`, for `check_axioms` and the
+analyzers; its `equivalent` is the one rule for mutual convertibility.
 `order_matrix` is the order table behind the Hasse diagram.
 `MAX_ENTRIES` is the one limit on the entries of a table a command builds
 or fills; every size guard refuses input beyond it with an InputError.
@@ -147,26 +148,13 @@ class TheoryOracle(ABC):
         return repr(a)
 
 
-def equivalent(t: TheoryOracle, a: Any, b: Any) -> Decision:
-    """Mutual convertibility: Proven iff both directions hold.  The verdict
-    is symmetric in a and b; b -> a is not asked once a -> b is refuted."""
-    fwd = t.geq(a, b)
-    if fwd.is_refuted:
-        return Decision.refuted(("forward", fwd.witness))
-    bwd = t.geq(b, a)
-    if fwd.is_proven and bwd.is_proven:
-        return Decision.proven((fwd.witness, bwd.witness))
-    if bwd.is_refuted:
-        return Decision.refuted(("backward", bwd.witness))
-    bound = max(d.bound or 0 for d in (fwd, bwd) if d.is_unknown)
-    return Decision.unknown(bound)
-
-
 class QueryMemo:
-    """Answers as the wrapped theory without being one: it asks the theory
-    each `geq` and `equivalent` question once, keyed by the pair of terms,
-    and binds the theory's own other five methods, so no interface default
-    can answer for them.  Theories answer deterministically."""
+    """Asks the wrapped theory each `geq` question once, keyed by the pair
+    of terms, and answers with the verdict alone: its callers build every
+    witness they report from terms.  It binds the theory's own other five
+    methods, so no interface default can answer for them, and it is no
+    `TheoryOracle`, so code that reads a theory's `Decision`s is never
+    handed one.  Theories answer deterministically."""
 
     def __init__(self, theory: TheoryOracle):
         self.theory = theory
@@ -175,25 +163,31 @@ class QueryMemo:
         self.enumerate_up_to = theory.enumerate_up_to
         self.decompositions = theory.decompositions
         self.format_term = theory.format_term
-        self._geq: dict[tuple[Any, Any], Decision] = {}
-        self._equivalent: dict[tuple[Any, Any], Decision] = {}
+        self._geq: dict[tuple[Any, Any], Verdict] = {}
 
     @staticmethod
     def of(t: TheoryOracle) -> "QueryMemo":
         """`t` itself when it is already a memo, else a fresh memo of `t`."""
         return t if isinstance(t, QueryMemo) else QueryMemo(t)
 
-    def geq(self, a: Any, b: Any) -> Decision:
-        d = self._geq.get((a, b))
-        if d is None:
-            d = self._geq[a, b] = self.theory.geq(a, b)
-        return d
+    def geq(self, a: Any, b: Any) -> Verdict:
+        """The verdict of `theory.geq(a, b)`."""
+        v = self._geq.get((a, b))
+        if v is None:
+            v = self._geq[a, b] = self.theory.geq(a, b).verdict
+        return v
 
-    def equivalent(self, a: Any, b: Any) -> Decision:
-        d = self._equivalent.get((a, b))
-        if d is None:
-            d = self._equivalent[a, b] = equivalent(self, a, b)
-        return d
+    def equivalent(self, a: Any, b: Any) -> Verdict:
+        """Mutual convertibility: Proven iff both directions are, Refuted
+        iff either is.  The verdict is symmetric in a and b; b -> a is not
+        asked once a -> b is refuted."""
+        fwd = self.geq(a, b)
+        if fwd is Verdict.REFUTED:
+            return fwd
+        bwd = self.geq(b, a)
+        if bwd is Verdict.REFUTED or bwd is fwd:  # both Proven or both Unknown
+            return bwd
+        return Verdict.UNKNOWN
 
 
 def shortest_traces(start: Hashable, moves: Callable[[Any], Iterable[tuple[Hashable, Any]]],
@@ -312,23 +306,23 @@ def check_axioms(t: TheoryOracle, terms: Iterable[Any]) -> list[Violation]:
     f = t.format_term
     out: list[Violation] = []
     for a in terms:
-        if t.geq(a, a).is_refuted:
+        if t.geq(a, a) is Verdict.REFUTED:
             out.append(Violation("reflexivity", (a,), f"{f(a)} not >= itself"))
     for a in terms:
         for b in terms:
             ab, ba = t.combine(a, b), t.combine(b, a)
-            if t.equivalent(ab, ba).is_refuted:
+            if t.equivalent(ab, ba) is Verdict.REFUTED:
                 out.append(Violation("commutativity", (a, b),
                                      f"{f(a)}+{f(b)} = {f(ab)} != {f(ba)} = {f(b)}+{f(a)}"))
     z = t.zero()
     for a in terms:
         az = t.combine(a, z)
-        if t.equivalent(az, a).is_refuted:
+        if t.equivalent(az, a) is Verdict.REFUTED:
             out.append(Violation("unit", (a,), f"{f(a)}+0 = {f(az)} not equivalent to {f(a)}"))
-    proven = [(a, b) for a in terms for b in terms if t.geq(a, b).is_proven]
+    proven = [(a, b) for a in terms for b in terms if t.geq(a, b) is Verdict.PROVEN]
     for a, b in proven:
         for c in terms:
-            if t.geq(b, c).is_proven and t.geq(a, c).is_refuted:
+            if t.geq(b, c) is Verdict.PROVEN and t.geq(a, c) is Verdict.REFUTED:
                 out.append(Violation("transitivity", (a, b, c),
                                      f"{f(a)}>={f(b)} and {f(b)}>={f(c)} "
                                      f"but not {f(a)}>={f(c)}"))
@@ -336,13 +330,13 @@ def check_axioms(t: TheoryOracle, terms: Iterable[Any]) -> list[Violation]:
         for b in terms:
             ab = t.combine(a, b)
             for c in terms:
-                if t.equivalent(t.combine(ab, c), t.combine(a, t.combine(b, c))).is_refuted:
+                if t.equivalent(t.combine(ab, c), t.combine(a, t.combine(b, c))) is Verdict.REFUTED:
                     out.append(Violation("associativity", (a, b, c),
                                          f"({f(a)}+{f(b)})+{f(c)} not equivalent to "
                                          f"{f(a)}+({f(b)}+{f(c)})"))
     for a, b in proven:
         for c, d in proven:
-            if t.geq(t.combine(a, c), t.combine(b, d)).is_refuted:
+            if t.geq(t.combine(a, c), t.combine(b, d)) is Verdict.REFUTED:
                 out.append(Violation("compatibility", (a, b, c, d),
                                      f"{f(a)}>={f(b)}, {f(c)}>={f(d)} "
                                      f"but not {f(a)}+{f(c)} >= {f(b)}+{f(d)}"))

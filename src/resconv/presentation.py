@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from operator import add
+from operator import add, sub
 
 from .core import Decision, InputError, TheoryOracle, shortest_traces
 from .linalg import complement_projector
@@ -77,7 +77,8 @@ class MultisetTheory(TheoryOracle):
     species-count vectors over the rule table: a rule applies when the
     state holds every count it consumes, and adds its delta.  The species
     index, the rule table and the integer projector onto the complement of
-    the deltas' span are built once per instance, on first use.
+    the deltas' span are built once per instance, on first use, and each
+    count difference's certificate once per instance.
     """
 
     species: tuple[str, ...]
@@ -140,21 +141,32 @@ class MultisetTheory(TheoryOracle):
     def validate_term(self, a: Multiset) -> None:
         self._vector(a)
 
+    @cached_property
+    def _certificates(self) -> dict[tuple[int, ...], tuple[tuple[str, Fraction], ...] | None]:
+        """The conservation certificate of each count difference b - a
+        asked so far; it depends on nothing else."""
+        return {}
+
     def conservation_certificate(self, a: Multiset, b: Multiset) -> tuple[tuple[str, Fraction], ...] | None:
         """A linear functional constant on every rule but separating a from b.
 
         It is the component of b - a orthogonal to the rule deltas, read off
-        the cached projector; None when b - a lies in their span.
+        the cached projector, and computed once per difference b - a; None
+        when b - a lies in their span.
         """
+        start = self._vector(a)
+        delta = tuple(map(sub, self._vector(b), start))
+        certificates = self._certificates
+        if delta in certificates:
+            return certificates[delta]
         rows, den = self._projector
         w = [0] * len(rows)
-        for row, ai, bi in zip(rows, self._vector(a), self._vector(b)):  # the projector is symmetric
-            if ai != bi:
-                w = [x + (bi - ai) * y for x, y in zip(w, row)]
-        if not any(w):
-            return None
-        return tuple((o, Fraction(x, den))
-                     for o, x in zip(self.species, w) if x)
+        for row, d in zip(rows, delta):  # the projector is symmetric
+            if d:
+                w = [x + d * y for x, y in zip(w, row)]
+        cert = certificates[delta] = tuple(
+            (o, Fraction(x, den)) for o, x in zip(self.species, w) if x) or None
+        return cert
 
     def geq(self, a: Multiset, b: Multiset) -> Decision:
         start, goal = self._vector(a), self._vector(b)

@@ -4,13 +4,14 @@ from pathlib import Path
 from random import Random
 
 import resconv.cli
-from resconv.analysis import (_property, check_catalysis_free, check_non_interacting,
+from resconv.analysis import (_property, _sum_table, check_catalysis_free, check_non_interacting,
                               check_quality_like, check_quantity_like, check_waste_free,
                               cross_check_theorems, find_catalyst, random_theory_table)
 from resconv.cli import run
 from resconv.core import (Decision, FiniteTheoryTable, QueryMemo, TheoryOracle, Verdict,
-                          check_axioms, equivalent)
-from resconv.instances import VectorTheory
+                          check_axioms)
+from resconv.instances import (EntanglementSpectrumTheory, RandomnessTheory, VectorTheory,
+                               enumerate_prob_vectors)
 from resconv.jsonio import load_theory, read_json
 from resconv.presentation import MorphismGenerator, MultisetTheory, ms_make
 
@@ -87,8 +88,8 @@ def test_proficiency_is_not_quantity_like(proficiency):
     r = check_quantity_like(proficiency, box(proficiency, 1))
     assert r.decision.is_refuted
     a1, a2, b1, b2 = r.decision.witness[1:]
-    assert equivalent(proficiency, proficiency.combine(a1, a2),
-                      proficiency.combine(b1, b2)).is_proven
+    assert QueryMemo(proficiency).equivalent(proficiency.combine(a1, a2),
+                                             proficiency.combine(b1, b2)) is Verdict.PROVEN
     assert proficiency.geq(a1, b1).is_proven
     assert proficiency.geq(b2, a2).is_refuted
 
@@ -97,7 +98,7 @@ def test_food_is_not_quality_like(food):
     r = check_quality_like(food, box(food, 2))
     assert r.decision.is_refuted
     a = r.decision.witness[1]
-    assert equivalent(food, food.combine(a, a), a).is_refuted
+    assert QueryMemo(food).equivalent(food.combine(a, a), a) is Verdict.REFUTED
 
 
 def test_proficiency_is_quality_like_on_sample(proficiency):
@@ -198,19 +199,19 @@ def quadruple_quantity_like(t, sample, bound=0):
     def outcomes():
         for a1, a2, b1, b2 in itertools.product(sample, repeat=4):
             eq = t.equivalent(t.combine(a1, a2), t.combine(b1, b2))
-            if eq.is_unknown:
+            if eq is Verdict.UNKNOWN:
                 yield Verdict.UNKNOWN
-            if not eq.is_proven:
+            if eq is not Verdict.PROVEN:
                 continue
             d = t.geq(a1, b1)
-            if d.is_unknown:
+            if d is Verdict.UNKNOWN:
                 yield Verdict.UNKNOWN
-            if not d.is_proven:
+            if d is not Verdict.PROVEN:
                 continue
             back = t.geq(b2, a2)
-            if back.is_refuted:
+            if back is Verdict.REFUTED:
                 yield Decision.refuted(("quadruple", a1, a2, b1, b2))
-            if back.is_unknown:
+            if back is Verdict.UNKNOWN:
                 yield Verdict.UNKNOWN
     return _property("quantity-like", t, sample, bound, outcomes())
 
@@ -225,23 +226,23 @@ def triple_non_interacting(t, sample, bound=0):
             decomps = None
             for b1, b2 in itertools.product(sample, repeat=2):
                 top = t.geq(a, t.combine(b1, b2))
-                if top.is_unknown:
+                if top is Verdict.UNKNOWN:
                     yield Verdict.UNKNOWN
-                if not top.is_proven:
+                if top is not Verdict.PROVEN:
                     continue
                 if decomps is None:
                     decomps = t.decompositions(a)
                     complete = decomps is not None
                     if decomps is None:
                         decomps = [(x, y) for x in sample for y in sample
-                                   if t.equivalent(t.combine(x, y), a).is_proven]
+                                   if t.equivalent(t.combine(x, y), a) is Verdict.PROVEN]
                 saw_unknown = False
                 for a1, a2 in decomps:
                     d1 = t.geq(a1, b1)
                     d2 = t.geq(a2, b2)
-                    if d1.is_proven and d2.is_proven:
+                    if d1 is Verdict.PROVEN and d2 is Verdict.PROVEN:
                         break
-                    saw_unknown = saw_unknown or d1.is_unknown or d2.is_unknown
+                    saw_unknown = saw_unknown or Verdict.UNKNOWN in (d1, d2)
                 else:
                     yield (Decision.refuted(("no-split", a, b1, b2))
                            if complete and not saw_unknown else Verdict.UNKNOWN)
@@ -256,15 +257,15 @@ def triple_catalysis_free(t, sample, bound=0):
     def outcomes():
         for a, b in itertools.product(sample, repeat=2):
             base = t.geq(a, b)
-            if base.is_unknown:
+            if base is Verdict.UNKNOWN:
                 yield Verdict.UNKNOWN
-            if not base.is_refuted:
+            if base is not Verdict.REFUTED:
                 continue
             for c in sample:
                 lifted = t.geq(t.combine(a, c), t.combine(b, c))
-                if lifted.is_proven:
+                if lifted is Verdict.PROVEN:
                     yield Decision.refuted(("catalyst-triple", a, b, c))
-                if lifted.is_unknown:
+                if lifted is Verdict.UNKNOWN:
                     yield Verdict.UNKNOWN
     return _property("catalysis-free", t, sample, bound, outcomes())
 
@@ -273,8 +274,9 @@ def reference_cases(food, proficiency):
     """Theories with samples for the reference comparisons: random theory
     tables on their carriers, random tables that break the axioms on
     random sub-samples, boxes of the demo theories in two orders, and
-    samples of `LiftedUnknown`, `SplitUnknown` and `SPANNING`, whose
-    undecided questions reach the inconclusive branches."""
+    samples of `LiftedUnknown`, `SplitUnknown`, `SPANNING` and random
+    `UndecidedTable`s, whose undecided questions reach the inconclusive
+    branches."""
     rng = Random(31)
     cases = []
     for _ in range(60):
@@ -295,6 +297,12 @@ def reference_cases(food, proficiency):
     for sample in ([1, 3], [3, 2, 1, 0]):
         cases.append((SplitUnknown(), sample))
     cases.append((SPANNING, SPANNING.enumerate_up_to(2)))
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        cases.append((UndecidedTable(
+            tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)),
+            tuple(tuple(rng.choice(list(Verdict)) for _ in range(n)) for _ in range(n))),
+            list(range(n))))
     return cases
 
 
@@ -345,6 +353,156 @@ def test_checks_combine_each_sample_pair_once_and_compare_distinct_sums(monkeypa
                 assert sum(compared.values()) <= distinct * (distinct + 1) // 2
 
 
+def scan_non_interacting(t, sample, bound=0):
+    """Reference for the questions asked: the non-interacting check that
+    scans each triple's splits from the first to the first that fits."""
+    t = QueryMemo.of(t)
+
+    def outcomes():
+        pairs = list(itertools.product(sample, repeat=2))
+        _, where = _sum_table(t, sample)
+        for a in sample:
+            onto = []
+            for s, ks in where.items():
+                top = t.geq(a, s)
+                if top is Verdict.UNKNOWN:
+                    yield from itertools.repeat(Verdict.UNKNOWN, len(ks))
+                if top is Verdict.PROVEN:
+                    onto += ks
+            if not onto:
+                continue
+            decomps = t.decompositions(a)
+            complete = decomps is not None
+            if decomps is None:
+                decomps = [pairs[k] for k in sorted(
+                    k for s, ks in where.items()
+                    if t.equivalent(s, a) is Verdict.PROVEN for k in ks)]
+            for k in sorted(onto):
+                b1, b2 = pairs[k]
+                saw_unknown = False
+                for a1, a2 in decomps:
+                    d1 = t.geq(a1, b1)
+                    d2 = t.geq(a2, b2)
+                    if d1 is Verdict.PROVEN and d2 is Verdict.PROVEN:
+                        break
+                    saw_unknown = saw_unknown or Verdict.UNKNOWN in (d1, d2)
+                else:
+                    yield (Decision.refuted(("no-split", a, b1, b2))
+                           if complete and not saw_unknown else Verdict.UNKNOWN)
+    return _property("non-interacting", t, sample, bound, outcomes())
+
+
+def scan_quantity_like(t, sample, bound=0):
+    """Reference for the questions asked: the quantity-like check that
+    compares distinct sums once, asks a1 -> b1 once per run of equal b1
+    and scans the run's b2 -> a2 up to the first refuted."""
+    t = QueryMemo.of(t)
+
+    def outcomes():
+        n = len(sample)
+        sums, where = _sum_table(t, sample)
+        verdicts = {}
+        rows = {}
+        for k, a in enumerate(sums):
+            row = rows.get(a)
+            if row is None:
+                unknown, partners = 0, []
+                for b, ks in where.items():
+                    eq = verdicts.get((b, a))
+                    if eq is None:
+                        eq = verdicts[a, b] = t.equivalent(a, b)
+                    if eq is Verdict.UNKNOWN:
+                        unknown += len(ks)
+                    if eq is Verdict.PROVEN:
+                        partners += ks
+                runs = [(b1, [sample[q % n] for q in run])
+                        for b1, run in itertools.groupby(sorted(partners), lambda q: q // n)]
+                row = rows[a] = unknown, runs
+            unknown, runs = row
+            yield from itertools.repeat(Verdict.UNKNOWN, unknown)
+            i, j = divmod(k, n)
+            a1, a2 = sample[i], sample[j]
+            for b1, b2s in runs:
+                d = t.geq(a1, sample[b1])
+                if d is Verdict.UNKNOWN:
+                    yield from itertools.repeat(Verdict.UNKNOWN, len(b2s))
+                if d is not Verdict.PROVEN:
+                    continue
+                for b2 in b2s:
+                    back = t.geq(b2, a2)
+                    if back is Verdict.REFUTED:
+                        yield Decision.refuted(("quadruple", a1, a2, sample[b1], b2))
+                        break
+                    if back is Verdict.UNKNOWN:
+                        yield Verdict.UNKNOWN
+    return _property("quantity-like", t, sample, bound, outcomes())
+
+
+class Recorded(TheoryOracle):
+    """Answers as `theory` and records every pair its `geq` is asked."""
+
+    def __init__(self, theory):
+        self.theory = theory
+        self.asked = set()
+
+    def combine(self, a, b):
+        return self.theory.combine(a, b)
+
+    def zero(self):
+        return self.theory.zero()
+
+    def geq(self, a, b):
+        self.asked.add((a, b))
+        return self.theory.geq(a, b)
+
+    def enumerate_up_to(self, bound):
+        return self.theory.enumerate_up_to(bound)
+
+    def decompositions(self, a):
+        return self.theory.decompositions(a)
+
+
+def test_checks_ask_the_theory_the_questions_of_the_scans(food, proficiency):
+    # Deciding from kept verdicts must not ask the theory anything the
+    # scans would not: asking every split, say, asks more.
+    for check, reference in ((check_non_interacting, scan_non_interacting),
+                             (check_quantity_like, scan_quantity_like)):
+        for t, sample in reference_cases(food, proficiency):
+            ours, theirs = Recorded(t), Recorded(t)
+            assert check(ours, sample, 6) == reference(theirs, sample, 6), (t, sample)
+            assert ours.asked == theirs.asked, (check.__name__, t, sample)
+
+
+def mutual(forward, backward):
+    """Mutual convertibility from the two direct verdicts."""
+    if Verdict.REFUTED in (forward, backward):
+        return Verdict.REFUTED
+    if forward is backward is Verdict.PROVEN:
+        return Verdict.PROVEN
+    return Verdict.UNKNOWN
+
+
+def test_the_memo_answers_the_theory_s_verdicts(food, proficiency):
+    haber = load_theory(read_json(DEMO / "haber.json"), bound=6)
+    vectors = enumerate_prob_vectors(3, 3)
+    cases = [(food, box(food, 2)), (proficiency, box(proficiency, 2)), (haber, box(haber, 2)),
+             (RandomnessTheory(), vectors), (EntanglementSpectrumTheory(), vectors),
+             (random_theory_table(Random(5), 5), list(range(5))),
+             (LiftedUnknown(), [0, 1, 2, 3]), (SplitUnknown(), [0, 1, 2, 3])]
+    seen = Counter()
+    for t, sample in cases:
+        memo = QueryMemo(t)
+        for a, b in itertools.product(sample, repeat=2):
+            forward, backward = t.geq(a, b).verdict, t.geq(b, a).verdict
+            assert memo.geq(a, b) is forward
+            recorded = Recorded(t)
+            assert QueryMemo(recorded).equivalent(a, b) is mutual(forward, backward)
+            assert recorded.asked == ({(a, b)} if forward is Verdict.REFUTED
+                                      else {(a, b), (b, a)})
+            seen[memo.equivalent(a, b)] += 1
+    assert all(seen[v] for v in Verdict)
+
+
 class LiftedUnknown(TheoryOracle):
     """Integers under addition: 0 and 1 are incomparable, every other pair
     of distinct terms is undecided.  No shipped theory refutes a -> b yet
@@ -392,6 +550,33 @@ class SplitUnknown(TheoryOracle):
 
     def decompositions(self, a):
         return [(x, a - x) for x in range(a + 1)]
+
+
+class UndecidedTable(TheoryOracle):
+    """A combine table on 0..n-1 with a three-valued order, and every pair
+    combining to a listed as a split of a: one split's part may be
+    undecided while the other part's questions are all decided."""
+
+    def __init__(self, table, order):
+        self.table, self.order = table, order
+
+    def combine(self, a, b):
+        return self.table[a][b]
+
+    def zero(self):
+        return 0
+
+    def geq(self, a, b):
+        verdict = self.order[a][b]
+        if verdict is Verdict.UNKNOWN:
+            return Decision.unknown(1)
+        return Decision(verdict, witness=("entry", a, b))
+
+    def enumerate_up_to(self, bound):
+        return list(range(len(self.table)))
+
+    def decompositions(self, a):
+        return [(x, y) for x, row in enumerate(self.table) for y, c in enumerate(row) if c == a]
 
 
 def test_catalyst_search_counts_inconclusive_candidates():
@@ -540,11 +725,11 @@ def replay_refutation(t, report):
                    for a1, a2 in t.decompositions(a))
     if kind == "quadruple":
         a1, a2, b1, b2 = terms
-        return equivalent(t, t.combine(a1, a2), t.combine(b1, b2)).is_proven \
+        return QueryMemo(t).equivalent(t.combine(a1, a2), t.combine(b1, b2)) is Verdict.PROVEN \
             and t.geq(a1, b1).is_proven and t.geq(b2, a2).is_refuted
     if kind == "not-idempotent":
         (a,) = terms
-        return equivalent(t, t.combine(a, a), a).is_refuted
+        return QueryMemo(t).equivalent(t.combine(a, a), a) is Verdict.REFUTED
     if kind == "not-disposable":
         (a,) = terms
         return t.geq(a, t.zero()).is_refuted

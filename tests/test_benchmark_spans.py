@@ -14,7 +14,7 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # Names the benchmark spec lists for functions the package no longer has.
-KNOWN_ABSENT = {"instances.ReactionTheory.geq", "linalg.in_span",
+KNOWN_ABSENT = {"core.equivalent", "instances.ReactionTheory.geq", "linalg.in_span",
                 "linalg.orthogonal_residual", "stoch.deterministic_function"}
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resconv.core import (Decision, FiniteTheoryTable, InputError, QueryMemo, TheoryOracle,
-                          Verdict, Violation, check_axioms, equivalent, replicate)
+                          Verdict, Violation, check_axioms, replicate)
 from resconv.instances import ProbVector, RandomnessTheory
 from resconv.presentation import MorphismGenerator, MultisetTheory, ms_make
 
@@ -180,16 +180,17 @@ def test_malformed_table_rejected():
 # equivalent / replicate
 
 def test_equivalent_food_examples(food):
-    assert equivalent(food, (1, 2), (1, 2)).is_proven
-    assert equivalent(food, (2, 0), (0, 2)).is_refuted
+    memo = QueryMemo(food)
+    assert memo.equivalent((1, 2), (1, 2)) is Verdict.PROVEN
+    assert memo.equivalent((2, 0), (0, 2)) is Verdict.REFUTED
 
 
 def test_equivalent_unknown_propagates():
     t = MultisetTheory(("a", "b"), (MorphismGenerator("r", ms_make(["a"]), ms_make(["b"])),),
                        bound=2)
-    d = equivalent(t, ms_make(["a"]), ms_make(["b"]))
     # forward is provable, backward exhausts the bound
-    assert d.is_unknown and d.bound == 2
+    assert t.geq(ms_make(["b"]), ms_make(["a"])).bound == 2
+    assert QueryMemo(t).equivalent(ms_make(["a"]), ms_make(["b"])) is Verdict.UNKNOWN
 
 
 def test_replicate_examples(food, proficiency):
@@ -211,7 +212,7 @@ def test_replicate_splits_as_combine(n, m, a):
         return
     whole = replicate(food, n + m, a)
     parts = food.combine(replicate(food, n, a), replicate(food, m, a))
-    assert equivalent(food, whole, parts).is_proven
+    assert QueryMemo(food).equivalent(whole, parts) is Verdict.PROVEN
 
 
 class VectorTheoryCached:
