@@ -65,7 +65,10 @@ def feasible_nonneg_solution(equations: Sequence[Sequence[Fraction]],
 
     Phase-1 simplex with Bland's rule (least index), which terminates on
     every rational input.  The returned solution is basic, so at most
-    len(equations) entries are nonzero.
+    len(equations) entries are nonzero.  A column equal to an earlier one
+    has that column's cost entry at every step, so it never enters the
+    basis: inserting later copies of columns leaves the solution as it was,
+    with 0 at every copy.
 
     The tableau is fraction-free (Edmonds 1967; Bareiss 1968).  Row i,
     scaled by the lcm L_i of its denominators, is [A_i | L_i e_i | b_i]

@@ -154,8 +154,10 @@ class MultisetTheory(TheoryOracle):
         the cached projector, and computed once per difference b - a; None
         when b - a lies in their span.
         """
-        start = self._vector(a)
-        delta = tuple(map(sub, self._vector(b), start))
+        return self._certificate(tuple(map(sub, self._vector(b), self._vector(a))))
+
+    def _certificate(self, delta: tuple[int, ...]) -> tuple[tuple[str, Fraction], ...] | None:
+        """`conservation_certificate` of the count difference delta."""
         certificates = self._certificates
         if delta in certificates:
             return certificates[delta]
@@ -172,7 +174,7 @@ class MultisetTheory(TheoryOracle):
         start, goal = self._vector(a), self._vector(b)
         if start == goal:
             return Decision.proven(())
-        cert = self.conservation_certificate(a, b)
+        cert = self._certificate(tuple(map(sub, goal, start)))
         if cert is not None:
             return Decision.refuted(("conserved-functional", cert))
         cap = max(sum(start), sum(goal)) + self.bound

@@ -400,8 +400,12 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
     deterministic ones and the simulated channel is linear in each of
     the encoder and the decoder, so every strategy's result is a mixture
     of deterministic pairs' results, found by one exact feasibility LP
-    over those pairs.  An infeasible LP is still answered Unknown, since
-    the answer would carry no checkable witness.
+    over those pairs.  Each distinct wrapped map dec . p . enc is tried
+    once, as the first pair giving it (encoders outer, decoders inner):
+    one check against the target and one LP column.  A repeat could not
+    change the answer (see `feasible_nonneg_solution`).  An infeasible LP
+    is still answered Unknown, since the answer would carry no checkable
+    witness.
 
     Proven decisions carry a SimulationWitness that replays through
     simulate_channel; its joint distribution holds the LP's `Fraction`
@@ -436,39 +440,48 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
     encoders = list(itertools.product(range(len(p.dom)), repeat=len(target.dom)))
     decoders = list(itertools.product(range(len(target.cod)), repeat=len(p.cod)))
 
-    def wrapped(enc: tuple[int, ...], dec: tuple[int, ...]) -> list[int]:
-        # Column-major flat numerators of dec . p . enc, over p.den.
-        out = []
-        for a in enc:
+    # Each decoder's columns of dec . p, over p.den: the column of
+    # dec . p . enc is the encoder's pick of them, one per input of target.
+    pushed = []
+    for dec in decoders:
+        cols = []
+        for p_col in p_cols:
             col = [0] * len(target.cod)
-            for b, x in enumerate(p_cols[a]):
+            for b, x in enumerate(p_col):
                 col[dec[b]] += x
-            out.extend(col)
-        return out
+            cols.append(tuple(col))
+        pushed.append(cols)
 
-    goal = [y for col in t_cols for y in col]
-    # a column matches the goal iff column / p.den == goal / target.den
-    goal_cross = [y * p.den for y in goal]
+    # A column over p.den matches the target iff it is the target's columns
+    # over p.den; when an entry has no such form, no column matches.
+    fits = all(y * p.den % target.den == 0 for col in t_cols for y in col)
+    goal = tuple(tuple(y * p.den // target.den for y in col) for col in t_cols) if fits else None
 
-    # One pair matching alone needs no randomness; else all columns go to the LP.
-    pairs = [(enc, dec) for enc in encoders for dec in decoders]
-    columns = []
-    for enc, dec in pairs:
-        column = wrapped(enc, dec)
-        if [x * target.den for x in column] == goal_cross:
-            return Decision.proven(SimulationWitness(
-                _map_from_functions(target.dom, UNIT, p.dom, [enc]),
-                _map_from_functions(p.cod, UNIT, target.cod, [dec]),
-                trivial_randomness()))
-        columns.append(column)
+    # The first pair of each distinct column keeps it.  One pair matching
+    # alone needs no randomness; else the distinct columns go to the LP.
+    columns: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for enc in encoders:
+        for dec, cols in zip(decoders, pushed):
+            column = tuple(cols[a] for a in enc)
+            if column in columns:
+                continue
+            if column == goal:
+                return Decision.proven(SimulationWitness(
+                    _map_from_functions(target.dom, UNIT, p.dom, [enc]),
+                    _map_from_functions(p.cod, UNIT, target.cod, [dec]),
+                    trivial_randomness()))
+            columns[column] = enc, dec
+    pairs = list(columns.values())
 
     # Exact feasibility over joint mixtures of encoder/decoder pairs.
     # Rational rows, not integer ones: scaling a row would change Bland's
     # phase-1 cost row, and so possibly the pivots and the witness.
-    frac = {x: Fraction(x, p.den) for x in set(itertools.chain.from_iterable(columns))}
-    equations = [[frac[col[row]] for col in columns] for row in range(len(goal))]
+    entries = {x for column in columns for col in column for x in col}
+    frac = {x: Fraction(x, p.den) for x in entries}
+    equations = [[frac[column[i][j]] for column in columns]
+                 for i in range(len(t_cols)) for j in range(len(target.cod))]
     equations.append([F1] * len(pairs))
-    rhs = [Fraction(y, target.den) for y in goal] + [F1]
+    rhs = [Fraction(y, target.den) for col in t_cols for y in col] + [F1]
     sol = feasible_nonneg_solution(equations, rhs)
     if sol is not None:
         support = [k for k, w in enumerate(sol) if w != 0]
@@ -534,6 +547,9 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
     one-step maps out of an alphabet are built once, each as one sparse
     integer table (see _step) over its denominator g.den; a step pushes
     the numerators through it exactly, to numerators over d * g.den.
+    Maps that agree on a state's support give it the same successor, so
+    per alphabet and support the tables are restricted to the support and
+    each distinct restricted step is tried once, by the first map giving it.
 
     Proven witnesses are the shortest sequences of one-step maps whose
     composite sends s to the target exactly; replay by folding
@@ -572,12 +588,23 @@ def search_free_transformation_batch(s: StochMap, targets: Sequence[StochMap],
         return [_step(g) for g in by_dom.get(cod, []) + pairs]
 
     step_cache: dict[FinSet, list[_Step]] = {}
+    # per (alphabet, support): the first map of each distinct
+    # (codomain, denominator, table restricted to the support)
+    restricted: dict[tuple[FinSet, tuple[int, ...]], list[_Step]] = {}
 
     def moves(key: _StateKey):
         cod, den, nums = key
-        if cod not in step_cache:
-            step_cache[cod] = one_step_maps(cod)
-        for g, table in step_cache[cod]:
+        support = tuple(i for i, x in enumerate(nums) if x)
+        steps = restricted.get((cod, support))
+        if steps is None:
+            if cod not in step_cache:
+                step_cache[cod] = one_step_maps(cod)
+            distinct: dict[tuple, _Step] = {}
+            for g, table in step_cache[cod]:
+                kept = [(i, j, w) for i, j, w in table if nums[i]]
+                distinct.setdefault((g.cod, g.den, tuple(kept)), (g, kept))
+            steps = restricted[cod, support] = list(distinct.values())
+        for g, table in steps:
             col = [0] * len(g.cod)
             for i, j, w in table:
                 col[j] += w * nums[i]

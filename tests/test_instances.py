@@ -458,6 +458,31 @@ def test_conservation_certificate_matches_gram_schmidt_reference():
     assert refuted and in_span
 
 
+def test_geq_builds_each_count_vector_once(monkeypatch):
+    rng = Random(77)
+    built, refuted = [], 0
+    real = MultisetTheory._vector
+
+    def counting(self, a):
+        built.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(MultisetTheory, "_vector", counting)
+    for case in range(20):
+        t = random_network(rng, case)
+        t._rule_table  # the rules' own vectors, built once per theory
+        for _ in range(10):
+            a = ms_make({s: rng.randint(0, 3) for s in t.species})
+            b = ms_make({s: rng.randint(0, 3) for s in t.species})
+            built.clear()
+            d = t.geq(a, b)
+            assert built == [a, b]
+            if d.is_refuted:
+                refuted += 1
+                assert d.witness == ("conserved-functional", t.conservation_certificate(a, b))
+    assert refuted
+
+
 def test_unused_species_is_its_own_conserved_functional():
     t = random_network(Random(5), 1)
     cert = t.conservation_certificate((), ms_make({"s0": 2}))

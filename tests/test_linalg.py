@@ -101,6 +101,24 @@ def test_simplex_matches_the_fraction_tableau_on_seeded_lps():
     assert (infeasible, negative_rhs, tied) == (366, 820, 606)
 
 
+def test_later_copies_of_columns_stay_at_zero():
+    rng = Random(15)
+    feasible = copies_of_support = 0
+    for _ in range(1000):
+        a, b = seeded_lp(rng)
+        order = [(j, False) for j in range(len(a[0]))]  # (source column, is a copy)
+        for _ in range(rng.randint(1, 4)):
+            j = rng.randrange(len(a[0]))
+            order.insert(rng.randint(order.index((j, False)) + 1, len(order)), (j, True))
+        sol = feasible_nonneg_solution(a, b)
+        with_copies = [[row[j] for j, _ in order] for row in a]
+        expected = None if sol is None else [F(0) if copy else sol[j] for j, copy in order]
+        assert feasible_nonneg_solution(with_copies, b) == expected, (a, b, order)
+        feasible += sol is not None
+        copies_of_support += sol is not None and any(copy and sol[j] for j, copy in order)
+    assert (feasible, copies_of_support) == (737, 299)
+
+
 def channel(n, matrix):
     return StochMap(finset("a", n), finset("b", len(matrix)), tuple(map(tuple, matrix)))
 

@@ -479,7 +479,7 @@ def simulation_kind(d):
     return d.note.split(";")[0]
 
 
-def test_exact_simulation_matches_the_two_loop_search():
+def test_exact_simulation_matches_the_two_loop_search(monkeypatch):
     rng = Random(41)
     sets = {n: finset(f"s{n}", n) for n in (1, 2, 3)}
     cases = [(from_function(B2, B2, [0, 0]), identity(B2), 8),  # constant source
@@ -496,11 +496,34 @@ def test_exact_simulation_matches_the_two_loop_search():
                                      for r0, r1 in zip(wraps[0].matrix, wraps[1].matrix)))
         target = rng.choice([wraps[0], mix, random_stoch_map(rng, a2, b2)])
         cases.append((p, target, rng.randint(1, 2)))
+    # the benchmark's mixture shape: every pair wraps a noiseless channel into
+    # one of the four deterministic 2 -> 2 maps
+    mixtures = []
+    for n in (3, 4):
+        for _ in range(3):
+            target = random_stoch_map(rng, B2, B2)
+            while is_deterministic(target):
+                target = random_stoch_map(rng, B2, B2)
+            mixtures.append((identity(finset("s", n)), target, 8))
+    lps = []
+    real = stoch_module.feasible_nonneg_solution
+
+    def recording(equations, rhs):
+        lps.append(list(zip(*equations)))
+        return real(equations, rhs)
+
+    monkeypatch.setattr(stoch_module, "feasible_nonneg_solution", recording)
     kinds = Counter()
-    for p, target, caps in cases:
+    for k, (p, target, caps) in enumerate(cases + mixtures):
+        lps.clear()
         d = search_exact_simulation(p, target, caps)
         assert d == two_loop_exact_simulation(p, target, caps)
         kinds[simulation_kind(d)] += 1
+        # the LP's columns, each with its row of ones, are pairwise distinct
+        assert all(len(set(columns)) == len(columns) for columns in lps)
+        if k >= len(cases):
+            assert d.witness.randomness.sa != UNIT
+            assert [len(columns) for columns in lps] == [4]
     assert set(kinds) == {"refuted", "single", "mixture", "strategy space has 65536 pairs",
                           "mixture found but its support exceeds the caps",
                           "no deterministic-given-randomness strategy matches"}
@@ -714,7 +737,23 @@ def test_closure_keys_one_distribution_once_across_denominators(monkeypatch):
 def test_index_tables_are_computed_once_per_alphabet(monkeypatch):
     start, gens = closure_case(0)
     found = naive_free_reachable(start, gens, depth=3)
-    tabled, pairs, moves_per_alphabet = [], [], {}
+    alphabets = dict.fromkeys(fs for g in gens for fs in (g.dom, g.cod))
+    pool = gens + [identity(fs) for fs in alphabets]
+
+    def one_step_maps(cod):
+        return [g for g in gens if g.dom == cod] + [
+            compose_par(g1, g2) for g1 in pool for g2 in pool if tensor(g1.dom, g2.dom) == cod]
+
+    def distinct_restricted(key):
+        # maps that agree on the state's support send it to the same successor
+        cod, _, nums = key
+        support = [i for i, x in enumerate(nums) if x]
+        return len({(g.cod, g.den, tuple(tuple(row[i] for i in support) for row in g.nums))
+                    for g in one_step_maps(cod)})
+
+    expanded = [k[0] for k, w in found.items() if len(w) < 3]
+    full = {cod: len(one_step_maps(cod)) for cod in expanded}
+    tabled, pairs, moves_per_state = [], [], {}
     real_step, real_par, real_traces = (stoch_module._step, stoch_module.compose_par,
                                         stoch_module.shortest_traces)
 
@@ -729,7 +768,7 @@ def test_index_tables_are_computed_once_per_alphabet(monkeypatch):
     def counting_traces(start, moves, depth, targets):
         def counted(key):
             out = list(moves(key))
-            moves_per_alphabet[key[0]] = len(out)
+            moves_per_state[key] = len(out)
             return out
         return real_traces(start, counted, depth, targets)
 
@@ -738,14 +777,17 @@ def test_index_tables_are_computed_once_per_alphabet(monkeypatch):
     monkeypatch.setattr(stoch_module, "shortest_traces", counting_traces)
     unreachable = state(finset("b", 2), [F(1, 7), F(6, 7)])
     assert search_free_transformation_batch(start, [unreachable], gens, depth=3)[0].is_unknown
-    expanded = [k[0] for k, w in found.items() if len(w) < 3]
     assert len(expanded) > len(set(expanded))  # alphabets shared by several states
-    assert set(moves_per_alphabet) == set(expanded)
+    assert len(moves_per_state) == len(expanded)
+    assert {k[0] for k in moves_per_state} == set(expanded)
     # one table per one-step map of an expanded alphabet, however many states share it
-    assert Counter(g.dom for g in tabled) == moves_per_alphabet
+    assert Counter(g.dom for g in tabled) == full
     assert len({id(g) for g in tabled}) == len(tabled)
     # the tables are of the generators out of each alphabet and of each pair built
     assert sorted(map(id, pairs)) == sorted(id(g) for g in tabled if all(g is not h for h in gens))
+    # each state tries each distinct restriction of those maps to its support once
+    assert moves_per_state == {k: distinct_restricted(k) for k in moves_per_state}
+    assert sum(moves_per_state.values()) < sum(full[k[0]] for k in moves_per_state)
 
 
 def test_closure_builds_no_map_per_reached_state(monkeypatch):
