@@ -57,7 +57,10 @@ class Decision:
 
     Proven and Refuted carry a replayable witness; Unknown carries the
     bound at which the search stopped.  `note` is free-form context for
-    reports and CLI output.
+    reports and CLI output.  The constructor checks all of this; the
+    factories `proven`, `refuted` and `unknown` check only the argument
+    they take and build the frozen instance directly, since the verdict
+    they set is a `Verdict` by construction.
     """
 
     verdict: Verdict
@@ -66,6 +69,8 @@ class Decision:
     note: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.verdict, Verdict):
+            raise InputError(f"decision verdict {self.verdict!r} is not a Verdict")
         if self.verdict in (Verdict.PROVEN, Verdict.REFUTED) and self.witness is None:
             raise InputError(f"{self.verdict} decision requires a witness")
         if self.verdict is Verdict.UNKNOWN and self.bound is None:
@@ -73,15 +78,27 @@ class Decision:
 
     @staticmethod
     def proven(witness: Any, note: str | None = None) -> "Decision":
-        return Decision(Verdict.PROVEN, witness=witness, note=note)
+        if witness is None:
+            raise InputError("Proven decision requires a witness")
+        d = object.__new__(Decision)
+        d.__dict__.update(verdict=Verdict.PROVEN, witness=witness, bound=None, note=note)
+        return d
 
     @staticmethod
     def refuted(witness: Any, note: str | None = None) -> "Decision":
-        return Decision(Verdict.REFUTED, witness=witness, note=note)
+        if witness is None:
+            raise InputError("Refuted decision requires a witness")
+        d = object.__new__(Decision)
+        d.__dict__.update(verdict=Verdict.REFUTED, witness=witness, bound=None, note=note)
+        return d
 
     @staticmethod
     def unknown(bound: int, note: str | None = None) -> "Decision":
-        return Decision(Verdict.UNKNOWN, bound=bound, note=note)
+        if bound is None:
+            raise InputError("Unknown decision requires the search bound")
+        d = object.__new__(Decision)
+        d.__dict__.update(verdict=Verdict.UNKNOWN, witness=None, bound=bound, note=note)
+        return d
 
     @property
     def is_proven(self) -> bool:
@@ -172,9 +189,10 @@ class QueryMemo:
 
     def geq(self, a: Any, b: Any) -> Verdict:
         """The verdict of `theory.geq(a, b)`."""
-        v = self._geq.get((a, b))
+        key = (a, b)
+        v = self._geq.get(key)
         if v is None:
-            v = self._geq[a, b] = self.theory.geq(a, b).verdict
+            v = self._geq[key] = self.theory.geq(a, b).verdict
         return v
 
     def equivalent(self, a: Any, b: Any) -> Verdict:

@@ -217,6 +217,11 @@ def _first_bad_prefix(x: ProbVector, y: ProbVector) -> tuple[int, Fraction, Frac
     return None
 
 
+def _exhausted(p: ProbVector, q: ProbVector) -> Decision:
+    """The refutation once no coarse-graining of p can give q."""
+    return Decision.refuted(("exhausted-partition-search", len(p), len(q)))
+
+
 def deterministic_convertible(p: ProbVector, q: ProbVector) -> Decision:
     """Search for a coarse-graining function sending p to q exactly.
 
@@ -234,17 +239,16 @@ def deterministic_convertible(p: ProbVector, q: ProbVector) -> Decision:
     """
     if not isinstance(p, ProbVector) or not isinstance(q, ProbVector):
         raise InputError("both arguments must be probability vectors")
-    refuted = Decision.refuted(("exhausted-partition-search", len(p), len(q)))
     # Both over one denominator, so the search runs on integer weights.
     den = lcm(p.total, q.total)
     ps, targets = _over(p, den), _over(q, den)
     if max(ps) > max(targets) or \
             sum(1 for x in ps if x) < sum(1 for y in targets if y):
-        return refuted
+        return _exhausted(p, q)
     # Every block sum is a multiple of the gcd of p's weights.
     g = gcd(*ps)
     if any(y % g for y in targets):
-        return refuted
+        return _exhausted(p, q)
     order = sorted(range(len(ps)), key=ps.__getitem__, reverse=True)
     sums = [0] * len(targets)
     block_of = [0] * len(ps)
@@ -279,7 +283,7 @@ def deterministic_convertible(p: ProbVector, q: ProbVector) -> Decision:
             return Decision.proven(("partition", tuple(map(tuple, blocks))))
         else:
             stack.append(choices(len(stack)))
-    return refuted
+    return _exhausted(p, q)
 
 
 class _DistributionTheory(TheoryOracle):

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -23,6 +27,71 @@ def test_decision_invariants():
 
 def test_decision_json_writes_fraction_witnesses_as_strings():
     assert Decision.proven({"k": Fraction(1, 2)}).to_json()["witness"] == {"k": "1/2"}
+
+
+FACTORY_BUILT = [
+    (Decision.proven(("partition", ((0, 1), (2,))), note="n"),
+     Decision(Verdict.PROVEN, witness=("partition", ((0, 1), (2,))), note="n")),
+    (Decision.refuted({"k": Fraction(1, 3)}),
+     Decision(Verdict.REFUTED, witness={"k": Fraction(1, 3)})),
+    (Decision.unknown(7, note="bound"), Decision(Verdict.UNKNOWN, bound=7, note="bound")),
+]
+
+
+@pytest.mark.parametrize("built, constructed", FACTORY_BUILT)
+def test_factory_decisions_are_constructor_decisions(built, constructed):
+    assert type(built) is Decision and built == constructed
+    assert repr(built) == repr(constructed)
+    assert built.to_json() == constructed.to_json()
+    for again in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built), copy.copy(built)):
+        assert again == constructed and type(again) is Decision
+    assert dataclasses.replace(built, note="other") == dataclasses.replace(constructed,
+                                                                          note="other")
+    if not isinstance(built.witness, dict):
+        assert hash(built) == hash(constructed)
+
+
+@pytest.mark.parametrize("built", [b for b, _ in FACTORY_BUILT])
+def test_factory_decisions_are_frozen(built):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.verdict = Verdict.REFUTED
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.extra = 1
+
+
+def test_factories_refuse_a_missing_witness_or_bound():
+    for make, message in [(Decision.proven, "Proven decision requires a witness"),
+                          (Decision.refuted, "Refuted decision requires a witness"),
+                          (Decision.unknown, "Unknown decision requires the search bound")]:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            make(None)
+
+
+@pytest.mark.parametrize("verdict", ["Proven", None, True, 1])
+def test_decision_refuses_a_verdict_that_is_not_a_verdict(verdict):
+    with pytest.raises(InputError, match=f"decision verdict {verdict!r} is not a Verdict"):
+        Decision(verdict, witness=1, bound=1)
+
+
+def test_an_analyzers_round_builds_no_decision_through_the_constructor(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import gen as bench_gen
+    import ops as bench_ops
+
+    import resconv
+    from resconv import jsonio, monotones  # noqa: F401
+    calls = []
+    checked = Decision.__post_init__
+    monkeypatch.setattr(Decision, "__post_init__", lambda d: calls.append(checked(d)))
+    Decision(Verdict.UNKNOWN, bound=1)
+    assert len(calls) == 1  # the counter sees the constructor
+    calls.clear()
+    _, op_list = bench_gen.GENERATORS["analyzers"](21, root / "demo")
+    bench_ops.materialize_tables(resconv, op_list)
+    for op in op_list:
+        bench_ops.analyzer_op(resconv, op)
+    assert calls == []
 
 
 # check_axioms
