@@ -27,8 +27,8 @@ from typing import Mapping, Sequence
 from . import jsonio
 from .combs import OneComb
 from .core import MAX_ENTRIES, InputError
-from .stoch import (TOO_MANY_SYMBOLS, UNIT, FinSet, StochMap, compose_par, compose_seq,
-                    finset, identity, product_fits, swap, tensor, tensor_all)
+from .stoch import (TOO_MANY_SYMBOLS, UNIT, FinSet, StochMap, compose_local, compose_par,
+                    compose_seq, finset, identity, product_fits, swap, tensor, tensor_all)
 
 
 class ParseError(InputError):
@@ -284,7 +284,7 @@ def normalize_to_comb(c: CircuitDiagram) -> OneComb:
     left_cod, right_cod = u_left.cod, u_right.cod
 
     pre = compose_seq(compose_par(compose_par(u_left, identity(hole_dom)), u_right), below)
-    pre = compose_seq(compose_par(swap(left_cod, hole_dom), identity(right_cod)), pre)
+    pre = compose_local(swap(left_cod, hole_dom), pre, right=right_cod)
 
     above = _apply_layers(c, c.layers[k_layer + 1:],
                           sum((it.cod_wires for it in hole_layer), ()), {})

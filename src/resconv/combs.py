@@ -11,6 +11,12 @@ Combs plug into each other's holes like a multicategory, and that
 plugging is the one composition: sequential composition of one-hole
 combs is plugging one into the other's hole.  Allocation transformations
 distribute a tuple of processes over several combs.
+
+Where f (x) id_Z would be built only to be applied after the map so far,
+as when a comb is applied or an inner comb's first stage is plugged in,
+`stoch.compose_local` applies f to its own wires without building the
+product.  Products that are kept, such as a plugged comb's later stages,
+or that a map is applied after, are built by `compose_par`.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import InputError
-from .stoch import (UNIT, CompositionError, FinSet, StochMap, compose_par,
-                    compose_seq, identity, swap, tensor)
+from .stoch import (UNIT, CompositionError, FinSet, StochMap, compose_local,
+                    compose_par, compose_seq, identity, swap, tensor)
 
 HoleType = tuple[FinSet, FinSet]
 
@@ -131,21 +137,21 @@ def apply_comb_in_context(k: OneComb, h: StochMap,
         raise CompositionError(f"context process output {h.cod} does not match")
     z = k.ancilla
     stage = compose_par(k.pre, identity(side_in))
-    stage = compose_seq(compose_par(identity(k.hole_dom), swap(z, side_in)), stage)
-    stage = compose_seq(compose_par(h, identity(z)), stage)
-    stage = compose_seq(compose_par(identity(k.hole_cod), swap(side_out, z)), stage)
-    return compose_seq(compose_par(k.post, identity(side_out)), stage)
+    stage = compose_local(swap(z, side_in), stage, left=k.hole_dom)
+    stage = compose_local(h, stage, right=z)
+    stage = compose_local(swap(side_out, z), stage, left=k.hole_cod)
+    return compose_local(k.post, stage, right=side_out)
 
 
 def comb_tensor(k: OneComb) -> StochMap:
     """The behavior map (id_A (x) (post . swap(Z,B))) . (pre (x) id_B), a
     stochastic map A' (x) B -> A (x) B' that is kernel-built and not checked
-    again.  Its `.matrix` is the four-index tensor
+    again; the left factor is applied by `compose_local`, not built.  Its
+    `.matrix` is the four-index tensor
     W[(a,b')][(a',b)] = sum over z of pre((a,z)|a') * post(b'|(b,z)); two
     combs act identically on every plugged process iff these agree."""
     post = compose_seq(k.post, swap(k.ancilla, k.hole_cod))
-    return compose_seq(compose_par(identity(k.hole_dom), post),
-                       compose_par(k.pre, identity(k.hole_cod)))
+    return compose_local(post, compose_par(k.pre, identity(k.hole_cod)), left=k.hole_dom)
 
 
 def comb_equivalent(k1: OneComb, k2: OneComb) -> bool:
@@ -173,7 +179,7 @@ def compose_combs_par(k1: OneComb, k2: OneComb) -> OneComb:
     a1, b1, z1 = k1.hole_dom, k1.hole_cod, k1.ancilla
     a2, b2, z2 = k2.hole_dom, k2.hole_cod, k2.ancilla
     pre = compose_par(k1.pre, k2.pre)  # -> A1*Z1*A2*Z2
-    pre = compose_seq(_mid_shuffle(a1, z1, a2, z2), pre)  # -> A1*A2*Z1*Z2
+    pre = compose_local(swap(z1, a2), pre, a1, z2)  # -> A1*A2*Z1*Z2
     post = compose_seq(compose_par(k1.post, k2.post),
                        _mid_shuffle(b1, b2, z1, z2))  # B1*B2*Z1*Z2 -> B1'*B2'
     return OneComb(tensor(z1, z2), pre, post, tensor(a1, a2), tensor(b1, b2))
@@ -195,7 +201,7 @@ def apply_ncomb(k: NComb, fs: Sequence[StochMap]) -> StochMap:
     cur = k.stages[0]
     for i in range(k.arity):
         f = fs[k.order[i]]
-        cur = compose_seq(compose_par(f, identity(k.ancillas[i])), cur)
+        cur = compose_local(f, cur, right=k.ancillas[i])
         cur = compose_seq(k.stages[i + 1], cur)
     return cur
 
@@ -235,7 +241,7 @@ def plug_ncombs(outer: NComb, inner: Sequence[NComb]) -> NComb:
         j = outer.order[i]
         inn = inner[j]
         z_out = outer.ancillas[i]
-        stage = compose_seq(compose_par(inn.stages[0], identity(z_out)), pending)
+        stage = compose_local(inn.stages[0], pending, right=z_out)
         for kk in range(inn.arity):
             stages.append(stage)
             ancillas.append(tensor(inn.ancillas[kk], z_out))

@@ -21,6 +21,7 @@ A rational literal is a string Fraction accepts ("1/2", "0.25", "1e-3")
 or a JSON number.  A map or probability entry written "p" or "p/q" in
 ASCII digits is read straight to the integers p and q with int(); any
 other entry goes through Fraction, with the same values and messages.
+A map reads each of its distinct string literals once.
 
 Vector/randomness/spectrum theories use a {"kind": ...} envelope; finite
 tables and presentations are recognized by shape.  A theory file may
@@ -148,17 +149,42 @@ def load_finset(raw: Any, label: str) -> FinSet:
     return FinSet(label, tuple(str(x) for x in raw))
 
 
-def _matrix(raw: Any, what: str, entry: Callable[[Any], Any] = _frac) -> tuple[tuple, ...]:
-    """A list of lists of JSON values, each parsed by `entry` (rationals by default)."""
+def _rows(raw: Any, what: str) -> list[list]:
+    """raw, which must be a list of lists."""
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise InputError(f"{what} must be a list of lists, got {raw!r}")
-    return tuple(tuple(entry(x) for x in row) for row in raw)
+    return raw
+
+
+def _matrix(raw: Any, what: str, entry: Callable[[Any], Any] = _frac) -> tuple[tuple, ...]:
+    """A list of lists of JSON values, each parsed by `entry` (rationals by default)."""
+    return tuple(tuple(entry(x) for x in row) for row in _rows(raw, what))
+
+
+def _ratio_matrix(raw: Any, what: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """_matrix of _ratio pairs, reading each distinct string literal once.
+    Only strings are looked up: true hashes as 1 and [1] does not hash, so
+    every other entry goes to _ratio as it is."""
+    seen: dict[str, tuple[int, int]] = {}
+    rows = []
+    for row in _rows(raw, what):
+        out = []
+        for x in row:
+            if type(x) is str:
+                r = seen.get(x)
+                if r is None:
+                    r = seen[x] = _ratio(x)
+            else:
+                r = _ratio(x)
+            out.append(r)
+        rows.append(tuple(out))
+    return tuple(rows)
 
 
 def load_stoch_map(data: Mapping) -> StochMap:
     dom, cod, matrix = _fields(data, "stochastic map", "dom", "cod", "matrix")
     return from_ratios(load_finset(dom, "dom"), load_finset(cod, "cod"),
-                       _matrix(matrix, "stochastic map matrix", _ratio))
+                       _ratio_matrix(matrix, "stochastic map matrix"))
 
 
 def dump_stoch_map(p: StochMap, what: str = "a stochastic map") -> dict:
@@ -253,7 +279,7 @@ def load_library_map(data: Any, libname: str, name: str, types: Mapping[str, Fin
         if not product_fits(wires, types):
             raise InputError(f"{what} {side} {TOO_MANY_SYMBOLS}")
     m = from_ratios(tensor_all([types[w] for w in dom_w]), tensor_all([types[w] for w in cod_w]),
-                    _matrix(matrix, f"{what} matrix", _ratio))
+                    _ratio_matrix(matrix, f"{what} matrix"))
     return dom_w, cod_w, m, _bool(spec.get("free", True), f"{what} free flag")
 
 

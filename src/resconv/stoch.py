@@ -9,19 +9,26 @@ tolerance.  The kernels and searches read the integers; `matrix`, the
 
 Product sets use flat element names joined with '|'; the canonical unit
 (a singleton named '*') is dropped from products, which makes the tensor
-strictly associative and unital on element lists.  Only this module
-indexes product alphabets: every other contraction, `simulate_channel`
-and `combs.comb_tensor` among them, is a composition of the kernels
-`compose_seq` and `compose_par`.  An alphabet is a `FinSet`, the tuple
-of its element names, so alphabets compare and hash as those tuples.
+strictly associative and unital on element lists.  An alphabet is a
+`FinSet`, the tuple of its element names, so alphabets compare and hash
+as those tuples.  `tensor` builds each product once: products come from
+one process-wide memo of at most `PRODUCT_MEMO_SIZE` entries, keyed by
+both factors' labels and names, and holding only products of at most
+`PRODUCT_MEMO_NAMES` names.
+
+Only this module indexes product alphabets.  Its map kernels are
+`compose_seq` (q after p), `compose_par` (p beside q, a product map that
+is kept) and `compose_local` ((id (x) f (x) id) after a map, without
+building the product map); every other contraction, `simulate_channel`
+and `combs.comb_tensor` among them, is a composition of these three.
 
 One function checks a given map's shape, signs and column sums: the
 public `StochMap` constructor reads an int or `Fraction` matrix into it
 (`core.entry_ratio` refuses any other entry), and
 `from_ratios`, which the file reader uses, hands it (numerator,
 denominator) pairs directly.  Maps the kernels build (`from_function`,
-`compose_seq`, `compose_par` and what is built from them) are
-stochastic by construction and are not checked again.
+`compose_seq`, `compose_par`, `compose_local` and what is built from
+them) are stochastic by construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from random import Random
 from typing import Mapping, Sequence
@@ -74,13 +81,35 @@ def finset(label: str, size: int) -> FinSet:
     return FinSet(label, tuple(f"{label}{i}" for i in range(size)))
 
 
+# The product memo's bounds: how many products it keeps, least recently
+# used first out, and the most names a kept product may have.  Building a
+# product is one pass over its names, and every map on it takes at least
+# that, so a larger product gains little from the memo and is not kept.
+PRODUCT_MEMO_SIZE = 256
+PRODUCT_MEMO_NAMES = 256
+
+
+def _product(a_label: str, a: FinSet, b_label: str, b: FinSet) -> FinSet:
+    return FinSet(f"{a_label}*{b_label}", [f"{x}|{y}" for x in a for y in b])
+
+
+@lru_cache(maxsize=PRODUCT_MEMO_SIZE)
+def _memo_product(a_label: str, a: FinSet, b_label: str, b: FinSet) -> FinSet:
+    """Keyed by value, labels included, so that alphabets equal as tuples
+    but labelled apart get products labelled apart.  A refused product
+    (colliding names) raises and is not kept."""
+    return _product(a_label, a, b_label, b)
+
+
 def tensor(a: FinSet, b: FinSet) -> FinSet:
-    """Strict product: unit factors vanish, names join flat."""
+    """Strict product: unit factors vanish, names join flat.  A product of
+    at most `PRODUCT_MEMO_NAMES` names comes from one process-wide memo."""
     if a == UNIT:
         return b
     if b == UNIT:
         return a
-    return FinSet(f"{a.label}*{b.label}", [f"{x}|{y}" for x in a for y in b])
+    build = _memo_product if len(a) * len(b) <= PRODUCT_MEMO_NAMES else _product
+    return build(a.label, a, b.label, b)
 
 
 def tensor_all(sets: Sequence[FinSet]) -> FinSet:
@@ -147,10 +176,11 @@ class StochMap:
 def _checked_form(dom: FinSet, cod: FinSet, ratios: Sequence[Sequence[tuple[int, int]]],
                   ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The one check of a map given as reduced (numerator, denominator)
-    pairs ratios[output][input]: shape, then signs, then column sums.
-    Returns the map over den, the lcm of the denominators.  That form is
-    already reduced: for each prime, the entry whose denominator holds its
-    highest power keeps a numerator the prime does not divide."""
+    pairs ratios[output][input]: shape, then signs (the first negative
+    entry in row-major order), then column sums.  Returns the map over den,
+    the lcm of the denominators.  That form is already reduced: for each
+    prime, the entry whose denominator holds its highest power keeps a
+    numerator the prime does not divide."""
     rows, cols = len(cod), len(dom)
     if len(ratios) != rows or any(len(r) != cols for r in ratios):
         raise InputError(f"matrix must be {rows}x{cols} for {cod} given {dom}")
@@ -274,6 +304,50 @@ def compose_par(p: StochMap, q: StochMap) -> StochMap:
     return _kernel_map(dom, cod, p.den * q.den, tuple(rows))
 
 
+def compose_local(f: StochMap, cur: StochMap,
+                  left: FinSet = UNIT, right: FinSet = UNIT) -> StochMap:
+    """(id_left (x) f (x) id_right) after cur, without building that map.
+
+    The same map, alphabets, labels and error as compose_seq of the
+    compose_par product with cur: the numerators over f.den * cur.den,
+    reduced by one gcd.  Output row (l, y, r) is the sum, over f's nonzero
+    entries w = f[y][x], of w times cur's row (l, x, r); a row with one
+    entry 1 is cur's row itself.
+    """
+    ld, lc = tensor(left, f.dom), tensor(left, f.cod)
+    dom, cod = tensor(ld, right), tensor(lc, right)
+    if cur.cod != dom:
+        raise CompositionError(
+            f"cannot compose {dom} -> {cod} after {cur.dom} -> {cur.cod}: "
+            f"middle types differ")
+    nr = len(right)
+    block = len(f.dom) * nr
+    # per row of f, its nonzero entries and the offsets of their rows of cur
+    terms = [[(w, x * nr) for x, w in enumerate(frow) if w] for frow in f.nums]
+    zeros = (0,) * len(cur.dom)
+    src = cur.nums
+    rows: list[tuple[int, ...]] = []
+    for base in range(0, len(src), block):
+        for t in terms:
+            if not t:
+                rows += [zeros] * nr
+                continue
+            (w, off), *more = t
+            for r in range(base, base + nr):
+                row = src[r + off]
+                if w != 1 or more:
+                    acc = [w * x for x in row] if w != 1 else list(row)
+                    for v, o in more:
+                        acc = [a + v * x for a, x in zip(acc, src[r + o])]
+                    row = tuple(acc)
+                rows.append(row)
+    den = f.den * cur.den
+    g = gcd(den, *itertools.chain.from_iterable(rows)) if den > 1 else 1
+    if g > 1:
+        return _kernel_map(cur.dom, cod, den // g, tuple(tuple(x // g for x in row) for row in rows))
+    return _kernel_map(cur.dom, cod, den, tuple(rows))
+
+
 def swap(a: FinSet, b: FinSet) -> StochMap:
     """The symmetry (x,y) -> (y,x) as a deterministic map."""
     na, nb = len(a), len(b)
@@ -356,10 +430,11 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
                    d(b'|b,y) * p(b|a) * e(a|a',x) * r(x,y),
 
     the kernel composition d . (p (x) id_sb) . (e (x) id_sb) . (id_a' (x) r)
-    with r read as a state on sa (x) sb.  Q is linear in each of e, d and
-    r when the other two are fixed.  r was checked when it was built, so
-    its state over the lcm of the joint's denominators (reduced, as
-    `_checked_form` explains) and the composites are kernel-built.
+    with r read as a state on sa (x) sb; the two middle steps go through
+    `compose_local`.  Q is linear in each of e, d and r when the other two
+    are fixed.  r was checked when it was built, so its state over the lcm
+    of the joint's denominators (reduced, as `_checked_form` explains) and
+    the composites are kernel-built.
     """
     if e.cod != p.dom:
         raise CompositionError(f"encoder output {e.cod} does not match channel input {p.dom}")
@@ -370,9 +445,12 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
         raise CompositionError(f"encoder input {e.dom} does not factor as X tensor {r.sa}")
     nums, den = common_denominator(x for row in r.joint for x in row)
     shared = _kernel_map(UNIT, tensor(r.sa, r.sb), den, tuple((n,) for n in nums))
-    id_sb = identity(r.sb)
-    q = compose_seq(compose_par(e, id_sb), compose_par(identity(a_new), shared))
-    return compose_seq(d, compose_seq(compose_par(p, id_sb), q))
+    # id_a' (x) shared, typed as e's input beside sb: the same names
+    na = len(a_new)
+    spread = _kernel_map(a_new, tensor(e.dom, r.sb), den,
+                         tuple(tuple(n if j == i else 0 for j in range(na))
+                               for i in range(na) for (n,) in shared.nums))
+    return compose_seq(d, compose_local(p, compose_local(e, spread, right=r.sb), right=r.sb))
 
 
 @dataclass(frozen=True)

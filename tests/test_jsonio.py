@@ -163,3 +163,47 @@ def test_seeded_combs_and_library_load_without_fraction(monkeypatch):
     for m, raw in pairs:
         ref = fraction_route(m, raw["matrix"])
         assert m == ref and hash(m) == hash(ref)
+
+
+# The reader's error lines.  Each distinct string literal of a map is read
+# once; every other entry is read as it comes, since true hashes as 1 and
+# [1] does not hash.  The first bad literal wins, then the shape, then the
+# first negative entry in row-major order, then the column sums.
+MALFORMED_MATRICES = {
+    "true after 1": ('[[1, true], ["0", "0"]]',
+                     "bad rational literal True: Invalid literal for Fraction: 'True'"),
+    "a list": ('[["1", [1]], ["0", "0"]]',
+               "bad rational literal [1]: Invalid literal for Fraction: '[1]'"),
+    "a huge exponent": ('[["1e999999", "1"], ["0", "0"]]',
+                        "bad rational literal '1e999999': exponent exceeds the limit "
+                        "(4300 digits) for integer string conversion"),
+    "NaN": ('[[NaN, "1"], ["0", "0"]]',
+            "bad rational literal nan: Invalid literal for Fraction: 'nan'"),
+    "a repeated negative": ('[["1/2", "-1/3"], ["-1/2", "-1/3"]]', "negative probability -1/3"),
+    "bad literal and shape": ('[["x", "1"]]',
+                              "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+    "negative, then bad literal": ('[["-1", "x"], ["1", "1"]]',
+                                   "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+    "shape and negative": ('[["-1", "1"]]', "matrix must be 2x2 for cod{b0,b1} given dom{a0,a1}"),
+    "negative and column sum": ('[["-1/2", "1"], ["1", "1"]]', "negative probability -1/2"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate-channel", "plug", "uc-apply"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_MATRICES))
+def test_a_malformed_map_gives_one_error_line(case, command, tmp_path, monkeypatch, capsys):
+    from resconv.cli import run
+
+    matrix, message = MALFORMED_MATRICES[case]
+    bad = '{"dom": ["a0", "a1"], "cod": ["b0", "b1"], "matrix": %s}' % matrix
+    (tmp_path / "m.json").write_text(bad)
+    (tmp_path / "outer.json").write_text(
+        '{"holes": [{"dom": ["b0", "b1"], "cod": ["b0", "b1"]}], "order": [0], '
+        '"stages": [%s, %s], "ancillas": [["z"]]}' % (bad, bad))
+    (tmp_path / "uc.json").write_text((ROOT / "demo" / "uc.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    argv = {"simulate-channel": ["simulate-channel", "m.json", "--target", "m.json"],
+            "plug": ["plug", "outer.json", "outer.json"],
+            "uc-apply": ["uc-apply", "uc.json", "m.json", "m.json"]}[command]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -1,9 +1,11 @@
 import copy
 import itertools
 import pickle
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,13 +17,20 @@ from resconv.instances import (ProbVector, deterministic_convertible,
                                enumerate_prob_vectors)
 from resconv.linalg import feasible_nonneg_solution
 from resconv.stoch import (UNIT, CompositionError, FinSet, SharedRandomness, StochMap,
-                           all_deterministic_maps, compose_par, compose_seq, discard, finset,
+                           all_deterministic_maps, compose_local, compose_par, compose_seq,
+                           discard, finset,
                            from_function, identity, is_deterministic, point_state,
                            random_stoch_map, search_exact_simulation,
                            search_free_transformation_batch, simulate_channel, state,
                            swap, tensor, trivial_randomness, uniform_state)
 
 from conftest import random_comb
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen as bench_gen  # noqa: E402
+import ops as bench_ops  # noqa: E402
 
 F = Fraction
 
@@ -897,3 +906,141 @@ def test_sparse_kernels_match_dense_reference():
         assert compose_seq(swap(y, x), sw).matrix == identity(tensor(x, y)).matrix
         assert compose_par(sw, m).matrix == dense_par(sw, m)
         assert compose_par(m, sw).matrix == dense_par(m, sw)
+
+
+# (id_left (x) f (x) id_right) after cur, without the product map
+
+def local_reference(f, cur, left, right):
+    return compose_seq(compose_par(compose_par(identity(left), f), identity(right)), cur)
+
+
+def outcome_of(build):
+    """A map's alphabets, labels, denominator and numerators, or the error it raises."""
+    try:
+        m = build()
+    except InputError as exc:
+        return type(exc), str(exc)
+    return m.dom, m.dom.label, m.cod, m.cod.label, m.den, m.nums
+
+
+def test_local_kernel_equals_the_product_it_does_not_build():
+    rng = Random(32)
+    sets = [UNIT, finset("b", 2), finset("c", 3), FinSet("w", ("x", "y"))]
+
+    def some_map(dom, cod):
+        return rng.choice([
+            lambda: random_stoch_map(rng, dom, cod),
+            lambda: sparse_map(rng, dom, cod),
+            lambda: from_function(dom, cod, [rng.randrange(len(cod)) for _ in dom])])()
+
+    kinds = Counter()
+    for _ in range(1200):
+        left, right, x, y = (rng.choice(sets) for _ in range(4))
+        f = some_map(x, y)
+        cur = some_map(rng.choice(sets), tensor(tensor(left, x), right))
+        got = outcome_of(lambda: compose_local(f, cur, left, right))
+        assert got == outcome_of(lambda: local_reference(f, cur, left, right))
+        kinds["unit factor"] += UNIT in (left, right, x, y)
+        kinds["deterministic f"] += is_deterministic(f)
+        kinds["stochastic f"] += not is_deterministic(f)
+        kinds["reduced"] += got[4] < f.den * cur.den
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_local_kernel_refuses_a_mismatch_with_the_products_message():
+    rng = Random(33)
+    sets = [UNIT, finset("b", 2), finset("c", 3), FinSet("w", ("x", "y"))]
+    refused = 0
+    for _ in range(300):
+        left, right, x, y, z = (rng.choice(sets) for _ in range(5))
+        f = random_stoch_map(rng, x, y)
+        cur = random_stoch_map(rng, B2, tensor(tensor(left, z), right))
+        want = outcome_of(lambda: local_reference(f, cur, left, right))
+        assert outcome_of(lambda: compose_local(f, cur, left, right)) == want
+        refused += want[0] is CompositionError
+    assert refused >= 100
+
+
+def test_local_kernel_refuses_colliding_names_as_the_product_does():
+    left = FinSet("l", ("x|y", "x"))
+    f = identity(FinSet("d", ("z", "y|z")))
+    cur = identity(finset("b", 2))
+    want = outcome_of(lambda: local_reference(f, cur, left, UNIT))
+    assert want == (InputError, "finite set 'l*d' has duplicate element names")
+    assert outcome_of(lambda: compose_local(f, cur, left, UNIT)) == want
+
+
+# the product memo
+
+def test_fresh_factors_of_equal_value_give_todays_product():
+    products = [tensor(FinSet("a", ("x", "y")), FinSet("b", ("u", "v", "w")))
+                for _ in range(2)]
+    for p in products:
+        assert type(p) is FinSet
+        assert p == ("x|u", "x|v", "x|w", "y|u", "y|v", "y|w")
+        assert str(p) == "a*b{x|u,x|v,x|w,y|u,y|v,y|w}"
+    assert products[0] is products[1]
+
+
+def test_equal_alphabets_labelled_apart_give_products_labelled_apart():
+    a, z, b = FinSet("a", ("x", "y")), FinSet("z", ("x", "y")), FinSet("b", ("u", "v"))
+    assert a == z
+    assert tensor(a, b) == tensor(z, b)
+    assert [tensor(a, b).label, tensor(z, b).label] == ["a*b", "z*b"]
+    assert [tensor(b, a).label, tensor(b, z).label] == ["b*a", "b*z"]
+
+
+def test_the_product_memo_keeps_at_most_its_bound():
+    memo = stoch_module._memo_product
+    for i in range(stoch_module.PRODUCT_MEMO_SIZE + 50):
+        assert tensor(FinSet(f"m{i}", ("p", "q")), B2).label == f"m{i}*b"
+    assert memo.cache_info().currsize <= memo.cache_info().maxsize == stoch_module.PRODUCT_MEMO_SIZE
+    # a product past PRODUCT_MEMO_NAMES names is built and not kept
+    big = finset("big", stoch_module.PRODUCT_MEMO_NAMES)
+    before = memo.cache_info()
+    assert tensor(big, B2) == tuple(f"{x}|{y}" for x in big for y in B2)
+    assert tensor(big, B2) is not tensor(big, B2)
+    assert memo.cache_info()[:2] == before[:2]
+
+
+def test_a_refused_product_raises_on_every_call():
+    a, b = FinSet("a", ("x|y", "x")), FinSet("b", ("z", "y|z"))
+    for _ in range(3):
+        with pytest.raises(InputError, match=r"finite set 'a\*b' has duplicate element names"):
+            tensor(a, b)
+
+
+def test_a_memoised_product_survives_pickle_and_deepcopy():
+    p = tensor(FinSet("a", ("x", "y")), B3)
+    assert tensor(FinSet("a", ("x", "y")), B3) is p
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert (type(q), q, q.label, str(q)) == (FinSet, p, p.label, str(p))
+    m = compose_par(identity(FinSet("a", ("x", "y"))), identity(B3))
+    assert pickle.loads(pickle.dumps(m)) == m and copy.deepcopy(m) == m
+
+
+def test_one_channels_round_builds_no_product_twice(monkeypatch, tmp_path):
+    import resconv
+    from resconv import circuits, jsonio  # noqa: F401  (the executor reads them off the package)
+    inputs, op_list = bench_gen.GENERATORS["channels"](0, ROOT / "demo")
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    memo = stoch_module._memo_product
+    memo.cache_clear()
+    keys, builds = set(), []
+    real_product = stoch_module._product
+
+    def looked_up(*key):
+        keys.add(key)
+        return memo(*key)
+
+    def built(*key):
+        builds.append(key)
+        return real_product(*key)
+
+    monkeypatch.setattr(stoch_module, "_memo_product", looked_up)
+    monkeypatch.setattr(stoch_module, "_product", built)
+    for op in op_list:
+        bench_ops.channel_op(resconv, op)
+    assert 0 < len(builds) <= len(keys)
