@@ -27,8 +27,8 @@ from typing import Mapping, Sequence
 from . import jsonio
 from .combs import OneComb
 from .core import MAX_ENTRIES, InputError
-from .stoch import (TOO_MANY_SYMBOLS, UNIT, FinSet, StochMap, compose_local, compose_par,
-                    compose_seq, finset, identity, product_fits, swap, tensor, tensor_all)
+from .stoch import (TOO_MANY_SYMBOLS, UNIT, FinSet, StochMap, compose_par, compose_seq,
+                    finset, identity, product_fits, swap, tensor, tensor_all)
 
 
 class ParseError(InputError):
@@ -244,9 +244,12 @@ def _layer_map(c: CircuitDiagram, items: Sequence[Item],
 
 def _apply_layers(c: CircuitDiagram, layers: Sequence[Sequence[Item]],
                   wires: Sequence[str], hole_maps: Mapping[str, StochMap]) -> StochMap:
-    """The layers composed bottom-up, starting from the given wires."""
-    acc = identity(c.wires_finset(wires))
-    for layer in layers:
+    """The layers composed bottom-up from the first layer's map; the
+    identity on the given wires when there are no layers."""
+    if not layers:
+        return identity(c.wires_finset(wires))
+    acc = _layer_map(c, layers[0], hole_maps)
+    for layer in layers[1:]:
         acc = compose_seq(_layer_map(c, layer, hole_maps), acc)
     return acc
 
@@ -284,7 +287,7 @@ def normalize_to_comb(c: CircuitDiagram) -> OneComb:
     left_cod, right_cod = u_left.cod, u_right.cod
 
     pre = compose_seq(compose_par(compose_par(u_left, identity(hole_dom)), u_right), below)
-    pre = compose_local(swap(left_cod, hole_dom), pre, right=right_cod)
+    pre = compose_seq(swap(left_cod, hole_dom), pre, right=right_cod)
 
     above = _apply_layers(c, c.layers[k_layer + 1:],
                           sum((it.cod_wires for it in hole_layer), ()), {})

@@ -16,19 +16,19 @@ one process-wide memo of at most `PRODUCT_MEMO_SIZE` entries, keyed by
 both factors' labels and names, and holding only products of at most
 `PRODUCT_MEMO_NAMES` names.
 
-Only this module indexes product alphabets.  Its map kernels are
-`compose_seq` (q after p), `compose_par` (p beside q, a product map that
-is kept) and `compose_local` ((id (x) f (x) id) after a map, without
-building the product map); every other contraction, `simulate_channel`
-and `combs.comb_tensor` among them, is a composition of these three.
+Only this module indexes product alphabets.  Its two map kernels are
+`compose_seq` (q after p, or (id (x) q (x) id) after p without building
+that product map) and `compose_par` (p beside q, a product map that is
+kept); every other contraction, `simulate_channel` and
+`combs.comb_tensor` among them, is a composition of these.
 
 One function checks a given map's shape, signs and column sums: the
 public `StochMap` constructor reads an int or `Fraction` matrix into it
 (`core.entry_ratio` refuses any other entry), and
 `from_ratios`, which the file reader uses, hands it (numerator,
 denominator) pairs directly.  Maps the kernels build (`from_function`,
-`compose_seq`, `compose_par`, `compose_local` and what is built from
-them) are stochastic by construction and are not checked again.
+`compose_seq`, `compose_par` and what is built from them) are
+stochastic by construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -250,35 +250,57 @@ def discard(dom: FinSet) -> StochMap:
     return from_function(dom, UNIT, [0] * len(dom))
 
 
-def compose_seq(q: StochMap, p: StochMap) -> StochMap:
-    """q after p: matrix product, summing over the middle alphabet.
+def compose_seq(q: StochMap, p: StochMap,
+                left: FinSet = UNIT, right: FinSet = UNIT) -> StochMap:
+    """(id_left (x) q (x) id_right) after p, without building that map;
+    with both sides the unit, q after p.
 
-    The integer product of the numerators over q.den * p.den, reduced by
-    one gcd.  Each output row is accumulated from the nonzero entries of
-    q's row times the nonzero entries of p's matching rows; zero terms are
-    skipped, so sparse maps (identities, swaps, deterministic maps and
-    their tensor products) cost little.
+    The same map, alphabets, labels and `CompositionError` text as p
+    followed by the product `compose_par(compose_par(identity(left), q),
+    identity(right))`, except that a unit side is left off: with both
+    sides the unit the result runs to q's own codomain.  The numerators
+    are the integer product over q.den * p.den, reduced by one gcd.
+    Output row (l, y, r) sums, over q's nonzero entries w = q[y][x], w
+    times p's row (l, x, r), skipping zero entries of p's rows; where q's
+    row is a single 1, it is p's row itself.  So sparse maps (identities,
+    swaps, deterministic maps and their tensor products) cost little.
     """
-    if p.cod != q.dom:
+    dom, cod = q.dom, q.cod
+    if left != UNIT:
+        dom, cod = tensor(left, dom), tensor(left, cod)
+    if right != UNIT:
+        dom, cod = tensor(dom, right), tensor(cod, right)
+    if p.cod != dom:
         raise CompositionError(
-            f"cannot compose {q.dom} -> {q.cod} after {p.dom} -> {p.cod}: "
+            f"cannot compose {dom} -> {cod} after {p.dom} -> {p.cod}: "
             f"middle types differ")
+    nr = len(right)
+    block = len(q.dom) * nr
     nd = len(p.dom)
-    rows = []
-    for qrow in q.nums:
-        acc = [0] * nd
-        for w, prow in zip(qrow, p.nums):
-            if w:
-                for a, x in enumerate(prow):
-                    if x:
-                        acc[a] += w * x
-        rows.append(acc)
+    src = p.nums
+    rows: list[Sequence[int]] = []
+    for base in range(0, len(src), block):
+        # per symbol r of the right side, p's rows (l, x, r) for every x
+        strips = [src[r:base + block:nr] for r in range(base, base + nr)]
+        for qrow in q.nums:
+            # numerators are non-negative: a row summing to 1 is a single 1
+            one = qrow.index(1) if sum(qrow) == 1 else -1
+            for prows in strips:
+                if one >= 0:
+                    rows.append(prows[one])
+                    continue
+                acc = [0] * nd
+                for w, prow in zip(qrow, prows):
+                    if w:
+                        for a, x in enumerate(prow):
+                            if x:
+                                acc[a] += w * x
+                rows.append(acc)
     den = q.den * p.den
     g = gcd(den, *itertools.chain.from_iterable(rows)) if den > 1 else 1
     if g > 1:
-        return _kernel_map(p.dom, q.cod, den // g,
-                           tuple(tuple(x // g for x in row) for row in rows))
-    return _kernel_map(p.dom, q.cod, den, tuple(map(tuple, rows)))
+        return _kernel_map(p.dom, cod, den // g, tuple(tuple(x // g for x in row) for row in rows))
+    return _kernel_map(p.dom, cod, den, tuple(map(tuple, rows)))
 
 
 def compose_par(p: StochMap, q: StochMap) -> StochMap:
@@ -302,50 +324,6 @@ def compose_par(p: StochMap, q: StochMap) -> StochMap:
     # p or all of q, and then that map's denominator (a column sum) too,
     # which a reduced map rules out.
     return _kernel_map(dom, cod, p.den * q.den, tuple(rows))
-
-
-def compose_local(f: StochMap, cur: StochMap,
-                  left: FinSet = UNIT, right: FinSet = UNIT) -> StochMap:
-    """(id_left (x) f (x) id_right) after cur, without building that map.
-
-    The same map, alphabets, labels and error as compose_seq of the
-    compose_par product with cur: the numerators over f.den * cur.den,
-    reduced by one gcd.  Output row (l, y, r) is the sum, over f's nonzero
-    entries w = f[y][x], of w times cur's row (l, x, r); a row with one
-    entry 1 is cur's row itself.
-    """
-    ld, lc = tensor(left, f.dom), tensor(left, f.cod)
-    dom, cod = tensor(ld, right), tensor(lc, right)
-    if cur.cod != dom:
-        raise CompositionError(
-            f"cannot compose {dom} -> {cod} after {cur.dom} -> {cur.cod}: "
-            f"middle types differ")
-    nr = len(right)
-    block = len(f.dom) * nr
-    # per row of f, its nonzero entries and the offsets of their rows of cur
-    terms = [[(w, x * nr) for x, w in enumerate(frow) if w] for frow in f.nums]
-    zeros = (0,) * len(cur.dom)
-    src = cur.nums
-    rows: list[tuple[int, ...]] = []
-    for base in range(0, len(src), block):
-        for t in terms:
-            if not t:
-                rows += [zeros] * nr
-                continue
-            (w, off), *more = t
-            for r in range(base, base + nr):
-                row = src[r + off]
-                if w != 1 or more:
-                    acc = [w * x for x in row] if w != 1 else list(row)
-                    for v, o in more:
-                        acc = [a + v * x for a, x in zip(acc, src[r + o])]
-                    row = tuple(acc)
-                rows.append(row)
-    den = f.den * cur.den
-    g = gcd(den, *itertools.chain.from_iterable(rows)) if den > 1 else 1
-    if g > 1:
-        return _kernel_map(cur.dom, cod, den // g, tuple(tuple(x // g for x in row) for row in rows))
-    return _kernel_map(cur.dom, cod, den, tuple(rows))
 
 
 def swap(a: FinSet, b: FinSet) -> StochMap:
@@ -430,11 +408,11 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
                    d(b'|b,y) * p(b|a) * e(a|a',x) * r(x,y),
 
     the kernel composition d . (p (x) id_sb) . (e (x) id_sb) . (id_a' (x) r)
-    with r read as a state on sa (x) sb; the two middle steps go through
-    `compose_local`.  Q is linear in each of e, d and r when the other two
-    are fixed.  r was checked when it was built, so its state over the lcm
-    of the joint's denominators (reduced, as `_checked_form` explains) and
-    the composites are kernel-built.
+    with r read as a state on sa (x) sb; the two middle steps are
+    `compose_seq` with sb as the right side.  Q is linear in each of e, d
+    and r when the other two are fixed.  r was checked when it was built,
+    so its state over the lcm of the joint's denominators (reduced, as
+    `_checked_form` explains) and the composites are kernel-built.
     """
     if e.cod != p.dom:
         raise CompositionError(f"encoder output {e.cod} does not match channel input {p.dom}")
@@ -450,7 +428,7 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
     spread = _kernel_map(a_new, tensor(e.dom, r.sb), den,
                          tuple(tuple(n if j == i else 0 for j in range(na))
                                for i in range(na) for (n,) in shared.nums))
-    return compose_seq(d, compose_local(p, compose_local(e, spread, right=r.sb), right=r.sb))
+    return compose_seq(d, compose_seq(p, compose_seq(e, spread, right=r.sb), right=r.sb))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from resconv.instances import (ProbVector, deterministic_convertible,
                                enumerate_prob_vectors)
 from resconv.linalg import feasible_nonneg_solution
 from resconv.stoch import (UNIT, CompositionError, FinSet, SharedRandomness, StochMap,
-                           all_deterministic_maps, compose_local, compose_par, compose_seq,
+                           all_deterministic_maps, compose_par, compose_seq,
                            discard, finset,
                            from_function, identity, is_deterministic, point_state,
                            random_stoch_map, search_exact_simulation,
@@ -914,6 +914,15 @@ def local_reference(f, cur, left, right):
     return compose_seq(compose_par(compose_par(identity(left), f), identity(right)), cur)
 
 
+def dense_local(f, cur, left, right):
+    """The same map by `Fraction` sums over the product, built densely and
+    checked by the public constructor: neither `compose_seq` nor
+    `compose_par` takes part."""
+    lf = StochMap(tensor(left, f.dom), tensor(left, f.cod), dense_par(identity(left), f))
+    whole = StochMap(tensor(lf.dom, right), tensor(lf.cod, right), dense_par(lf, identity(right)))
+    return dense_seq(whole, cur)
+
+
 def outcome_of(build):
     """A map's alphabets, labels, denominator and numerators, or the error it raises."""
     try:
@@ -938,8 +947,12 @@ def test_local_kernel_equals_the_product_it_does_not_build():
         left, right, x, y = (rng.choice(sets) for _ in range(4))
         f = some_map(x, y)
         cur = some_map(rng.choice(sets), tensor(tensor(left, x), right))
-        got = outcome_of(lambda: compose_local(f, cur, left, right))
+        got = outcome_of(lambda: compose_seq(f, cur, left, right))
         assert got == outcome_of(lambda: local_reference(f, cur, left, right))
+        den, nums = got[4:]
+        assert tuple(tuple(F(x, den) for x in row) for row in nums) == \
+            dense_local(f, cur, left, right)
+        assert gcd(den, *itertools.chain.from_iterable(nums)) == 1
         kinds["unit factor"] += UNIT in (left, right, x, y)
         kinds["deterministic f"] += is_deterministic(f)
         kinds["stochastic f"] += not is_deterministic(f)
@@ -956,7 +969,7 @@ def test_local_kernel_refuses_a_mismatch_with_the_products_message():
         f = random_stoch_map(rng, x, y)
         cur = random_stoch_map(rng, B2, tensor(tensor(left, z), right))
         want = outcome_of(lambda: local_reference(f, cur, left, right))
-        assert outcome_of(lambda: compose_local(f, cur, left, right)) == want
+        assert outcome_of(lambda: compose_seq(f, cur, left, right)) == want
         refused += want[0] is CompositionError
     assert refused >= 100
 
@@ -967,7 +980,16 @@ def test_local_kernel_refuses_colliding_names_as_the_product_does():
     cur = identity(finset("b", 2))
     want = outcome_of(lambda: local_reference(f, cur, left, UNIT))
     assert want == (InputError, "finite set 'l*d' has duplicate element names")
-    assert outcome_of(lambda: compose_local(f, cur, left, UNIT)) == want
+    assert outcome_of(lambda: compose_seq(f, cur, left, UNIT)) == want
+
+
+def test_unit_sides_keep_the_alphabets_of_q():
+    # a product with the unit would relabel an alphabet equal to the unit
+    j = FinSet("J", ("*",))
+    q = from_function(B2, j, [0, 0])
+    for r in (compose_seq(q, identity(B2)), compose_seq(q, identity(B2), UNIT, UNIT)):
+        assert (r.cod, r.cod.label) == (j, "J")
+    assert compose_par(q, identity(UNIT)).cod.label == "I"
 
 
 # the product memo
