@@ -19,10 +19,10 @@ the JSON format in the package README.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from . import jsonio
 from .combs import OneComb

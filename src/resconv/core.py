@@ -8,7 +8,11 @@ under a search bound.  `shortest_traces` is the bounded breadth-first
 search behind the reachability orders.  `QueryMemo` asks a theory each
 `geq` pair once and answers with its `Verdict`, for `check_axioms` and the
 analyzers; its `equivalent` is the one rule for mutual convertibility.
-`order_matrix` is the order table behind the Hasse diagram.
+`order_cells` walks the order table of a list of terms in row order and,
+for a theory with `exact_order`, asks only the cells that transitivity
+leaves open; `order_matrix`, the table behind the Hasse diagram, and
+`monotones.verify_monotone` read their cells through it.  `bit_indices`
+lists the members of a bitset row.
 `MAX_ENTRIES` is the one limit on the entries of a table a command builds
 or fills; every size guard refuses input beyond it with an InputError.
 `entry_ratio` is the one rule for an exact probability entry given in code.
@@ -22,7 +26,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 
 class InputError(ValueError):
@@ -136,7 +140,16 @@ class TheoryOracle(ABC):
     Terms are immutable, hashable values with structural equality.
     Theory-level sameness is always mutual convertibility, never term
     equality.
+
+    `exact_order` is a class-level promise: set only where it is a theorem
+    that `geq` never answers Unknown and that its order is a preorder
+    compatible with combine.  `order_cells` and `monotones.rate` then skip
+    the questions that transitivity and compatibility decide.  It stays
+    False for theories from user data, which may break the axioms, and for
+    bounded searches, which may answer Unknown.
     """
+
+    exact_order = False
 
     @abstractmethod
     def combine(self, a: Any, b: Any) -> Any: ...
@@ -361,22 +374,77 @@ def check_axioms(t: TheoryOracle, terms: Iterable[Any]) -> list[Violation]:
     return out
 
 
-def order_matrix(t: TheoryOracle, terms: Sequence[Any]) -> tuple[tuple[bool, ...], ...]:
-    """Row i, column j: whether terms[i] converts to terms[j].
+def bit_indices(row: int) -> Iterator[int]:
+    """The positions of the set bits of `row`, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
-    Asks `t` once per entry.  Raises InputError before asking anything when
-    the table of terms squared would pass `MAX_ENTRIES`, and otherwise names
-    the first undecided pair, since the Hasse diagram needs definite answers.
+
+def order_cells(t: TheoryOracle, terms: Sequence[Any]) -> Iterator[tuple[int, int, Verdict]]:
+    """The order table of `terms`, cell by cell in row order: (i, j, the
+    verdict of terms[i] -> terms[j]).  A cell is asked of `t` only when the
+    walk reaches it, so a caller that stops early asks no further.
+
+    A theory without `exact_order` is asked every cell.  With it, the
+    finished rows are kept as bitsets, and a cell that they and the current
+    row's answers decide by transitivity is not asked:
+    - a Proven i >= j gives row i every cell of the finished row j;
+    - a Refuted i >= j refutes i >= q for every finished row q >= j;
+    - a finished row p >= i refutes, before row i is asked, every i >= k
+      that row p refutes.
+    Row 0 has no finished rows before it, so it is asked in full and every
+    term reaches the theory.
+    """
+    if not t.exact_order:
+        for i, a in enumerate(terms):
+            for j, b in enumerate(terms):
+                yield i, j, t.geq(a, b).verdict
+        return
+    proven: list[int] = []  # finished rows: the j with terms[i] >= terms[j]
+    refuted: list[int] = []  # finished rows: the j with terms[i] not >= terms[j]
+    above = [0] * len(terms)  # above[j]: the finished rows p with terms[p] >= terms[j]
+    for i, a in enumerate(terms):
+        ge = no = 0
+        for p in bit_indices(above[i]):
+            no |= refuted[p]
+        for j, b in enumerate(terms):
+            bit = 1 << j
+            if ge & bit:
+                yield i, j, Verdict.PROVEN
+                continue
+            if no & bit:
+                yield i, j, Verdict.REFUTED
+                continue
+            v = t.geq(a, b).verdict
+            if v is Verdict.PROVEN:
+                ge |= bit | (proven[j] if j < i else 0)
+            elif v is Verdict.REFUTED:
+                no |= bit | above[j]
+            yield i, j, v
+        proven.append(ge)
+        refuted.append(no)
+        for k in bit_indices(ge):
+            above[k] |= 1 << i
+
+
+def order_matrix(t: TheoryOracle, terms: Sequence[Any]) -> list[int]:
+    """Row i as a bitset: bit j is set when terms[i] converts to terms[j].
+
+    Reads the cells through `order_cells`.  Raises InputError before asking
+    anything when the table of terms squared would pass `MAX_ENTRIES`, and
+    otherwise names the first undecided pair in row order, since the Hasse
+    diagram needs definite answers.
     """
     if len(terms) ** 2 > MAX_ENTRIES:
         raise InputError(f"{len(terms)} terms need {len(terms) ** 2} order entries, beyond "
                          f"the limit of {MAX_ENTRIES} entries")
-
-    def entry(a: Any, b: Any) -> bool:
-        d = t.geq(a, b)
-        if d.is_unknown:
-            raise InputError(f"order undecided between {t.format_term(a)} and "
-                             f"{t.format_term(b)}; diagram needs definite answers")
-        return d.is_proven
-
-    return tuple(tuple(entry(a, b) for b in terms) for a in terms)
+    rows = [0] * len(terms)
+    for i, j, v in order_cells(t, terms):
+        if v is Verdict.PROVEN:
+            rows[i] |= 1 << j
+        elif v is Verdict.UNKNOWN:
+            raise InputError(f"order undecided between {t.format_term(terms[i])} and "
+                             f"{t.format_term(terms[j])}; diagram needs definite answers")
+    return rows

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from .core import TheoryOracle, order_matrix
+from .core import TheoryOracle, bit_indices, order_matrix
 
 
 def hasse_classes(t: TheoryOracle, terms: Sequence[Any]) -> tuple[list[list[Any]], list[tuple[int, int]]]:
-    """Equivalence classes and covering edges of the quotient order."""
+    """Equivalence classes and covering edges of the quotient order.
+
+    Each class is represented by its first term.  A class covers the
+    classes strictly below it that are strictly below none of those, read
+    off the order's bitset rows restricted to the representatives."""
     elems = list(dict.fromkeys(terms))
     ge = order_matrix(t, elems)
 
@@ -23,27 +27,22 @@ def hasse_classes(t: TheoryOracle, terms: Sequence[Any]) -> tuple[list[list[Any]
     reps: list[int] = []
     for i in range(len(elems)):
         for c, r in enumerate(reps):
-            if ge[i][r] and ge[r][i]:
+            if ge[i] >> r & 1 and ge[r] >> i & 1:
                 classes[c].append(elems[i])
                 break
         else:
             classes.append([elems[i]])
             reps.append(i)
 
-    m = len(classes)
-    strictly_above = [[False] * m for _ in range(m)]
-    for c1, r1 in enumerate(reps):
-        for c2, r2 in enumerate(reps):
-            if c1 != c2 and ge[r1][r2]:
-                strictly_above[c1][c2] = True
+    class_of = {r: c for c, r in enumerate(reps)}
+    rep_bits = sum(1 << r for r in reps)
+    below = {r: ge[r] & rep_bits & ~(1 << r) for r in reps}
     edges = []
-    for c1 in range(m):
-        for c2 in range(m):
-            if not strictly_above[c1][c2]:
-                continue
-            if any(strictly_above[c1][mid] and strictly_above[mid][c2] for mid in range(m)):
-                continue  # not a covering pair
-            edges.append((c1, c2))
+    for c1, r1 in enumerate(reps):
+        covers = below[r1]
+        for mid in bit_indices(below[r1]):
+            covers &= ~below[mid]
+        edges.extend((c1, class_of[r2]) for r2 in bit_indices(covers))
     return classes, edges
 
 

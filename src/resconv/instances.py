@@ -29,7 +29,13 @@ class VectorTheory(TheoryOracle):
     Additive mode combines by componentwise sum (extensive goods, e.g.
     pantry stock); supremal mode combines by componentwise max (levels,
     e.g. skill grades).  Both share the same order and zero.
+
+    `exact_order`: the componentwise order on naturals is a partial order,
+    both sum and max preserve it in each argument, and `geq` compares
+    every component, so it never answers Unknown.
     """
+
+    exact_order = True
 
     arity: int
     mode: Literal["additive", "supremal"]
@@ -306,7 +312,15 @@ class _DistributionTheory(TheoryOracle):
 @dataclass(frozen=True)
 class RandomnessTheory(_DistributionTheory):
     """Distributions under exact coarse-graining; combine is the product
-    distribution and the order is decided by partition search."""
+    distribution and the order is decided by partition search.
+
+    `exact_order`: coarse-grainings compose, and the product of two
+    coarse-grainings coarse-grains the product distribution, so the order
+    is a preorder compatible with combine; the partition search is
+    exhaustive, so it never answers Unknown.
+    """
+
+    exact_order = True
 
     def geq(self, a: ProbVector, b: ProbVector) -> Decision:
         return deterministic_convertible(a, b)
@@ -345,7 +359,14 @@ class EntanglementSpectrumTheory(_DistributionTheory):
     combine tensors spectra; a spectrum converts into another exactly
     when the target majorizes the source (the standard partial-sum
     criterion for pure-state transformations under local processing).
+
+    `exact_order`: majorization is a preorder, and p -> q gives
+    p (x) r -> q (x) r (Nielsen's theorem; local protocols compose and run
+    side by side), so it is compatible with combine; the partial-sum test
+    is exact, so it never answers Unknown.
     """
+
+    exact_order = True
 
     def geq(self, a: ProbVector, b: ProbVector) -> Decision:
         bad = _first_bad_prefix(b, a)

@@ -33,10 +33,11 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from .combs import NComb, OneComb, UCTransformation
 from .core import FiniteTheoryTable, InputError, TheoryOracle

@@ -3,7 +3,10 @@
 Rational-valued monotones are compared exactly; real-valued ones (the
 entropy) at absolute tolerance 1e-9.  Rates are reported as the best
 fraction found within caps together with the additive-monotone upper
-bound, never as a claimed limit.
+bound, never as a claimed limit.  On a theory with `exact_order`, both
+ask only what the axioms leave open: `verify_monotone` reads its pairs
+through `core.order_cells`, which skips what transitivity decides, and
+`rate` walks the staircase that compatibility leaves.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from fractions import Fraction
 from typing import Any, Callable, Literal, Sequence, get_args
 
 from .analysis import PropertyReport, sample_scope
-from .core import MAX_ENTRIES, Decision, FiniteTheoryTable, InputError, TheoryOracle
+from .core import (MAX_ENTRIES, Decision, FiniteTheoryTable, InputError, TheoryOracle, Verdict,
+                   order_cells)
 from .instances import (EntanglementSpectrumTheory, RandomnessTheory, VectorTheory,
                         shannon_entropy)
 
@@ -54,20 +58,21 @@ def _eq_values(x: Fraction | float, y: Fraction | float) -> bool:
 
 
 def verify_monotone(m: Monotone, t: TheoryOracle, sample: Sequence[Any]) -> PropertyReport:
-    """Check order preservation on every Proven pair of the sample."""
+    """Check order preservation on every Proven pair of the sample.
+
+    The pairs are read in row order through `core.order_cells`, which asks
+    a theory with `exact_order` only what transitivity leaves open; the
+    first violation in row order is the witness."""
     inconclusive = 0
     values = [m(a) for a in sample]
-    for a, ma in zip(sample, values):
-        for b, mb in zip(sample, values):
-            d = t.geq(a, b)
-            if d.is_unknown:
-                inconclusive += 1
-                continue
-            if d.is_proven and not _geq_values(ma, mb):
-                return PropertyReport(
-                    f"monotone:{m.name}",
-                    Decision.refuted(("order-violated", a, b, ma, mb)),
-                    sample_scope(t, sample))
+    for i, j, v in order_cells(t, sample):
+        if v is Verdict.UNKNOWN:
+            inconclusive += 1
+        elif v is Verdict.PROVEN and not _geq_values(values[i], values[j]):
+            return PropertyReport(
+                f"monotone:{m.name}",
+                Decision.refuted(("order-violated", sample[i], sample[j], values[i], values[j])),
+                sample_scope(t, sample))
     note = "unrefuted on sample"
     if inconclusive:
         note += f" ({inconclusive} inconclusive pairs)"
@@ -151,9 +156,18 @@ class RateResult:
 
 def rate(t: TheoryOracle, a: Any, b: Any, caps: int,
          monotones: Sequence[Monotone] = ()) -> RateResult:
-    """Scan all copy counts n, m up to caps for conversions n*a -> m*b.
+    """The largest ratio m/n, for copy counts n and m up to caps, with n
+    copies of a converting to m copies of b.
 
-    Reports the largest ratio found; results are monotone in caps.
+    The witness is the first such (n, m) in row order: the largest ratio at
+    the smallest n.  When the theory has `exact_order` and both a and b
+    convert to zero, compatibility decides most cells: n*a -> m*b gives
+    n*a -> m'*b for m' <= m (drop copies of b) and (n+1)*a -> m*b (add
+    a copy of a).  The convertible m of each row are then 1 up to some M(n),
+    and M never falls as n grows, so the scan walks that staircase: each
+    row starts at the last row's M and asks up to its first cell that does
+    not convert, at most 2*caps questions in all, and finds the full scan's
+    witness.  Otherwise every (n, m) is asked.  Results are monotone in caps.
     """
     if caps < 1:
         raise InputError("caps must be at least 1")
@@ -166,16 +180,24 @@ def rate(t: TheoryOracle, a: Any, b: Any, caps: int,
     # copies_a[n - 1] is n copies of a, built as ((a+a)+a)+...
     copies_a = list(itertools.accumulate([a] * caps, t.combine))
     copies_b = list(itertools.accumulate([b] * caps, t.combine))
-    for n in range(1, caps + 1):
-        for m in range(1, caps + 1):
-            d = t.geq(copies_a[n - 1], copies_b[m - 1])
-            if d.is_unknown:
-                inconclusive += 1
-                continue
-            if d.is_proven:
-                ratio = Fraction(m, n)
-                if best is None or ratio > best:
-                    best, witness = ratio, (n, m)
+    if t.exact_order and t.geq(a, t.zero()).is_proven and t.geq(b, t.zero()).is_proven:
+        top = 0  # M of the last row: n*a -> m*b exactly for m <= top
+        for n in range(1, caps + 1):
+            while top < caps and t.geq(copies_a[n - 1], copies_b[top]).is_proven:
+                top += 1
+            if top and (best is None or Fraction(top, n) > best):
+                best, witness = Fraction(top, n), (n, top)
+    else:
+        for n in range(1, caps + 1):
+            for m in range(1, caps + 1):
+                d = t.geq(copies_a[n - 1], copies_b[m - 1])
+                if d.is_unknown:
+                    inconclusive += 1
+                    continue
+                if d.is_proven:
+                    ratio = Fraction(m, n)
+                    if best is None or ratio > best:
+                        best, witness = ratio, (n, m)
     upper = None
     for mono in monotones:
         if mono.kind != "additive":

@@ -34,12 +34,12 @@ stochastic by construction and are not checked again.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from random import Random
-from typing import Mapping, Sequence
 
 from .core import MAX_ENTRIES, Decision, InputError, entry_ratio, shortest_traces
 from .linalg import common_denominator, feasible_nonneg_solution

@@ -1,5 +1,7 @@
 import argparse
+import importlib
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -86,6 +88,26 @@ def test_unknown_subcommand_exits_two(capsys):
 
 def test_missing_file_exits_two(capsys):
     assert run(["convert", "nope.json", "[1,0]", "[0,0]"]) == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["convert", str(DEMO / "food.json"), "[1,1]", "[0,1]", "--json"], 0),
+    (["convert", str(DEMO / "food.json"), "[0,1]", "[1,1]"], 1),
+    (["hasse", str(DEMO / "randomness.json"), "--box", "3"], 0),
+    (["hasse", str(DEMO / "randomness.json"), "--box", "-1"], 2),
+])
+def test_the_console_script_exits_with_the_documented_code(monkeypatch, capsys, argv, code):
+    """The `resconv` script of pyproject.toml, called as an installed script
+    calls it: with the arguments in sys.argv, ending in sys.exit."""
+    script = re.search(r'^resconv = "([\w.]+):(\w+)"$',
+                       (DEMO.parent / "pyproject.toml").read_text(), re.M)
+    entry = getattr(importlib.import_module(script[1]), script[2])
+    monkeypatch.setattr(sys, "argv", ["resconv", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        entry()
+    assert exit_.value.code == code
+    out, err = capsys.readouterr()
+    assert "error:" in err if code == 2 else out
 
 
 def test_check_axioms_clean_table(chain_file, capsys):
