@@ -180,10 +180,12 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
                 data = library_files[path]
             else:
                 full = Path(base_dir) / path
-                if not full.exists():
-                    raise ParseError(f"library file {path!r} not found", lineno, indent)
                 try:
-                    data = jsonio.read_json(full)
+                    text = jsonio.read_file(full)
+                except InputError:  # no such file
+                    raise ParseError(f"library file {path!r} not found", lineno, indent) from None
+                try:
+                    data = jsonio.decode_json(text, f"invalid JSON in {full}")
                 except InputError as exc:
                     raise ParseError(str(exc), lineno, indent) from None
             libraries.append((name, path))

@@ -199,9 +199,7 @@ def cmd_simulate_channel(args: argparse.Namespace) -> int:
 
 def cmd_normalize_circuit(args: argparse.Namespace) -> int:
     path = Path(args.circuit)
-    if not path.exists():
-        raise InputError(f"file not found: {path}")
-    circuit = parse_circuit(path.read_text(), base_dir=path.parent)
+    circuit = parse_circuit(jsonio.read_file(path), base_dir=path.parent)
     comb = normalize_to_comb(circuit)
     hole = circuit.hole_items()[0]
     # Both sides are linear in the hole process M.  With E sending every input

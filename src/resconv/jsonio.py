@@ -21,7 +21,14 @@ A rational literal is a string Fraction accepts ("1/2", "0.25", "1e-3")
 or a JSON number.  A map or probability entry written "p" or "p/q" in
 ASCII digits is read straight to the integers p and q with int(); any
 other entry goes through Fraction, with the same values and messages.
-A map reads each of its distinct string literals once.
+A map reads each of its distinct string literals once, and a process
+reads each plain literal of at most RATIO_MEMO_CHARS characters once,
+from a memo of at most RATIO_MEMO_SIZE literals.  An exponent literal
+("1e-700"), any other non-plain literal, a longer one and a failure are
+read every time: what an exponent or a long literal gives depends on
+Python's int-string limit, which may change.  Alphabets of at most
+FINSET_MEMO_NAMES names come from a memo of at most FINSET_MEMO_SIZE,
+keyed by label and names.
 
 Vector/randomness/spectrum theories use a {"kind": ...} envelope; finite
 tables and presentations are recognized by shape.  A theory file may
@@ -30,11 +37,13 @@ carry "monotones": [{"name": .., "class": ..}].
 
 from __future__ import annotations
 
+import errno
 import json
 import re
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 from typing import Any, Callable
@@ -101,12 +110,26 @@ def _frac(x: Any) -> Fraction:
         raise InputError(f"bad rational literal {x!r}: {exc}") from None
 
 
+# The literal memo's bounds: how many literals it keeps (a full memo is
+# emptied and starts again), and the longest literal it keeps.  A kept literal's parts have far fewer
+# digits than the lowest int-string limit Python allows (640), so its pair
+# does not depend on the limit in force.
+RATIO_MEMO_SIZE = 4096
+RATIO_MEMO_CHARS = 40
+_ratios: dict[str, tuple[int, int]] = {}
+
+
 def _ratio(x: Any) -> tuple[int, int]:
     """A rational literal as a reduced (numerator, denominator) pair.  A
     plain ASCII "p" or "p/q" with q != 0 is split and read with int();
     anything else, and a part past the int-string digit limit, is read
-    by _frac."""
+    by _frac.  Plain literals of at most `RATIO_MEMO_CHARS` characters are
+    read once per process, from a memo of at most `RATIO_MEMO_SIZE` of
+    them; any other literal, and any failure, is read on every call."""
     if type(x) is str and x.isascii():
+        r = _ratios.get(x)
+        if r is not None:
+            return r
         p, slash, q = x.partition("/")
         if p.isdigit() and (q.isdigit() or not slash):
             try:
@@ -116,7 +139,12 @@ def _ratio(x: Any) -> tuple[int, int]:
             else:
                 if d:
                     g = gcd(n, d)
-                    return n // g, d // g
+                    r = n // g, d // g
+                    if len(x) <= RATIO_MEMO_CHARS:
+                        if len(_ratios) >= RATIO_MEMO_SIZE:
+                            _ratios.clear()
+                        _ratios[x] = r
+                    return r
     f = _frac(x)
     return f.numerator, f.denominator
 
@@ -144,10 +172,28 @@ def _multiset_field(raw: Any) -> Multiset:
     raise InputError(f"multiset must be a list or object, got {raw!r}")
 
 
+# The alphabet memo's bounds: how many alphabets it keeps, least recently
+# used first out, and the most names a kept alphabet may have.
+FINSET_MEMO_SIZE = 256
+FINSET_MEMO_NAMES = 64
+
+
+@lru_cache(maxsize=FINSET_MEMO_SIZE)
+def _memo_finset(label: str, names: tuple[str, ...]) -> FinSet:
+    """Keyed by the label and the names as strings, which is all a
+    `FinSet` is built from, so true and "True" give one alphabet, as they
+    always have.  A refused alphabet (duplicate names) raises and is not
+    kept."""
+    return FinSet(label, names)
+
+
 def load_finset(raw: Any, label: str) -> FinSet:
+    """The alphabet of the names str(x) for x in raw.  One of at most
+    `FINSET_MEMO_NAMES` names comes from one process-wide memo."""
     if not isinstance(raw, list) or not raw:
         raise InputError(f"finite set must be a non-empty list, got {raw!r}")
-    return FinSet(label, tuple(str(x) for x in raw))
+    names = tuple(map(str, raw))
+    return (_memo_finset if len(names) <= FINSET_MEMO_NAMES else FinSet)(label, names)
 
 
 def _rows(raw: Any, what: str) -> list[list]:
@@ -163,16 +209,17 @@ def _matrix(raw: Any, what: str, entry: Callable[[Any], Any] = _frac) -> tuple[t
 
 
 def _ratio_matrix(raw: Any, what: str) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """_matrix of _ratio pairs, reading each distinct string literal once.
-    Only strings are looked up: true hashes as 1 and [1] does not hash, so
-    every other entry goes to _ratio as it is."""
+    """_matrix of _ratio pairs, reading each distinct string literal once
+    per map, and one that _ratio keeps once per process.  Only strings are
+    looked up: true hashes as 1 and [1] does not hash, so every other
+    entry goes to _ratio as it is."""
     seen: dict[str, tuple[int, int]] = {}
     rows = []
     for row in _rows(raw, what):
         out = []
         for x in row:
             if type(x) is str:
-                r = seen.get(x)
+                r = _ratios.get(x) or seen.get(x)
                 if r is None:
                     r = seen[x] = _ratio(x)
             else:
@@ -350,8 +397,26 @@ def decode_json(text: str, what: str) -> Any:
         raise InputError(f"{what}: {exc}") from None
 
 
+# The errors `Path.exists` (Python 3.10-3.12) reads as "no such file";
+# it reads a name with a NUL byte so too.
+_NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
+
+
+def read_file(path: Path) -> str:
+    """The text of the file at path, read with one open and no existence
+    check before it, so nothing can change in between.  Where there is no
+    such file the error is an InputError "file not found: <path>", and
+    only there."""
+    try:
+        f = path.open()
+    except (OSError, ValueError) as exc:  # ValueError: a name with a NUL byte
+        if isinstance(exc, OSError) and exc.errno not in _NO_FILE:
+            raise
+        raise InputError(f"file not found: {path}") from None
+    with f:  # a decoding error is raised here, as itself
+        return f.read()
+
+
 def read_json(path: str | Path) -> Any:
     p = Path(path)
-    if not p.exists():
-        raise InputError(f"file not found: {p}")
-    return decode_json(p.read_text(), f"invalid JSON in {p}")
+    return decode_json(read_file(p), f"invalid JSON in {p}")

@@ -26,9 +26,11 @@ One function checks a given map's shape, signs and column sums: the
 public `StochMap` constructor reads an int or `Fraction` matrix into it
 (`core.entry_ratio` refuses any other entry), and
 `from_ratios`, which the file reader uses, hands it (numerator,
-denominator) pairs directly.  Maps the kernels build (`from_function`,
-`compose_seq`, `compose_par` and what is built from them) are
-stochastic by construction and are not checked again.
+denominator) pairs directly, most of them from the reader's memo of
+literals it has read before (`jsonio.RATIO_MEMO_SIZE`).  It reads the
+signs and the distinct denominators in one pass.  Maps the kernels
+build (`from_function`, `compose_seq`, `compose_par` and what is built
+from them) are stochastic by construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -184,12 +186,14 @@ def _checked_form(dom: FinSet, cod: FinSet, ratios: Sequence[Sequence[tuple[int,
     rows, cols = len(cod), len(dom)
     if len(ratios) != rows or any(len(r) != cols for r in ratios):
         raise InputError(f"matrix must be {rows}x{cols} for {cod} given {dom}")
+    dens = set()
     for r in ratios:
         for n, d in r:
             if n < 0:
                 raise InputError(f"negative probability {Fraction(n, d)}")
-    den = lcm(*{d for r in ratios for _, d in r})
-    nums = tuple(tuple(n * (den // d) for n, d in r) for r in ratios)
+            dens.add(d)
+    den = lcm(*dens)
+    nums = tuple([tuple([n * (den // d) for n, d in r]) for r in ratios])
     for i, total in enumerate(map(sum, zip(*nums))):
         if total != den:
             raise InputError(f"column {i} ({dom[i]!r}) sums to "

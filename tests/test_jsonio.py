@@ -6,9 +6,11 @@ those of `Fraction(str(x))`.  Maps from files and maps from the public
 constructor pass the same check and are the same values.
 """
 
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import resconv.jsonio as jsonio
 import resconv.stoch as stoch_module
+from resconv.circuits import ParseError, parse_circuit
 from resconv.core import InputError
 from resconv.stoch import FinSet, StochMap, finset
 
@@ -207,3 +210,206 @@ def test_a_malformed_map_gives_one_error_line(case, command, tmp_path, monkeypat
             "uc-apply": ["uc-apply", "uc.json", "m.json", "m.json"]}[command]
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# -- the reader against the Fraction route, cold and warm ----------------------
+
+def spellings(f: Fraction) -> list:
+    """JSON values the reader accepts for f: "p/q" unreduced, an exponent
+    form ("5e-1"), a decimal ("0.5"), and an int or a float where one is
+    exact."""
+    n, d = f.numerator, f.denominator
+    out: list = [f"{n * k}/{d * k}" for k in (1, 2)]
+    if d == 1:
+        out += [str(n), n]
+    if 8 % d == 0:
+        out.append(float(f))
+    for e in (1, 2):
+        if 10**e % d == 0:
+            c = n * 10**e // d
+            out += [f"{c}e-{e}", f"{c / 10**e:.{e}f}"]
+            break
+    return out
+
+
+def seeded_map(rng: Random) -> tuple[list[str], list[str], list[list]]:
+    """dom, cod and a column-stochastic matrix, each entry spelled one of
+    the ways `spellings` lists."""
+    cols, rows = rng.randint(1, 3), rng.randint(1, 3)
+    columns = []
+    for _ in range(cols):
+        den = rng.choice((1, 2, 3, 4, 5, 8, 10))
+        cuts = sorted(rng.randint(0, den) for _ in range(rows - 1))
+        columns.append([Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])])
+    matrix = [[rng.choice(spellings(columns[j][i])) for j in range(cols)] for i in range(rows)]
+    return [f"a{j}" for j in range(cols)], [f"b{i}" for i in range(rows)], matrix
+
+
+MUTATIONS = ("valid", "true", "bad literal", "negative", "shape", "sum")
+
+
+def mutated(rng: Random, kind: str, matrix: list[list]) -> list[list]:
+    """matrix with one fault of the given kind, written back through JSON."""
+    m = [list(row) for row in matrix]
+    i, j = rng.randrange(len(m)), rng.randrange(len(m[0]))
+    if kind == "true":
+        m[i][j] = True
+    elif kind == "bad literal":
+        m[i][j] = rng.choice(["x", "1/0", "1//2", "1e"])
+    elif kind == "negative":
+        m[i][j] = rng.choice(["-1/2", "-0.5", -1, "-1e-1", -0.25])
+    elif kind == "shape":
+        rng.choice([m.pop, lambda: m[i].append("0"), lambda: m.append(["0"] * len(m[0]))])()
+    elif kind == "sum":
+        m[i][j] = rng.choice(["7/3", 2, "1.5", "15e-1"])
+    return json.loads(json.dumps(m))
+
+
+def described(result):
+    """A map with its labels and hash, or an error text, for comparison."""
+    if isinstance(result, StochMap):
+        return result, str(result.dom), str(result.cod), hash(result)
+    return result
+
+
+def file_routes(dom, cod, matrix) -> list:
+    """What the map file and the library map read to."""
+    types = {"a": FinSet("dom", dom), "b": FinSet("cod", cod)}
+    library = {"maps": {"m": {"dom": ["a"], "cod": ["b"], "matrix": matrix}}}
+    return [described(outcome(jsonio.load_stoch_map, {"dom": dom, "cod": cod, "matrix": matrix})),
+            described(outcome(lambda lib: jsonio.load_library_map(lib, "lib.json", "m", types)[2],
+                              library))]
+
+
+def public_route(dom, cod, matrix):
+    """The public constructor on every literal read by Fraction (`_frac`),
+    or its error text."""
+    try:
+        return StochMap(FinSet("dom", dom), FinSet("cod", cod),
+                        [[jsonio._frac(x) for x in row] for row in matrix])
+    except InputError as exc:
+        return str(exc)
+
+
+def clear_memos():
+    jsonio._ratios.clear()
+    jsonio._memo_finset.cache_clear()
+
+
+def test_seeded_maps_read_as_the_fraction_route_cold_and_warm():
+    cases = []
+    for seed in range(40):
+        rng = Random(seed)
+        dom, cod, matrix = seeded_map(rng)
+        cases += [(kind, dom, cod, mutated(rng, kind, matrix)) for kind in MUTATIONS]
+    cold = []
+    for _, dom, cod, matrix in cases:
+        clear_memos()
+        cold.append(file_routes(dom, cod, matrix))
+    warm = [file_routes(dom, cod, matrix) for _, dom, cod, matrix in cases]
+    outcomes = set()
+    for (kind, dom, cod, matrix), c, w in zip(cases, cold, warm):
+        ref = described(public_route(dom, cod, matrix))
+        assert c == w == [ref, ref], (kind, matrix)
+        if kind == "valid":
+            assert isinstance(ref[0], StochMap), matrix
+            assert described(fraction_route(ref[0], matrix)) == ref
+        outcomes.add(kind if isinstance(ref, tuple) else ref.split(" ")[0])
+    assert outcomes == {"valid", "bad", "negative", "matrix", "column"}
+
+
+# -- the process-wide memos ----------------------------------------------------
+
+def test_a_lowered_int_string_limit_refuses_what_the_default_read():
+    long_plain, exponent, short = "1" * 700 + "/3", "1e-700", "12345/679"
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        before = [jsonio._ratio(x) for x in (long_plain, exponent, short)]
+        sys.set_int_max_str_digits(640)
+        refused = outcome(jsonio._ratio, long_plain)
+        assert refused.startswith("bad rational literal '111") and "(640 digits)" in refused
+        assert outcome(jsonio._ratio, exponent) == (
+            "bad rational literal '1e-700': exponent exceeds the limit (640 digits) "
+            "for integer string conversion")
+        assert jsonio._ratio(short) == before[2] == (12345, 679)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_only_short_plain_literals_are_kept():
+    kept = ["1/2", "3", "9" * jsonio.RATIO_MEMO_CHARS]
+    others = ["9" * (jsonio.RATIO_MEMO_CHARS + 1), "0.5", "1e-1", " 1/2", "+1/2", "1/0", "x",
+              1, 0.5, True]
+    clear_memos()
+    for x in kept + others:
+        outcome(jsonio._ratio, x)
+    assert list(jsonio._ratios) == kept
+
+
+def test_alphabets_with_the_same_names_keep_their_own_labels():
+    clear_memos()
+    a, b = jsonio.load_finset(["x", "y"], "A"), jsonio.load_finset(["x", "y"], "B")
+    assert a == b and (str(a), str(b)) == ("A{x,y}", "B{x,y}")
+    assert jsonio.load_finset(["x", "y"], "A") is a
+
+
+@pytest.mark.parametrize("raw", [[1, "1"], [True], [True, "True"], [1], ["1"], [0.5, "a"]],
+                         ids=repr)
+def test_an_alphabet_builds_from_its_names_as_strings(raw):
+    def built(read):
+        try:
+            s = read(raw, "A")
+        except InputError as exc:
+            return str(exc)
+        return s, s.label
+
+    today = built(lambda names, label: FinSet(label, tuple(str(x) for x in names)))
+    clear_memos()
+    assert built(jsonio.load_finset) == built(jsonio.load_finset) == today
+    if isinstance(today, str):  # a refused alphabet is not kept
+        assert jsonio._memo_finset.cache_info().currsize == 0
+
+
+def test_each_memo_keeps_at_most_its_bound():
+    clear_memos()
+    for i in range(jsonio.RATIO_MEMO_SIZE + 10):
+        jsonio._ratio(f"{i}/7")
+    assert f"{i}/7" in jsonio._ratios and len(jsonio._ratios) <= jsonio.RATIO_MEMO_SIZE
+    for i in range(jsonio.FINSET_MEMO_SIZE + 10):
+        jsonio.load_finset([f"x{i}"], "A")
+    info = jsonio._memo_finset.cache_info()
+    assert info.currsize <= info.maxsize == jsonio.FINSET_MEMO_SIZE
+    jsonio._memo_finset.cache_clear()
+    jsonio.load_finset([str(i) for i in range(jsonio.FINSET_MEMO_NAMES + 1)], "L")
+    assert jsonio._memo_finset.cache_info().currsize == 0
+
+
+# -- one read per input file ---------------------------------------------------
+
+@pytest.mark.parametrize("name", ["missing.json", "file.json/inner.json", "nul\0.json"])
+def test_a_path_that_names_no_file_is_not_found(tmp_path, name):
+    (tmp_path / "file.json").write_text("{}")
+    with pytest.raises(InputError) as exc:
+        jsonio.read_json(tmp_path / name)
+    assert str(exc.value) == f"file not found: {tmp_path / name}"
+    with pytest.raises(ParseError) as exc:
+        parse_circuit(f"types: A=2\nlibrary: lib = {name}\ninput: A\n", base_dir=tmp_path)
+    assert str(exc.value) == f"line 2, col 1: library file {name!r} not found"
+
+
+def test_a_directory_or_undecodable_file_is_not_reported_as_missing(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        jsonio.read_json(tmp_path)
+    (tmp_path / "latin.json").write_bytes(b'"\xff"')
+    with pytest.raises(UnicodeDecodeError):
+        jsonio.read_json(tmp_path / "latin.json")
+
+
+def test_input_files_are_read_without_an_existence_check(tmp_path, monkeypatch, capsys):
+    from resconv.cli import run
+
+    monkeypatch.setattr(Path, "exists", lambda self: pytest.fail(f"exists() asked of {self}"))
+    assert jsonio.read_json(ROOT / "demo" / "p.json")["dom"]
+    assert run(["normalize-circuit", str(ROOT / "demo" / "sandwich.circ"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)

@@ -23,3 +23,12 @@ def test_the_readme_gives_the_product_memo_bounds():
     for name in ("PRODUCT_MEMO_SIZE", "PRODUCT_MEMO_NAMES"):
         stated = re.findall(rf"at most (\d+) \w+\s+\(`stoch\.{name}`\)", section)
         assert stated == [str(getattr(stoch, name))], name
+
+
+def test_the_readme_gives_the_reader_memo_bounds():
+    from resconv import jsonio
+
+    section = README.split("## Scale limits", 1)[1].split("\n## ", 1)[0]
+    for name in ("RATIO_MEMO_CHARS", "RATIO_MEMO_SIZE", "FINSET_MEMO_NAMES", "FINSET_MEMO_SIZE"):
+        stated = re.findall(rf"at most (\d+) \w+\s+\(`jsonio\.{name}`\)", section)
+        assert stated == [str(getattr(jsonio, name))], name
