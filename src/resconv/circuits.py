@@ -181,11 +181,11 @@ def parse_circuit(text: str, library_files: Mapping[str, Mapping] | None = None,
             else:
                 full = Path(base_dir) / path
                 try:
-                    text = jsonio.read_file(full)
+                    lib_text = jsonio.read_file(full)
                 except InputError:  # no such file
                     raise ParseError(f"library file {path!r} not found", lineno, indent) from None
                 try:
-                    data = jsonio.decode_json(text, f"invalid JSON in {full}")
+                    data = jsonio.decode_json(lib_text, f"invalid JSON in {full}")
                 except InputError as exc:
                     raise ParseError(str(exc), lineno, indent) from None
             libraries.append((name, path))

@@ -21,14 +21,13 @@ A rational literal is a string Fraction accepts ("1/2", "0.25", "1e-3")
 or a JSON number.  A map or probability entry written "p" or "p/q" in
 ASCII digits is read straight to the integers p and q with int(); any
 other entry goes through Fraction, with the same values and messages.
-A map reads each of its distinct string literals once, and a process
-reads each plain literal of at most RATIO_MEMO_CHARS characters once,
-from a memo of at most RATIO_MEMO_SIZE literals.  An exponent literal
-("1e-700"), any other non-plain literal, a longer one and a failure are
-read every time: what an exponent or a long literal gives depends on
-Python's int-string limit, which may change.  Alphabets of at most
-FINSET_MEMO_NAMES names come from a memo of at most FINSET_MEMO_SIZE,
-keyed by label and names.
+A process reads each plain literal of at most RATIO_MEMO_CHARS
+characters once, from a memo of at most RATIO_MEMO_SIZE literals.  An
+exponent literal ("1e-700"), any other non-plain literal, a longer one
+and a failure are read every time: what an exponent or a long literal
+gives depends on Python's int-string limit, which may change.  Alphabets
+of at most FINSET_MEMO_NAMES names come from a memo of at most
+FINSET_MEMO_SIZE, keyed by label and names.
 
 Vector/randomness/spectrum theories use a {"kind": ...} envelope; finite
 tables and presentations are recognized by shape.  A theory file may
@@ -209,22 +208,14 @@ def _matrix(raw: Any, what: str, entry: Callable[[Any], Any] = _frac) -> tuple[t
 
 
 def _ratio_matrix(raw: Any, what: str) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """_matrix of _ratio pairs, reading each distinct string literal once
-    per map, and one that _ratio keeps once per process.  Only strings are
-    looked up: true hashes as 1 and [1] does not hash, so every other
-    entry goes to _ratio as it is."""
-    seen: dict[str, tuple[int, int]] = {}
+    """_matrix of _ratio pairs, taking a string literal that _ratio keeps
+    straight from its memo.  Only strings are looked up: true hashes as 1
+    and [1] does not hash, so every other entry goes to _ratio as it is."""
     rows = []
     for row in _rows(raw, what):
         out = []
         for x in row:
-            if type(x) is str:
-                r = _ratios.get(x) or seen.get(x)
-                if r is None:
-                    r = seen[x] = _ratio(x)
-            else:
-                r = _ratio(x)
-            out.append(r)
+            out.append((_ratios.get(x) or _ratio(x)) if type(x) is str else _ratio(x))
         rows.append(tuple(out))
     return tuple(rows)
 
@@ -398,7 +389,10 @@ def decode_json(text: str, what: str) -> Any:
 
 
 # The errors `Path.exists` (Python 3.10-3.12) reads as "no such file";
-# it reads a name with a NUL byte so too.
+# it reads a name with a NUL byte so too.  Python 3.13's `Path.exists`
+# reads every OSError so, but these alone are "file not found" here: a
+# name too long (ENAMETOOLONG) or a directory that may not be searched
+# (EACCES) raises its own OSError, as on 3.10-3.12, and exits 2 all the same.
 _NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
 
 

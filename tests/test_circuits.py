@@ -122,10 +122,13 @@ def test_parse_error_carries_line_and_column():
     ("types: A=2\ninput: A\n  output: A\n", "line 3, col 3: unrecognized line 'output: A'"),
     ("types: A=2\n\n# nothing else\n", "line 3, col 1: missing input declaration"),
     ("types: A=2\n", "line 1, col 1: missing input declaration"),
+    ("types: A=2\nlibrary: lib = maps.json\n\n# no input\n",
+     "line 4, col 1: missing input declaration"),
     ("types: A=2\ninput: A\nlayer: f[lib]\n", "line 3, col 7: unknown library 'lib'"),
 ], ids=["bad-type", "duplicate-type", "empty-type", "library-malformed", "library-duplicate",
         "library-missing", "library-invalid-json", "input-duplicate", "layer-before-input",
-        "empty-item", "unrecognized-line", "no-input", "no-input-one-line", "unknown-library"])
+        "empty-item", "unrecognized-line", "no-input", "no-input-one-line",
+        "no-input-after-library-file", "unknown-library"])
 def test_malformed_circuit_names_line_and_column(tmp_path, text, message):
     (tmp_path / "maps.json").write_text(json.dumps(lib_json()))
     (tmp_path / "bad.json").write_text("{\n")

@@ -168,10 +168,9 @@ def test_seeded_combs_and_library_load_without_fraction(monkeypatch):
         assert m == ref and hash(m) == hash(ref)
 
 
-# The reader's error lines.  Each distinct string literal of a map is read
-# once; every other entry is read as it comes, since true hashes as 1 and
-# [1] does not hash.  The first bad literal wins, then the shape, then the
-# first negative entry in row-major order, then the column sums.
+# The reader's error lines.  Entries are read in row-major order and a
+# failure is never kept, so the first bad literal wins, then the shape,
+# then the first negative entry in row-major order, then the column sums.
 MALFORMED_MATRICES = {
     "true after 1": ('[[1, true], ["0", "0"]]',
                      "bad rational literal True: Invalid literal for Fraction: 'True'"),
