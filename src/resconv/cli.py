@@ -154,7 +154,7 @@ def cmd_hasse(args: argparse.Namespace) -> int:
     classes, edges = hasse_classes(theory, theory.enumerate_up_to(args.box))
     dot = hasse_dot(theory, (classes, edges))
     if args.out:
-        Path(args.out).write_text(dot)
+        Path(args.out).write_text(dot, encoding="utf-8")
         _emit(args, {"out": args.out, "nodes": len(classes)},
               [f"wrote {args.out}"])
     else:
@@ -228,7 +228,7 @@ def cmd_normalize_circuit(args: argparse.Namespace) -> int:
     ]
     payload = jsonio.dump_one_comb(comb)
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         human.append(f"wrote {args.out}")
     _emit(args, payload, human)
     return 0
@@ -242,7 +242,7 @@ def cmd_plug(args: argparse.Namespace) -> int:
     human = [f"composite comb with {composite.arity} hole(s), "
              f"outer {composite.outer_dom.label} -> {composite.outer_cod.label}"]
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         human.append(f"wrote {args.out}")
     _emit(args, payload, human)
     return 0

@@ -402,7 +402,7 @@ def read_file(path: Path) -> str:
     such file the error is an InputError "file not found: <path>", and
     only there."""
     try:
-        f = path.open()
+        f = path.open(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a name with a NUL byte
         if isinstance(exc, OSError) and exc.errno not in _NO_FILE:
             raise

@@ -10,17 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 F0 = Fraction(0)
-
-
-def common_denominator(xs: Iterable[Fraction]) -> tuple[list[int], int]:
-    """Rationals as integer numerators over den, the lcm of their denominators."""
-    xs = tuple(xs)
-    dens = [x.denominator for x in xs]
-    den = lcm(*dens)
-    return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
 def complement_projector(vectors: Sequence[Sequence[int]],
@@ -87,7 +79,9 @@ def feasible_nonneg_solution(equations: Sequence[Sequence[Fraction]],
     total = n + m
     tab: list[list[int]] = []
     for i in range(m):
-        nums, den = common_denominator([*equations[i], rhs[i]])
+        row = [*equations[i], rhs[i]]
+        den = lcm(*(x.denominator for x in row))
+        nums = [x.numerator * (den // x.denominator) for x in row]
         if nums[-1] < 0:
             nums = [-x for x in nums]
         tab.append(nums[:n] + [den if j == i else 0 for j in range(m)] + nums[n:])

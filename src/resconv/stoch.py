@@ -19,8 +19,9 @@ both factors' labels and names, and holding only products of at most
 Only this module indexes product alphabets.  Its two map kernels are
 `compose_seq` (q after p, or (id (x) q (x) id) after p without building
 that product map) and `compose_par` (p beside q, a product map that is
-kept); every other contraction, `simulate_channel` and
-`combs.comb_tensor` among them, is a composition of these.
+kept); every other contraction is a composition of these, among them
+`combs.comb_tensor` and `simulate_channel`.  Shared randomness is a
+state on sa (x) sb, and simulation composes the kernels on it.
 
 One function checks a given map's shape, signs and column sums: the
 public `StochMap` constructor reads an int or `Fraction` matrix into it
@@ -31,6 +32,7 @@ literals it has read before (`jsonio.RATIO_MEMO_SIZE`).  It reads the
 signs and the distinct denominators in one pass.  Maps the kernels
 build (`from_function`, `compose_seq`, `compose_par` and what is built
 from them) are stochastic by construction and are not checked again.
+`SharedRandomness` checks its joint itself and keeps the state it computes.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from math import gcd, isqrt, lcm
 from random import Random
 
 from .core import MAX_ENTRIES, Decision, InputError, entry_ratio, shortest_traces
-from .linalg import common_denominator, feasible_nonneg_solution
+from .linalg import feasible_nonneg_solution
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -212,8 +214,8 @@ def from_ratios(dom: FinSet, cod: FinSet,
 def _kernel_map(dom: FinSet, cod: FinSet, den: int,
                 nums: tuple[tuple[int, ...], ...]) -> StochMap:
     """A map from nums over den, already reduced, without a check: the
-    kernels build from valid maps or index tables, and `from_ratios` has
-    checked already."""
+    kernels build from valid maps or index tables, and `from_ratios` and
+    `SharedRandomness` have checked already."""
     m = object.__new__(StochMap)
     m.__dict__.update(dom=dom, cod=cod, den=den, nums=nums)
     return m
@@ -377,24 +379,34 @@ def _split_product_left(product: FinSet, right: FinSet) -> FinSet | None:
     return left if tensor(left, right) == product else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SharedRandomness:
-    """Joint distribution over a pair of correlated alphabets, each entry
-    an int or a `Fraction` (`core.entry_ratio`)."""
+    """Shared randomness: one state on sa (x) sb, entry (x, y) the chance
+    that Alice holds x and Bob holds y.  Equality and hashing compare (sa,
+    sb, state); `joint`, its `Fraction` rows, is built on first read and cached."""
 
     sa: FinSet
     sb: FinSet
-    joint: tuple[tuple[Fraction, ...], ...]  # joint[x][y]
+    state: StochMap
 
-    def __post_init__(self) -> None:
-        if len(self.joint) != len(self.sa) or any(len(r) != len(self.sb) for r in self.joint):
+    def __init__(self, sa: FinSet, sb: FinSet, joint: Sequence[Sequence[Fraction | int]]) -> None:
+        """The rows joint[x][y] of ints or `Fraction`s, checked for shape, signs and
+        total, kept over the lcm of their denominators (reduced: see `_checked_form`)."""
+        if len(joint) != len(sa) or any(len(r) != len(sb) for r in joint):
             raise InputError("joint distribution shape must be |sa| x |sb|")
-        ratios = [entry_ratio(x) for row in self.joint for x in row]
+        ratios = [entry_ratio(x) for row in joint for x in row]
         if any(n < 0 for n, _ in ratios):
             raise InputError("joint probabilities must be non-negative")
         den = lcm(*(d for _, d in ratios))
-        if sum(n * (den // d) for n, d in ratios) != den:
+        nums = tuple((n * (den // d),) for n, d in ratios)
+        if sum(n for (n,) in nums) != den:
             raise InputError("joint distribution must sum to 1")
+        self.__dict__.update(sa=sa, sb=sb, state=_kernel_map(UNIT, tensor(sa, sb), den, nums))
+
+    @cached_property
+    def joint(self) -> tuple[tuple[Fraction, ...], ...]:
+        col, nb = self.state.column(0), len(self.sb)
+        return tuple(col[i:i + nb] for i in range(0, len(col), nb))
 
 
 def trivial_randomness() -> SharedRandomness:
@@ -412,11 +424,10 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
                    d(b'|b,y) * p(b|a) * e(a|a',x) * r(x,y),
 
     the kernel composition d . (p (x) id_sb) . (e (x) id_sb) . (id_a' (x) r)
-    with r read as a state on sa (x) sb; the two middle steps are
-    `compose_seq` with sb as the right side.  Q is linear in each of e, d
+    on r's state: `compose_par` for the first step, then `compose_seq`, with
+    sb as the right side in the middle two.  Q is linear in each of e, d
     and r when the other two are fixed.  r was checked when it was built,
-    so its state over the lcm of the joint's denominators (reduced, as
-    `_checked_form` explains) and the composites are kernel-built.
+    so no step is checked again.
     """
     if e.cod != p.dom:
         raise CompositionError(f"encoder output {e.cod} does not match channel input {p.dom}")
@@ -425,13 +436,7 @@ def simulate_channel(p: StochMap, e: StochMap, d: StochMap,
     a_new = _split_product_left(e.dom, r.sa)
     if a_new is None:
         raise CompositionError(f"encoder input {e.dom} does not factor as X tensor {r.sa}")
-    nums, den = common_denominator(x for row in r.joint for x in row)
-    shared = _kernel_map(UNIT, tensor(r.sa, r.sb), den, tuple((n,) for n in nums))
-    # id_a' (x) shared, typed as e's input beside sb: the same names
-    na = len(a_new)
-    spread = _kernel_map(a_new, tensor(e.dom, r.sb), den,
-                         tuple(tuple(n if j == i else 0 for j in range(na))
-                               for i in range(na) for (n,) in shared.nums))
+    spread = compose_par(identity(a_new), r.state)
     return compose_seq(d, compose_seq(p, compose_seq(e, spread, right=r.sb), right=r.sb))
 
 
@@ -556,7 +561,7 @@ def search_exact_simulation(p: StochMap, target: StochMap, caps: int = 8) -> Dec
             witness = SimulationWitness(
                 _map_from_functions(target.dom, sa, p.dom, used_enc),
                 _map_from_functions(p.cod, sb, target.cod, used_dec),
-                SharedRandomness(sa, sb, tuple(map(tuple, joint))))
+                SharedRandomness(sa, sb, joint))
             return Decision.proven(witness)
         return Decision.unknown(caps, note="mixture found but its support exceeds the caps")
     return Decision.unknown(caps, note="no deterministic-given-randomness strategy matches")

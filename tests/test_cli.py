@@ -1,7 +1,9 @@
 import argparse
 import importlib
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -941,3 +943,32 @@ def test_theory_dispatch_and_terms(tmp_path):
     assert t.geq(a, b).is_proven
     with pytest.raises(InputError):
         load_theory({"what": 1})
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    """Input files and `--out` files are UTF-8 in every locale: under
+    `-X warn_default_encoding -W error::EncodingWarning` a file opened in
+    the locale's encoding would end the run with a traceback."""
+    burn = {"objects": ["H₂", "O₂", "H₂O"],
+            "morphisms": [{"name": "burn", "from": {"H₂": 2, "O₂": 1}, "to": {"H₂O": 2}}]}
+    (tmp_path / "burn.json").write_text(json.dumps(burn, ensure_ascii=False), encoding="utf-8")
+    for name in ("sandwich.circ", "maps.json"):
+        (tmp_path / name).write_text((DEMO / name).read_text())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p), PYTHONIOENCODING="utf-8")
+
+    def cli(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "resconv.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, encoding="utf-8",
+                              timeout=120)
+
+    # the terms spell ₂ as a JSON escape, so the command line stays ASCII
+    runs = [cli("convert", "burn.json", '{"H\\u2082": 2, "O\\u2082": 1}', '{"H\\u2082O": 2}'),
+            cli("hasse", "burn.json", "--box", "1", "--out", "burn.dot"),
+            cli("normalize-circuit", "sandwich.circ", "--out", "comb.json")]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    assert "H₂O" in (tmp_path / "burn.dot").read_text(encoding="utf-8")
+    assert json.loads((tmp_path / "comb.json").read_text(encoding="utf-8"))["pre"]

@@ -15,6 +15,7 @@ from resconv.combs import NComb, apply_ncomb, comb_equivalent, compose_combs_seq
 from resconv.core import Decision, InputError
 from resconv.instances import (ProbVector, deterministic_convertible,
                                enumerate_prob_vectors)
+from resconv.jsonio import dump_shared_randomness, load_shared_randomness
 from resconv.linalg import feasible_nonneg_solution
 from resconv.stoch import (UNIT, CompositionError, FinSet, SharedRandomness, StochMap,
                            all_deterministic_maps, compose_par, compose_seq,
@@ -355,6 +356,48 @@ def random_joint(rng, sa, sb):
 def is_correlated(r):
     px, py = [sum(row) for row in r.joint], [sum(col) for col in zip(*r.joint)]
     return any(r.joint[x][y] != px[x] * py[y] for x in range(len(px)) for y in range(len(py)))
+
+
+def test_shared_randomness_is_one_state_on_the_product():
+    """The joint is kept as the state its check builds; `joint` reads its
+    rows back, and int and `Fraction` spellings give one value."""
+    x2, y3 = finset("x", 2), finset("y", 3)
+    rows = ((F(1, 2), F(0), F(1, 6)), (F(0), F(1, 3), F(0)))
+    r = SharedRandomness(x2, y3, rows)
+    assert r.state.dom == UNIT and r.state.cod == tensor(x2, y3)
+    assert r.state.column(0) == (F(1, 2), 0, F(1, 6), 0, F(1, 3), 0) and r.joint == rows
+    assert not hasattr(r, "matrix") and not hasattr(r, "dom")
+    assert bench_ops.canon(r) == {"sa": list(x2), "sb": list(y3),
+                                  "joint": [["1/2", "0", "1/6"], ["0", "1/3", "0"]]}
+    rng = Random(24)
+    with_ints = 0
+    for _ in range(60):
+        sa, sb = finset("x", rng.randint(1, 3)), finset("y", rng.randint(1, 3))
+        given = random_joint(rng, sa, sb).joint
+        ints = tuple(tuple(int(x) if x.denominator == 1 else x for x in row) for row in given)
+        with_ints += any(type(x) is int for row in ints for x in row)
+        for rows in (given, ints):
+            r = SharedRandomness(sa, sb, rows)
+            assert r.state == state(tensor(sa, sb), [x for row in rows for x in row])
+            assert r.joint == rows
+        a, b = SharedRandomness(sa, sb, given), SharedRandomness(sa, sb, ints)
+        assert a == b and hash(a) == hash(b)
+        d = dump_shared_randomness(a)
+        assert dump_shared_randomness(load_shared_randomness(d)) == d
+    assert with_ints > 30
+
+
+def test_a_prob_vector_and_a_state_carry_across_both_ways():
+    """`state(cod, v)` takes a `ProbVector` to a state, and
+    `ProbVector(m.column(0))` takes a state back."""
+    vectors = enumerate_prob_vectors(4, 6)
+    assert len(vectors) == 230
+    for v in vectors:
+        assert ProbVector(state(finset("n", len(v)), v).column(0)) == v
+    rng = Random(17)
+    for _ in range(200):
+        m = random_stoch_map(rng, UNIT, finset("n", rng.randint(1, 5)))
+        assert state(m.cod, ProbVector(m.column(0))) == m
 
 
 def test_simulate_channel_matches_the_contraction_loop():
